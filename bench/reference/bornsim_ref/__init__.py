@@ -1,0 +1,134 @@
+"""Mechanical measurement models with Born-rule statistics.
+
+Three stochastic machines measured against their exact distributions:
+
+* :mod:`bornsim.sphere` -- elastic-band model on the sphere (two outcomes),
+* :mod:`bornsim.disk`   -- disk-shaking hidden-point model (two outcomes),
+* :mod:`bornsim.rod`    -- two-stage rod-breaking model (three outcomes),
+  with a breaking weight that either reproduces the Born rule exactly
+  (quantum, sin^2) or provably breaks it (uniform variant, sin).
+
+:mod:`bornsim.quantum` holds the reference state-vector formalism,
+:mod:`bornsim.stats` the reproducible Monte Carlo runner and chi-square
+verification, and :mod:`bornsim.cli` the ``bornsim`` command.
+"""
+
+from .geometry import (
+    DegenerateProjectionError,
+    Frame,
+    Ray,
+    UnitVector,
+    canonicalize,
+    complete_frame,
+    direction_cosines,
+    identity_frame,
+    orthonormal_frame,
+    project_onto_plane,
+    random_frame,
+    random_unit_vector,
+    ray_angle,
+    rotate_frame_about_axis,
+    unit_vector,
+    vector_angle,
+)
+from .outcomes import OutcomeDistribution, TrialRecord
+from .sphere import (
+    ElasticHiddenVariable,
+    SphereMeasurement,
+    SphereState,
+    sphere_analytic,
+    sphere_sample,
+)
+from .disk import DiskState, disk_analytic, disk_measure, initial_state, sample_hidden
+from .rod import (
+    QUANTUM,
+    UNIFORM_VARIANT,
+    BreakPath,
+    BreakWeight,
+    RodMeasurement,
+    RodState,
+    rod_analytic,
+    rod_sample,
+    stage1_distribution,
+    stage2_distribution,
+)
+from .quantum import (
+    Observable,
+    RayProjector,
+    RealStateVector,
+    born_probabilities,
+    expectation,
+    frame_additivity_check,
+    gleason_measure,
+    state_vector,
+)
+from .stats import (
+    EmpiricalDistribution,
+    GofReport,
+    RunConfig,
+    RunReport,
+    chi_square_gof,
+    run_trials,
+    verify_run,
+)
+from .streams import TrialStream, trial_uniforms
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "BreakPath",
+    "BreakWeight",
+    "DegenerateProjectionError",
+    "DiskState",
+    "ElasticHiddenVariable",
+    "EmpiricalDistribution",
+    "Frame",
+    "GofReport",
+    "Observable",
+    "OutcomeDistribution",
+    "QUANTUM",
+    "Ray",
+    "RayProjector",
+    "RealStateVector",
+    "RodMeasurement",
+    "RodState",
+    "RunConfig",
+    "RunReport",
+    "SphereMeasurement",
+    "SphereState",
+    "TrialRecord",
+    "TrialStream",
+    "UNIFORM_VARIANT",
+    "UnitVector",
+    "born_probabilities",
+    "canonicalize",
+    "chi_square_gof",
+    "complete_frame",
+    "direction_cosines",
+    "disk_analytic",
+    "disk_measure",
+    "expectation",
+    "frame_additivity_check",
+    "gleason_measure",
+    "identity_frame",
+    "initial_state",
+    "orthonormal_frame",
+    "project_onto_plane",
+    "random_frame",
+    "random_unit_vector",
+    "ray_angle",
+    "rod_analytic",
+    "rod_sample",
+    "rotate_frame_about_axis",
+    "run_trials",
+    "sample_hidden",
+    "sphere_analytic",
+    "sphere_sample",
+    "stage1_distribution",
+    "stage2_distribution",
+    "state_vector",
+    "trial_uniforms",
+    "unit_vector",
+    "vector_angle",
+    "verify_run",
+]

@@ -1,0 +1,277 @@
+"""Monte Carlo trial runner and statistical verification.
+
+Trials are counted through the vectorized model kernels, with every trial's
+randomness derived from ``(master_seed, trial index)`` by the counter-based
+streams in :mod:`bornsim.streams`. Counts are therefore a pure function of
+the run configuration: the same config gives bit-identical counts for any
+worker count, chunking, or scheduling order.
+
+Goodness of fit is a plain multinomial chi-square with critical values
+tabulated for 1 and 2 degrees of freedom (no inverse-CDF dependency), plus
+per-outcome 99% normal-approximation confidence intervals.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import disk, rod, sphere
+from .geometry import Frame, UnitVector, canonicalize
+from .outcomes import OutcomeDistribution, TrialRecord
+from .streams import trial_uniforms
+
+MODELS = ("sphere2d", "ks", "rod")
+
+# upper critical values chi2(dof, 1 - alpha); standard table constants
+CHI2_CRITICAL = {
+    (1, 0.01): 6.635,
+    (2, 0.01): 9.210,
+    (1, 0.05): 3.841,
+    (2, 0.05): 5.991,
+}
+Z_99 = 2.576  # two-sided 99% normal quantile
+
+_CHUNK = 1 << 18
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One Monte Carlo run: model, inputs, trial count, seed, parallelism.
+
+    ``measurement`` is the measurement direction (UnitVector) for the
+    two-outcome models and a Frame for the rod model. ``weight`` selects the
+    rod breaking weight and is ignored by the other models.
+    """
+
+    model: str
+    state: UnitVector
+    measurement: Frame | UnitVector
+    weight: str = "quantum"
+    trials: int = 1
+    master_seed: int = 0
+    workers: int = 1
+
+
+@dataclass(frozen=True)
+class EmpiricalDistribution:
+    labels: tuple[str, ...]
+    counts: tuple[int, ...]
+    total: int
+
+    def __post_init__(self):
+        if len(self.labels) != len(self.counts):
+            raise ValueError("labels and counts must have the same length")
+        if any(c < 0 for c in self.counts):
+            raise ValueError("counts must be nonnegative")
+        if sum(self.counts) != self.total:
+            raise ValueError("counts must sum to total")
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return np.array(self.counts) / self.total
+
+    def as_distribution(self) -> OutcomeDistribution:
+        return OutcomeDistribution(
+            self.labels,
+            tuple(float(f) for f in self.frequencies),
+            source="empirical",
+            trials=self.total,
+        )
+
+
+@dataclass(frozen=True)
+class GofReport:
+    """Chi-square verdict plus per-outcome 99% confidence intervals."""
+
+    statistic: float
+    dof: int
+    alpha: float
+    critical: float
+    passed: bool
+    intervals: tuple[tuple[float, float], ...]
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """A run verified against expected probabilities: counts, verdict, CIs."""
+
+    config: RunConfig
+    empirical: EmpiricalDistribution
+    expected: OutcomeDistribution
+    gof: GofReport
+    records: tuple[TrialRecord, ...]
+
+
+def verify_run(
+    cfg: RunConfig,
+    expected: OutcomeDistribution,
+    alpha: float = 0.01,
+    record_sample: int = 10,
+) -> RunReport:
+    """run_trials followed by chi_square_gof against ``expected``."""
+    emp, records = run_trials(cfg, record_sample=record_sample)
+    gof = chi_square_gof(emp, expected, alpha=alpha)
+    return RunReport(cfg, emp, expected, gof, tuple(records))
+
+
+def _validate(cfg: RunConfig) -> None:
+    if cfg.model not in MODELS:
+        raise ValueError(f"unknown model {cfg.model!r}; expected one of {MODELS}")
+    if cfg.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if cfg.workers < 1:
+        raise ValueError("workers must be >= 1")
+    if not isinstance(cfg.state, UnitVector):
+        raise ValueError("state must be a UnitVector")
+    if cfg.model == "rod":
+        if not isinstance(cfg.measurement, Frame):
+            raise ValueError("rod model needs a Frame measurement")
+        if cfg.weight not in rod.WEIGHTS:
+            raise ValueError(f"unknown weight {cfg.weight!r}")
+    else:
+        if not isinstance(cfg.measurement, UnitVector):
+            raise ValueError(f"{cfg.model} model needs a UnitVector measurement")
+
+
+def _model_glue(cfg: RunConfig):
+    """(labels, draws per trial, kernel mapping uniform rows to outcome indices)."""
+    if cfg.model == "sphere2d":
+        c = cfg.measurement.dot(cfg.state)
+        return sphere.LABELS, 1, lambda u: sphere.outcome_indices(c, u[0])
+    if cfg.model == "ks":
+        p = cfg.state.array
+        q = cfg.measurement.array
+        return disk.LABELS, 2, lambda u: disk.up_indices(p, q, u[0], u[1])
+    ray = canonicalize(cfg.state)
+    w = rod.WEIGHTS[cfg.weight]
+    frame = cfg.measurement
+    return (
+        rod.LABELS,
+        2,
+        lambda u: rod.outcomes_from_uniforms(ray, frame, w, u[0], u[1])[0],
+    )
+
+
+def _scalar_record(cfg: RunConfig, t: int) -> TrialRecord:
+    """Re-run trial t through its own stream to materialize the final state."""
+    if cfg.model == "sphere2d":
+        u = trial_uniforms(cfg.master_seed, t, t + 1, 1)
+        idx = int(sphere.outcome_indices(cfg.measurement.dot(cfg.state), u[0])[0])
+        new_v = cfg.measurement if idx == 0 else -cfg.measurement
+        return TrialRecord(t, sphere.LABELS[idx], sphere.SphereState(new_v))
+    if cfg.model == "ks":
+        u = trial_uniforms(cfg.master_seed, t, t + 1, 4)
+        idx = int(
+            disk.up_indices(cfg.state.array, cfg.measurement.array, u[0], u[1])[0]
+        )
+        pole = cfg.measurement if idx == 0 else -cfg.measurement
+        tv = disk.hidden_from_uniforms(pole.array, u[2], u[3])[0]
+        hidden = UnitVector(float(tv[0]), float(tv[1]), float(tv[2]))
+        return TrialRecord(t, disk.LABELS[idx], disk.DiskState(pole, hidden))
+    u = trial_uniforms(cfg.master_seed, t, t + 1, 2)
+    ray = canonicalize(cfg.state)
+    outcome, _, _ = rod.outcomes_from_uniforms(
+        ray, cfg.measurement, rod.WEIGHTS[cfg.weight], u[0], u[1]
+    )
+    idx = int(outcome[0])
+    return TrialRecord(t, rod.LABELS[idx], rod.RodState(cfg.measurement.axes[idx]))
+
+
+def run_trials(
+    cfg: RunConfig, record_sample: int = 10
+) -> tuple[EmpiricalDistribution, list[TrialRecord]]:
+    """Run cfg.trials independent measurements from the configured state.
+
+    Returns the aggregated outcome counts plus TrialRecords for the first
+    ``record_sample`` trials. Counts are deterministic given
+    ``cfg.master_seed`` regardless of ``cfg.workers``.
+    """
+    _validate(cfg)
+    labels, ndraws, kernel = _model_glue(cfg)
+
+    def count_range(bounds: tuple[int, int]) -> np.ndarray:
+        a, b = bounds
+        u = trial_uniforms(cfg.master_seed, a, b, ndraws)
+        return np.bincount(kernel(u), minlength=len(labels))
+
+    ranges = [
+        (a, min(a + _CHUNK, cfg.trials)) for a in range(0, cfg.trials, _CHUNK)
+    ]
+    if cfg.workers == 1 or len(ranges) == 1:
+        partials = [count_range(r) for r in ranges]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            partials = list(pool.map(count_range, ranges))
+    counts = np.sum(partials, axis=0, dtype=np.int64)
+
+    emp = EmpiricalDistribution(labels, tuple(int(c) for c in counts), cfg.trials)
+    records = [_scalar_record(cfg, t) for t in range(min(record_sample, cfg.trials))]
+    return emp, records
+
+
+def chi_square_gof(
+    emp: EmpiricalDistribution, expected: OutcomeDistribution, alpha: float = 0.01
+) -> GofReport:
+    """Multinomial goodness of fit of observed counts against expected probs.
+
+    statistic = N * sum over p_i > 0 of (f_i - p_i)^2 / p_i, compared to the
+    tabulated chi-square critical value at ``alpha`` for
+    dof = (outcomes with p_i > 0) - 1. Any count on a zero-probability
+    outcome fails outright.
+    """
+    if emp.labels != expected.labels:
+        raise ValueError("empirical and expected outcome labels differ")
+    p = expected.array
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"expected probabilities sum to {float(p.sum())}, not 1")
+    n = emp.total
+    counts = np.array(emp.counts)
+    f = counts / n
+
+    intervals = []
+    for fi in f:
+        half = Z_99 * float(np.sqrt(max(fi * (1.0 - fi), 0.0) / n))
+        intervals.append((max(fi - half, 0.0), min(fi + half, 1.0)))
+    intervals = tuple(intervals)
+
+    dof = int(np.sum(p > 0.0)) - 1
+    impossible = (p == 0.0) & (counts > 0)
+    if np.any(impossible):
+        bad = [expected.labels[i] for i in np.flatnonzero(impossible)]
+        return GofReport(
+            statistic=float("inf"),
+            dof=dof,
+            alpha=alpha,
+            critical=_critical(dof, alpha),
+            passed=False,
+            intervals=intervals,
+            note=f"counts on zero-probability outcomes: {', '.join(bad)}",
+        )
+
+    mask = p > 0.0
+    statistic = float(n * np.sum((f[mask] - p[mask]) ** 2 / p[mask]))
+    critical = _critical(dof, alpha)
+    return GofReport(
+        statistic=statistic,
+        dof=dof,
+        alpha=alpha,
+        critical=critical,
+        passed=statistic <= critical,
+        intervals=intervals,
+    )
+
+
+def _critical(dof: int, alpha: float) -> float:
+    if dof == 0:
+        return 0.0
+    try:
+        return CHI2_CRITICAL[(dof, alpha)]
+    except KeyError:
+        raise ValueError(
+            f"no tabulated critical value for dof={dof}, alpha={alpha}; "
+            f"supported: {sorted(CHI2_CRITICAL)}"
+        ) from None
