@@ -8,9 +8,11 @@ Three stochastic machines measured against their exact distributions:
   with a breaking weight that either reproduces the Born rule exactly
   (quantum, sin^2) or provably breaks it (uniform variant, sin).
 
-:mod:`bornsim.quantum` holds the reference state-vector formalism,
-:mod:`bornsim.stats` the reproducible Monte Carlo runner and chi-square
-verification, and :mod:`bornsim.cli` the ``bornsim`` command.
+:mod:`bornsim.models` is the table of the three machines, keyed by CLI
+model id; :mod:`bornsim.quantum` holds the reference formalism for the real
+three-dimensional state space (Born probabilities, rank-1 measures, frame
+additivity); :mod:`bornsim.stats` the reproducible Monte Carlo runner and
+chi-square verification; and :mod:`bornsim.cli` the ``bornsim`` command.
 """
 
 from .geometry import (
@@ -53,11 +55,9 @@ from .rod import (
     stage2_distribution,
 )
 from .quantum import (
-    Observable,
     RayProjector,
     RealStateVector,
     born_probabilities,
-    expectation,
     frame_additivity_check,
     gleason_measure,
     state_vector,
@@ -84,7 +84,6 @@ __all__ = [
     "EmpiricalDistribution",
     "Frame",
     "GofReport",
-    "Observable",
     "OutcomeDistribution",
     "QUANTUM",
     "Ray",
@@ -107,7 +106,6 @@ __all__ = [
     "direction_cosines",
     "disk_analytic",
     "disk_measure",
-    "expectation",
     "frame_additivity_check",
     "gleason_measure",
     "identity_frame",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import re
 import sys
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import disk, rod, sphere
+from . import rod
 from .geometry import (
     Frame,
     UnitVector,
@@ -39,6 +40,7 @@ from .geometry import (
     random_unit_vector,
     tangent_basis,
 )
+from .models import MODELS, ROD
 from .outcomes import OutcomeDistribution
 from .quantum import (
     RayProjector,
@@ -53,6 +55,8 @@ from .streams import trial_state
 FALLBACK_SEED = 12345
 SEED_ENV_VAR = "BORNSIM_SEED"
 MIN_TRIALS_FOR_VERDICT = 1000
+# framecheck measures: the Gleason form of the state, or the rod's marginals
+MEASURES = ("gleason", ROD.name)
 
 SIMULATE_HEADER = [
     "model", "weight", "state_x", "state_y", "state_z", "frame_id",
@@ -81,41 +85,52 @@ def _fmt(x: float) -> str:
 def _parse_floats(text: str) -> list[float]:
     parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise InputError(f"could not parse numbers from {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise InputError(f"non-finite number in {text!r}")
+    return vals
+
+
+def _unit(vals: list[float], what: str) -> np.ndarray:
+    """vals / |vals|, rejecting a norm below 1e-12.
+
+    The vector is first scaled by a power of two (exact) so that its norm
+    cannot overflow; the quotient is the same as without the scaling.
+    """
+    _, e = math.frexp(max(abs(v) for v in vals))
+    v = np.ldexp(np.array(vals), -e)
+    n = float(np.linalg.norm(v))
+    if math.ldexp(n, min(e, 0)) < 1e-12:
+        raise InputError(f"{what} must be nonzero")
+    return v / n
 
 
 def _parse_state(text: str) -> UnitVector:
     vals = _parse_floats(text)
     if len(vals) != 3:
         raise InputError(f"state needs 3 components, got {len(vals)}")
-    v = np.array(vals)
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise InputError("state vector must be nonzero")
-    v = v / n
-    return UnitVector(float(v[0]), float(v[1]), float(v[2]))
+    return UnitVector(*_unit(vals, "state vector").tolist())
 
 
-def _resolve_frame(token: str) -> Frame:
-    """Frame from 'identity', 'random:<seed>' or 9 reals (Gram-Schmidt applied)."""
-    if token == "identity":
-        return identity_frame()
-    if token.startswith("random:"):
-        try:
-            seed = int(token.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"bad frame token {token!r}") from exc
-        return random_frame(np.random.default_rng(seed))
-    vals = _parse_floats(token)
+@dataclass(frozen=True)
+class FrameInput:
+    """A parsed --frame token: its CSV ``frame_id``, the model's measurement
+    (a Frame, or an oriented UnitVector), and the unit pair (u, w) whose
+    combinations cos(angle)*u + sin(angle)*w are the sweep states."""
+
+    frame_id: str
+    measurement: Frame | UnitVector
+    sweep: tuple[np.ndarray, np.ndarray]
+
+
+def _custom_frame(vals: list[float]) -> Frame:
+    """Frame from 9 reals (rows), Gram-Schmidt applied when within 1e-6 of orthonormal."""
     if len(vals) != 9:
         raise InputError(f"frame needs 9 components, got {len(vals)}")
     rows = np.array(vals).reshape(3, 3)
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms < 1e-12):
-        raise InputError("frame rows must be nonzero")
-    unit = rows / norms[:, None]
+    unit = [_unit(list(row), "frame rows") for row in rows]
     for i in range(3):
         for j in range(i + 1, 3):
             if abs(float(unit[i] @ unit[j])) > 1e-6:
@@ -123,43 +138,51 @@ def _resolve_frame(token: str) -> Frame:
                     f"frame rows {i} and {j} are not orthonormalizable within 1e-6"
                 )
     try:
-        frame = orthonormal_frame(rows[0], rows[1], rows[2])
+        return orthonormal_frame(rows[0], rows[1], rows[2])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return frame
 
 
-def _resolve_direction(token: str) -> UnitVector:
-    """Oriented measurement direction for the two-outcome models.
+def _parse_frame(token: str, kind: type) -> FrameInput:
+    """'identity', 'random:<seed>' or reals, read as a measurement of type ``kind``.
 
-    'identity' means +x; 'random:<seed>' draws a uniform direction; numeric
-    input takes the first three components as given (no antipodal flip).
+    A Frame's sweep plane is spanned by its axes 0 and 1. A direction is +x,
+    a uniform random direction, or the first 3 of 3 or 9 reals as given (no
+    antipodal flip); its sweep partner is the second of 9 reals made
+    orthogonal to it, else its tangent basis.
     """
-    if token == "identity":
-        return UnitVector(1.0, 0.0, 0.0)
+    rng = vals = None
     if token.startswith("random:"):
         try:
-            seed = int(token.split(":", 1)[1])
+            rng = np.random.default_rng(int(token.split(":", 1)[1]))
         except ValueError as exc:
             raise InputError(f"bad frame token {token!r}") from exc
-        return random_unit_vector(np.random.default_rng(seed))
-    vals = _parse_floats(token)
-    if len(vals) not in (3, 9):
+    elif token != "identity":
+        vals = _parse_floats(token)
+    frame_id = token if vals is None else "custom"
+    if kind is Frame:
+        if vals is not None:
+            m = _custom_frame(vals)
+        else:
+            m = identity_frame() if rng is None else random_frame(rng)
+        return FrameInput(frame_id, m, (m.matrix[0], m.matrix[1]))
+    if vals is None:
+        m = UnitVector(1.0, 0.0, 0.0) if rng is None else random_unit_vector(rng)
+    elif len(vals) in (3, 9):
+        m = UnitVector(*_unit(vals[:3], "direction").tolist())
+    else:
         raise InputError(
             f"direction needs 3 components (or a 9-component frame), got {len(vals)}"
         )
-    v = np.array(vals[:3])
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise InputError("direction must be nonzero")
-    v = v / n
-    return UnitVector(float(v[0]), float(v[1]), float(v[2]))
-
-
-def _frame_id(token: str) -> str:
-    if token == "identity" or token.startswith("random:"):
-        return token
-    return "custom"
+    u = m.array
+    w, _ = tangent_basis(u)
+    if vals is not None and len(vals) == 9:
+        second = np.array(vals[3:6])
+        w9 = second - (second @ u) * u
+        n = float(np.linalg.norm(w9))
+        if n > 1e-9:
+            w = w9 / n
+    return FrameInput(frame_id, m, (u, w))
 
 
 @dataclass
@@ -167,12 +190,10 @@ class ExperimentSpec:
     """Validated, fully-defaulted inputs of one command invocation."""
 
     command: str
-    model: str = "rod"
-    weight: str = "quantum"
+    model: str | None = None
+    weight: str = rod.QUANTUM.tag
     state: UnitVector | None = None
-    frame_token: str = "identity"
-    frame: Frame | None = None
-    direction: UnitVector | None = None
+    frame: FrameInput | None = None  # not parsed for framecheck
     trials: int = 100000
     seed: int = FALLBACK_SEED
     alpha: float = 0.01
@@ -180,7 +201,7 @@ class ExperimentSpec:
     out: str | None = None
     steps: int = 9
     workers: int = 1
-    measure: str = "gleason"
+    measure: str = MEASURES[0]
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -241,9 +262,9 @@ def _resolve(args: argparse.Namespace) -> ExperimentSpec:
     r = ExperimentSpec(command=args.command)
 
     r.model = _pick(args, config, "model", None, str)
-    r.weight = _pick(args, config, "weight", "quantum", str)
+    r.weight = _pick(args, config, "weight", r.weight, str)
     state_text = _pick(args, config, "state", None, str)
-    r.frame_token = _pick(args, config, "frame", "identity", str)
+    frame_token = _pick(args, config, "frame", "identity", str)
     r.trials = _pick(args, config, "trials", 100000, lambda t: _to_int(t, "trials"))
     r.seed = _pick(args, config, "seed", _default_seed(), lambda t: _to_int(t, "seed"))
     r.alpha = _pick(args, config, "alpha", 0.01, lambda t: _to_float(t, "alpha"))
@@ -251,17 +272,18 @@ def _resolve(args: argparse.Namespace) -> ExperimentSpec:
     r.out = _pick(args, config, "out", None, str)
     r.steps = _pick(args, config, "steps", 9, lambda t: _to_int(t, "steps"))
     r.workers = _pick(args, config, "workers", 1, lambda t: _to_int(t, "workers"))
-    r.measure = _pick(args, config, "measure", "gleason", str)
+    r.measure = _pick(args, config, "measure", r.measure, str)
 
     if r.command == "framecheck":
-        if r.measure not in ("gleason", "rod"):
-            raise InputError(f"measure must be 'gleason' or 'rod', got {r.measure!r}")
+        if r.measure not in MEASURES:
+            choices = " or ".join(repr(m) for m in MEASURES)
+            raise InputError(f"measure must be {choices}, got {r.measure!r}")
     else:
         if r.model is None:
-            raise InputError("a model is required (--model sphere2d|ks|rod)")
-        if r.model not in ("sphere2d", "ks", "rod"):
+            raise InputError(f"a model is required (--model {'|'.join(MODELS)})")
+        if r.model not in MODELS:
             raise InputError(f"unknown model {r.model!r}")
-    if r.weight not in ("quantum", "uniform-variant"):
+    if r.weight not in rod.WEIGHTS:
         raise InputError(f"unknown weight {r.weight!r}")
     if r.expect not in ("self", "born"):
         raise InputError(f"expect must be 'self' or 'born', got {r.expect!r}")
@@ -275,72 +297,66 @@ def _resolve(args: argparse.Namespace) -> ExperimentSpec:
     if r.alpha not in (0.01, 0.05):
         raise InputError("alpha must be 0.01 or 0.05 (tabulated critical values)")
 
-    if r.command == "framecheck":
-        return r
-    if r.model == "rod":
-        r.frame = _resolve_frame(r.frame_token)
-    else:
-        r.direction = _resolve_direction(r.frame_token)
+    if r.command != "framecheck":
+        r.frame = _parse_frame(frame_token, MODELS[r.model].measurement)
     return r
 
 
 def _weight_field(r: ExperimentSpec) -> str:
-    return r.weight if r.model == "rod" else ""
+    return r.weight if MODELS[r.model].weighted else ""
 
 
-def _self_distribution(r: ExperimentSpec) -> OutcomeDistribution:
-    if r.model == "sphere2d":
-        return sphere.sphere_analytic(
-            sphere.SphereMeasurement(r.direction), sphere.SphereState(r.state)
-        )
-    if r.model == "ks":
-        return disk.disk_analytic(r.direction, r.state)
-    dist, _ = rod.rod_analytic(
-        rod.RodState(canonicalize(r.state)),
-        rod.RodMeasurement(r.frame),
-        rod.WEIGHTS[r.weight],
-    )
-    return dist
+def _self_distribution(r: ExperimentSpec, state: UnitVector) -> OutcomeDistribution:
+    return MODELS[r.model].analytic(state, r.frame.measurement, r.weight)
 
 
 def _expected_distribution(r: ExperimentSpec) -> OutcomeDistribution:
     """--expect self: the model's own exact distribution; born: the state-vector rule.
 
-    For the two-outcome models both coincide, so 'born' only changes the rod
+    The state-vector rule is stated over a Frame; for the two-outcome models
+    it coincides with their own law, so 'born' only changes the rod
     comparison.
     """
-    if r.expect == "born" and r.model == "rod":
+    if r.expect == "born" and isinstance(r.frame.measurement, Frame):
         psi = state_vector(canonicalize(r.state).rep.array)
-        return born_probabilities(psi, r.frame)
-    return _self_distribution(r)
+        return born_probabilities(psi, r.frame.measurement)
+    return _self_distribution(r, r.state)
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _run_config(r: ExperimentSpec, state: UnitVector, seed: int) -> RunConfig:
+    return RunConfig(
+        model=r.model,
+        state=state,
+        measurement=r.frame.measurement,
+        weight=r.weight,
+        trials=r.trials,
+        master_seed=seed,
+        workers=r.workers,
+    )
 
 
 def _write_rows(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    fh, close = _open_out(path)
+    """CSV to ``path``, or to stdout when it is None or '-'."""
+    to_file = path is not None and path != "-"
+    fh = open(path, "w", encoding="utf-8", newline="") if to_file else sys.stdout
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     finally:
-        if close:
+        if to_file:
             fh.close()
 
 
 def cmd_analytic(r: ExperimentSpec) -> int:
-    dist = _self_distribution(r)
+    dist = _self_distribution(r, r.state)
     for label, prob in zip(dist.labels, dist.probs):
         print(f"{label} {_fmt(prob)}")
     if r.out is not None:
         sx, sy, sz = r.state.x, r.state.y, r.state.z
         rows = [
             [r.model, _weight_field(r), _fmt(sx), _fmt(sy), _fmt(sz),
-             _frame_id(r.frame_token), label, _fmt(prob)]
+             r.frame.frame_id, label, _fmt(prob)]
             for label, prob in zip(dist.labels, dist.probs)
         ]
         _write_rows(r.out, ANALYTIC_HEADER, rows)
@@ -348,15 +364,7 @@ def cmd_analytic(r: ExperimentSpec) -> int:
 
 
 def cmd_simulate(r: ExperimentSpec) -> int:
-    cfg = RunConfig(
-        model=r.model,
-        state=r.state,
-        measurement=r.frame if r.model == "rod" else r.direction,
-        weight=r.weight,
-        trials=r.trials,
-        master_seed=r.seed,
-        workers=r.workers,
-    )
+    cfg = _run_config(r, r.state, r.seed)
     report = verify_run(cfg, _expected_distribution(r), alpha=r.alpha)
     emp, expected, gof = report.empirical, report.expected, report.gof
 
@@ -366,7 +374,7 @@ def cmd_simulate(r: ExperimentSpec) -> int:
         lo, hi = gof.intervals[i]
         rows.append(
             [r.model, _weight_field(r), _fmt(sx), _fmt(sy), _fmt(sz),
-             _frame_id(r.frame_token), label, str(emp.counts[i]),
+             r.frame.frame_id, label, str(emp.counts[i]),
              _fmt(emp.frequencies[i]), _fmt(expected.probs[i]),
              _fmt(lo), _fmt(hi)]
         )
@@ -398,52 +406,18 @@ def cmd_simulate(r: ExperimentSpec) -> int:
     return 0 if gof.passed else 3
 
 
-def _sweep_pair(r: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Unit pair (u, w): sweep states are cos(angle)*u + sin(angle)*w."""
-    if r.model == "rod":
-        m = r.frame.matrix
-        return m[0], m[1]
-    u = r.direction.array
-    if r.frame_token == "identity" or r.frame_token.startswith("random:"):
-        w, _ = tangent_basis(u)
-        return u, w
-    vals = _parse_floats(r.frame_token)
-    if len(vals) == 9:
-        second = np.array(vals[3:6])
-        w = second - (second @ u) * u
-        n = float(np.linalg.norm(w))
-        if n > 1e-9:
-            return u, w / n
-    w, _ = tangent_basis(u)
-    return u, w
-
-
 def cmd_sweep(r: ExperimentSpec) -> int:
     if r.steps < 2:
         raise InputError("steps must be >= 2")
-    u, w = _sweep_pair(r)
+    u, w = r.frame.sweep
     angles = np.linspace(0.0, np.pi / 2, r.steps)
 
     rows = []
     for i, angle in enumerate(angles):
         v = np.cos(angle) * u + np.sin(angle) * w
-        v = v / float(np.linalg.norm(v))
-        state = UnitVector(float(v[0]), float(v[1]), float(v[2]))
-        point = ExperimentSpec(
-            command="sweep", model=r.model, weight=r.weight, state=state,
-            frame_token=r.frame_token, frame=r.frame, direction=r.direction,
-        )
-        analytic = _self_distribution(point).probs[0]
-        cfg = RunConfig(
-            model=r.model,
-            state=state,
-            measurement=r.frame if r.model == "rod" else r.direction,
-            weight=r.weight,
-            trials=r.trials,
-            master_seed=trial_state(r.seed, i),
-            workers=r.workers,
-        )
-        emp, _ = run_trials(cfg)
+        state = UnitVector(*(v / float(np.linalg.norm(v))).tolist())
+        analytic = _self_distribution(r, state).probs[0]
+        emp, _ = run_trials(_run_config(r, state, trial_state(r.seed, i)))
         f0 = float(emp.frequencies[0])
         half = Z_99 * float(np.sqrt(max(f0 * (1.0 - f0), 0.0) / r.trials))
         rows.append(
@@ -462,18 +436,18 @@ def cmd_sweep(r: ExperimentSpec) -> int:
 def cmd_framecheck(r: ExperimentSpec) -> int:
     rng = np.random.default_rng(r.seed)
     frames = [random_frame(rng) for _ in range(r.trials)]
-    if r.measure == "gleason":
+    if r.measure == MEASURES[0]:
         g = gleason_measure(state_vector(r.state.array))
 
         def measure(ray, frame):
             return g(RayProjector(ray))
 
-        label = "gleason"
+        label = r.measure
     else:
         measure = rod.marginal_measure(
             rod.RodState(canonicalize(r.state)), rod.WEIGHTS[r.weight]
         )
-        label = f"rod:{r.weight}"
+        label = f"{r.measure}:{r.weight}"
     report = frame_additivity_check(measure, frames)
     print(
         f"framecheck measure={label} frames={report.frames_checked} "
@@ -498,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_expect: bool = False) -> None:
-        p.add_argument("--model", choices=["sphere2d", "ks", "rod"])
-        p.add_argument("--weight", choices=["quantum", "uniform-variant"])
+        p.add_argument("--model", choices=list(MODELS))
+        p.add_argument("--weight", choices=list(rod.WEIGHTS))
         p.add_argument("--state", help="state vector, e.g. '0.707,0.5,0.5'")
         p.add_argument(
             "--frame",
@@ -526,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fc = sub.add_parser("framecheck", help="frame-additivity check over random frames")
     common(p_fc)
-    p_fc.add_argument("--measure", choices=["gleason", "rod"])
+    p_fc.add_argument("--measure", choices=list(MEASURES))
 
     return parser
 
@@ -542,10 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolved = _resolve(args)
         return handlers[args.command](resolved)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

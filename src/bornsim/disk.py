@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import UnitVector, tangent_basis
-from .outcomes import OutcomeDistribution
+from .outcomes import OutcomeDistribution, cosine_split
 
 LABELS = ("up", "down")
 
@@ -39,16 +39,11 @@ class DiskState:
 
 
 def disk_analytic(q: UnitVector, p: UnitVector) -> OutcomeDistribution:
-    """Exact (up, down) probabilities: (cos^2(theta/2), sin^2(theta/2))."""
-    c = q.dot(p)
-    # cos^2(theta/2) = (1 + cos theta)/2; complement trick keeps the sum exact
-    if c >= 0.0:
-        p_down = 0.5 * (1.0 - c)
-        p_up = 1.0 - p_down
-    else:
-        p_up = 0.5 * (1.0 + c)
-        p_down = 1.0 - p_up
-    return OutcomeDistribution(LABELS, (p_up, p_down))
+    """Exact (up, down) probabilities: (cos^2(theta/2), sin^2(theta/2)).
+
+    cos^2(theta/2) = (1 + cos theta)/2, so this is the sphere model's law.
+    """
+    return cosine_split(LABELS, q.dot(p))
 
 
 def hidden_from_uniforms(

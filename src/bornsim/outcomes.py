@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,6 +25,8 @@ class OutcomeDistribution:
     def __post_init__(self):
         if len(self.labels) != len(self.probs):
             raise ValueError("labels and probs must have the same length")
+        if not all(math.isfinite(p) for p in self.probs):
+            raise ValueError(f"probabilities must be finite, got {self.probs}")
         if any(p < 0 for p in self.probs):
             raise ValueError("probabilities must be nonnegative")
         if self.source not in ("analytic", "empirical"):
@@ -35,8 +38,20 @@ class OutcomeDistribution:
     def array(self) -> np.ndarray:
         return np.array(self.probs)
 
-    def prob(self, label: str) -> float:
-        return self.probs[self.labels.index(label)]
+
+def cosine_split(labels: tuple[str, str], c: float) -> OutcomeDistribution:
+    """The two-outcome law ((1 + c)/2, (1 - c)/2) for a cosine c.
+
+    The smaller probability is computed directly and the larger as its
+    complement, which makes the float sum exactly 1.0. ``c`` is clamped to
+    [-1, 1] first: a dot product of unit vectors can round just outside it.
+    """
+    c = min(max(c, -1.0), 1.0)
+    if c >= 0.0:
+        small = 0.5 * (1.0 - c)
+        return OutcomeDistribution(labels, (1.0 - small, small))
+    small = 0.5 * (1.0 + c)
+    return OutcomeDistribution(labels, (small, 1.0 - small))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Reference formalism for real state spaces of dimension 2 and 3.
+"""Reference formalism for the real three-dimensional state space.
 
-Born probabilities over an orthonormal triad, observables as
-eigenvalue-weighted ray projectors, rank-1 projective measures of the form
-psi -> <psi, x>^2, and a frame-additivity check: a measure on rays is
-additive over frames when the values on every orthonormal triad sum to 1.
+Born probabilities over an orthonormal triad, rank-1 projective measures of
+the form psi -> <psi, x>^2, and a frame-additivity check: a measure on rays
+is additive over frames when the values on every orthonormal triad sum to 1.
 """
 
 from __future__ import annotations
@@ -19,20 +18,16 @@ from .outcomes import OutcomeDistribution
 
 @dataclass(frozen=True)
 class RealStateVector:
-    """Unit vector with 2 or 3 real components."""
+    """Unit vector with 3 real components."""
 
-    components: tuple[float, ...]
+    components: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.components) not in (2, 3):
-            raise ValueError("state vectors have 2 or 3 components")
+        if len(self.components) != 3:
+            raise ValueError("state vectors have 3 components")
         n = float(np.linalg.norm(self.components))
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"state vector norm {n} is not 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
 
     @property
     def array(self) -> np.ndarray:
@@ -49,14 +44,6 @@ def state_vector(components: Sequence[float]) -> RealStateVector:
 
 
 @dataclass(frozen=True)
-class Observable:
-    """Self-adjoint operator given by eigen-rays and (possibly equal) eigenvalues."""
-
-    frame: Frame
-    eigenvalues: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class RayProjector:
     """Rank-1 projector onto a ray."""
 
@@ -65,22 +52,12 @@ class RayProjector:
 
 def born_probabilities(psi: RealStateVector, e: Frame) -> OutcomeDistribution:
     """P_i = <axis_i, psi>^2 over the three frame axes."""
-    if psi.dim != 3:
-        raise ValueError(f"need a 3-dimensional state, got dimension {psi.dim}")
     amps = e.matrix @ psi.array
     return OutcomeDistribution(("o1", "o2", "o3"), tuple(float(a * a) for a in amps))
 
 
-def expectation(obs: Observable, psi: RealStateVector) -> float:
-    """<psi, H psi> = sum of eigenvalues weighted by Born probabilities."""
-    probs = born_probabilities(psi, obs.frame).probs
-    return float(sum(o * p for o, p in zip(obs.eigenvalues, probs)))
-
-
 def gleason_measure(psi: RealStateVector) -> Callable[[RayProjector], float]:
     """The measure proj -> <psi, x>^2 for the projector's ray representative x."""
-    if psi.dim != 3:
-        raise ValueError(f"need a 3-dimensional state, got dimension {psi.dim}")
     v = psi.array
 
     def measure(proj: RayProjector) -> float:
@@ -90,21 +67,12 @@ def gleason_measure(psi: RealStateVector) -> Callable[[RayProjector], float]:
     return measure
 
 
-RayFrameMeasure = Callable[[Ray, Frame], float]
-
-
-def as_frame_measure(fn: Callable[[Ray], float]) -> RayFrameMeasure:
-    """Adapt a frame-independent ray measure to the (ray, frame) signature."""
-    return lambda ray, frame: fn(ray)
-
-
 @dataclass(frozen=True)
 class FrameAdditivityReport:
     """Worst deviation of per-frame sums from 1 across the checked frames."""
 
     frames_checked: int
     max_deviation: float
-    worst_frame: Frame | None
 
     @property
     def additive(self) -> bool:
@@ -112,7 +80,7 @@ class FrameAdditivityReport:
 
 
 def frame_additivity_check(
-    measure: RayFrameMeasure, frames: Sequence[Frame]
+    measure: Callable[[Ray, Frame], float], frames: Sequence[Frame]
 ) -> FrameAdditivityReport:
     """Sum the measure over each frame's axes and report the max |sum - 1|.
 
@@ -121,12 +89,7 @@ def frame_additivity_check(
     on the frame it is embedded in; frame-independent measures just ignore
     the second argument.
     """
-    worst = -1.0
-    worst_frame: Frame | None = None
+    worst = 0.0
     for f in frames:
-        total = sum(measure(ax, f) for ax in f.axes)
-        dev = abs(total - 1.0)
-        if dev > worst:
-            worst = dev
-            worst_frame = f
-    return FrameAdditivityReport(len(frames), max(worst, 0.0), worst_frame)
+        worst = max(worst, abs(sum(measure(ax, f) for ax in f.axes) - 1.0))
+    return FrameAdditivityReport(len(frames), worst)

@@ -30,7 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Frame, Ray, direction_cosines, project_onto_plane
+from .geometry import (
+    DegenerateProjectionError,
+    Frame,
+    Ray,
+    direction_cosines,
+    project_onto_plane,
+)
 from .outcomes import OutcomeDistribution
 
 LABELS = ("o1", "o2", "o3")
@@ -47,24 +53,17 @@ class RodState:
 @dataclass(frozen=True)
 class RodMeasurement:
     e: Frame
-    outcomes: tuple[str, str, str] = LABELS
 
 
 @dataclass(frozen=True)
 class BreakWeight:
     """Breaking weight as a function of the tie/rod angle in [0, pi/2].
 
-    ``first`` is used for the stage-1 break. ``second`` defaults to the same
-    function; a different one covers the variant reading where only the
-    first break is uniform.
+    The same function weighs the stage-1 and the stage-2 break.
     """
 
     tag: str
-    first: Callable[[np.ndarray], np.ndarray]
-    second: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def second_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.second if self.second is not None else self.first
+    fn: Callable[[np.ndarray], np.ndarray]
 
 
 def _sin_squared(theta):
@@ -73,10 +72,8 @@ def _sin_squared(theta):
 
 QUANTUM = BreakWeight("quantum", _sin_squared)
 UNIFORM_VARIANT = BreakWeight("uniform-variant", np.sin)
-# alternative variant reading: uniform density only for the first break
-UNIFORM_VARIANT_FIRST_STAGE = BreakWeight("uniform-variant-first-stage", np.sin, _sin_squared)
 
-WEIGHTS = {w.tag: w for w in (QUANTUM, UNIFORM_VARIANT, UNIFORM_VARIANT_FIRST_STAGE)}
+WEIGHTS = {w.tag: w for w in (QUANTUM, UNIFORM_VARIANT)}
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ def stage1_distribution(p: RodState, e: RodMeasurement, w: BreakWeight) -> np.nd
     weight). Raises ValueError if all three weights vanish, which would need
     a state collinear with every axis.
     """
-    weights = np.asarray(w.first(_angles(p.p, e.e)), dtype=float)
+    weights = np.asarray(w.fn(_angles(p.p, e.e)), dtype=float)
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("degenerate frame/state: all stage-1 weights vanish")
@@ -125,11 +122,18 @@ def stage2_distribution(
     m = e.e.matrix
     pv = p_prime.array
     cos = np.minimum(np.abs(np.array([pv @ m[retained[0]], pv @ m[retained[1]]])), 1.0)
-    weights = np.asarray(w.second_fn()(np.arccos(cos)), dtype=float)
+    weights = np.asarray(w.fn(np.arccos(cos)), dtype=float)
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("degenerate projection: both stage-2 weights vanish")
     return weights / total
+
+
+def _stage2_weights(c, j: int, k: int, w: BreakWeight) -> np.ndarray:
+    """Stage-2 weights of axes j and k, from the ray's direction cosines ``c``."""
+    norm = math.hypot(c[j], c[k])
+    cos = np.array([min(c[j] / norm, 1.0), min(c[k] / norm, 1.0)])
+    return np.asarray(w.fn(np.arccos(cos)), dtype=float)
 
 
 def rod_analytic(
@@ -150,14 +154,21 @@ def rod_analytic(
             paths[BreakPath(first, j)] = 0.0
             paths[BreakPath(first, k)] = 0.0
             continue
-        p_prime, _ = project_onto_plane(p.p, e.e, first)
-        s2 = stage2_distribution(p_prime, e, (j, k), w)
+        try:
+            p_prime, _ = project_onto_plane(p.p, e.e, first)
+        except DegenerateProjectionError:
+            # p lies within 1e-12 of axis `first`, whose stage-1 weight is
+            # rounding noise; the in-plane cosines still follow from p's own.
+            w2 = _stage2_weights(direction_cosines(p.p, e.e), j, k, w)
+            s2 = w2 / float(w2.sum())
+        else:
+            s2 = stage2_distribution(p_prime, e, (j, k), w)
         for second, pr2 in zip((j, k), s2):
             path = BreakPath(first, second)
             pr = float(s1[first] * pr2)
             paths[path] = pr
             probs[path.outcome] += pr
-    dist = OutcomeDistribution(e.outcomes, tuple(float(x) for x in probs))
+    dist = OutcomeDistribution(LABELS, tuple(float(x) for x in probs))
     return dist, paths
 
 
@@ -176,7 +187,7 @@ def outcomes_from_uniforms(
     m = e.matrix
     c = np.minimum(np.abs(m @ p.array), 1.0)
     theta = np.arccos(c)
-    w1 = np.asarray(w.first(theta), dtype=float)
+    w1 = np.asarray(w.fn(theta), dtype=float)
     if np.any(w1 < 0.0):
         raise ValueError("negative stage-1 weight")
     total = float(w1.sum())
@@ -193,7 +204,6 @@ def outcomes_from_uniforms(
     first = np.where(cand0, 0, np.where(cand1, 1, np.where(elig[2], 2, fallback)))
 
     # per-first stage-2 constants: P(break retained[0] second), eligibility
-    w2fn = w.second_fn()
     prob_j = np.zeros(3)
     elig_j = np.zeros(3, dtype=bool)
     elig_k = np.zeros(3, dtype=bool)
@@ -201,10 +211,7 @@ def outcomes_from_uniforms(
         if not elig[i]:
             continue
         j, k = _RETAINED[i]
-        norm = math.hypot(c[j], c[k])
-        cj = min(c[j] / norm, 1.0)
-        ck = min(c[k] / norm, 1.0)
-        w2 = np.asarray(w2fn(np.arccos(np.array([cj, ck]))), dtype=float)
+        w2 = _stage2_weights(c, j, k, w)
         if np.any(w2 < 0.0):
             raise ValueError("negative stage-2 weight")
         t2 = float(w2.sum())
@@ -239,7 +246,7 @@ def rod_sample(
     )
     idx = int(outcome[0])
     path = BreakPath(int(first[0]), int(second[0]))
-    return e.outcomes[idx], RodState(e.e.axes[idx]), path
+    return LABELS[idx], RodState(e.e.axes[idx]), path
 
 
 def marginal_measure(p: RodState, w: BreakWeight) -> Callable[[Ray, Frame], float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import UnitVector
-from .outcomes import OutcomeDistribution
+from .outcomes import OutcomeDistribution, cosine_split
 
 LABELS = ("o1", "o2")
 
@@ -48,19 +48,8 @@ class ElasticHiddenVariable:
 
 
 def sphere_analytic(e: SphereMeasurement, s: SphereState) -> OutcomeDistribution:
-    """Exact outcome probabilities ((1+cos)/2, (1-cos)/2); they sum to 1 exactly.
-
-    The smaller probability is computed directly and the larger as its
-    complement, which makes the float sum exactly 1.0.
-    """
-    c = e.u.dot(s.v)
-    if c >= 0.0:
-        p2 = 0.5 * (1.0 - c)
-        p1 = 1.0 - p2
-    else:
-        p1 = 0.5 * (1.0 + c)
-        p2 = 1.0 - p1
-    return OutcomeDistribution(LABELS, (p1, p2))
+    """Exact outcome probabilities ((1+cos)/2, (1-cos)/2); they sum to 1 exactly."""
+    return cosine_split(LABELS, e.u.dot(s.v))
 
 
 def outcome_indices(c: float, u1: np.ndarray) -> np.ndarray:

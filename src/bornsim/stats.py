@@ -13,17 +13,17 @@ per-outcome 99% normal-approximation confidence intervals.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import disk, rod, sphere
-from .geometry import Frame, UnitVector, canonicalize
+from . import rod
+from .geometry import Frame, UnitVector
+from .models import MODELS, Model
 from .outcomes import OutcomeDistribution, TrialRecord
 from .streams import trial_uniforms
-
-MODELS = ("sphere2d", "ks", "rod")
 
 # upper critical values chi2(dof, 1 - alpha); standard table constants
 CHI2_CRITICAL = {
@@ -49,7 +49,7 @@ class RunConfig:
     model: str
     state: UnitVector
     measurement: Frame | UnitVector
-    weight: str = "quantum"
+    weight: str = rod.QUANTUM.tag
     trials: int = 1
     master_seed: int = 0
     workers: int = 1
@@ -118,67 +118,23 @@ def verify_run(
     return RunReport(cfg, emp, expected, gof, tuple(records))
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.model not in MODELS:
-        raise ValueError(f"unknown model {cfg.model!r}; expected one of {MODELS}")
+def _validate(cfg: RunConfig) -> Model:
+    model = MODELS.get(cfg.model)
+    if model is None:
+        raise ValueError(f"unknown model {cfg.model!r}; expected one of {tuple(MODELS)}")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")
     if not isinstance(cfg.state, UnitVector):
         raise ValueError("state must be a UnitVector")
-    if cfg.model == "rod":
-        if not isinstance(cfg.measurement, Frame):
-            raise ValueError("rod model needs a Frame measurement")
-        if cfg.weight not in rod.WEIGHTS:
-            raise ValueError(f"unknown weight {cfg.weight!r}")
-    else:
-        if not isinstance(cfg.measurement, UnitVector):
-            raise ValueError(f"{cfg.model} model needs a UnitVector measurement")
-
-
-def _model_glue(cfg: RunConfig):
-    """(labels, draws per trial, kernel mapping uniform rows to outcome indices)."""
-    if cfg.model == "sphere2d":
-        c = cfg.measurement.dot(cfg.state)
-        return sphere.LABELS, 1, lambda u: sphere.outcome_indices(c, u[0])
-    if cfg.model == "ks":
-        p = cfg.state.array
-        q = cfg.measurement.array
-        return disk.LABELS, 2, lambda u: disk.up_indices(p, q, u[0], u[1])
-    ray = canonicalize(cfg.state)
-    w = rod.WEIGHTS[cfg.weight]
-    frame = cfg.measurement
-    return (
-        rod.LABELS,
-        2,
-        lambda u: rod.outcomes_from_uniforms(ray, frame, w, u[0], u[1])[0],
-    )
-
-
-def _scalar_record(cfg: RunConfig, t: int) -> TrialRecord:
-    """Re-run trial t through its own stream to materialize the final state."""
-    if cfg.model == "sphere2d":
-        u = trial_uniforms(cfg.master_seed, t, t + 1, 1)
-        idx = int(sphere.outcome_indices(cfg.measurement.dot(cfg.state), u[0])[0])
-        new_v = cfg.measurement if idx == 0 else -cfg.measurement
-        return TrialRecord(t, sphere.LABELS[idx], sphere.SphereState(new_v))
-    if cfg.model == "ks":
-        u = trial_uniforms(cfg.master_seed, t, t + 1, 4)
-        idx = int(
-            disk.up_indices(cfg.state.array, cfg.measurement.array, u[0], u[1])[0]
+    if not isinstance(cfg.measurement, model.measurement):
+        raise ValueError(
+            f"{cfg.model} model needs a {model.measurement.__name__} measurement"
         )
-        pole = cfg.measurement if idx == 0 else -cfg.measurement
-        tv = disk.hidden_from_uniforms(pole.array, u[2], u[3])[0]
-        hidden = UnitVector(float(tv[0]), float(tv[1]), float(tv[2]))
-        return TrialRecord(t, disk.LABELS[idx], disk.DiskState(pole, hidden))
-    u = trial_uniforms(cfg.master_seed, t, t + 1, 2)
-    ray = canonicalize(cfg.state)
-    outcome, _, _ = rod.outcomes_from_uniforms(
-        ray, cfg.measurement, rod.WEIGHTS[cfg.weight], u[0], u[1]
-    )
-    idx = int(outcome[0])
-    return TrialRecord(t, rod.LABELS[idx], rod.RodState(cfg.measurement.axes[idx]))
+    if model.weighted and cfg.weight not in rod.WEIGHTS:
+        raise ValueError(f"unknown weight {cfg.weight!r}")
+    return model
 
 
 def run_trials(
@@ -190,26 +146,33 @@ def run_trials(
     ``record_sample`` trials. Counts are deterministic given
     ``cfg.master_seed`` regardless of ``cfg.workers``.
     """
-    _validate(cfg)
-    labels, ndraws, kernel = _model_glue(cfg)
+    model = _validate(cfg)
+    kernel = model.kernel(cfg.state, cfg.measurement, cfg.weight)
 
     def count_range(bounds: tuple[int, int]) -> np.ndarray:
         a, b = bounds
-        u = trial_uniforms(cfg.master_seed, a, b, ndraws)
-        return np.bincount(kernel(u), minlength=len(labels))
+        u = trial_uniforms(cfg.master_seed, a, b, model.draws)
+        return np.bincount(kernel(u), minlength=len(model.labels))
+
+    def record(t: int) -> TrialRecord:
+        # trial t again, through its own stream, to materialize the final state
+        u = trial_uniforms(cfg.master_seed, t, t + 1, model.record_draws)
+        idx = int(kernel(u)[0])
+        return TrialRecord(t, model.labels[idx], model.collapse(cfg.measurement, idx, u))
 
     ranges = [
         (a, min(a + _CHUNK, cfg.trials)) for a in range(0, cfg.trials, _CHUNK)
     ]
-    if cfg.workers == 1 or len(ranges) == 1:
+    threads = min(cfg.workers, len(ranges), os.cpu_count() or 1)
+    if threads == 1:
         partials = [count_range(r) for r in ranges]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(count_range, ranges))
     counts = np.sum(partials, axis=0, dtype=np.int64)
 
-    emp = EmpiricalDistribution(labels, tuple(int(c) for c in counts), cfg.trials)
-    records = [_scalar_record(cfg, t) for t in range(min(record_sample, cfg.trials))]
+    emp = EmpiricalDistribution(model.labels, tuple(int(c) for c in counts), cfg.trials)
+    records = [record(t) for t in range(min(record_sample, cfg.trials))]
     return emp, records
 
 

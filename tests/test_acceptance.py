@@ -24,7 +24,6 @@ from bornsim.geometry import (
 from bornsim.quantum import (
     RayProjector,
     born_probabilities,
-    as_frame_measure,
     frame_additivity_check,
     gleason_measure,
     state_vector,
@@ -186,9 +185,7 @@ def test_criterion_08_gleason_form_frame_checks():
     gen = np.random.default_rng(108)
     frames = [random_frame(gen) for _ in range(1000)]
     g = gleason_measure(state_vector(P_BENCH.array))
-    report = frame_additivity_check(
-        as_frame_measure(lambda ray: g(RayProjector(ray))), frames
-    )
+    report = frame_additivity_check(lambda ray, frame: g(RayProjector(ray)), frames)
     assert report.max_deviation < 1e-12
 
     variant = marginal_measure(RodState(canonicalize(P_BENCH.array)), UNIFORM_VARIANT)

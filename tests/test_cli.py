@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
+from bornsim import rod
 from bornsim.cli import main
+from bornsim.geometry import Frame, identity_frame, unit_vector
+from bornsim.models import MODELS
+from bornsim.stats import RunConfig, run_trials
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BENCH = f"{SQ2},0.5,0.5"
@@ -146,6 +150,18 @@ class TestSweep:
             # empirical column within its confidence interval of analytic
             assert float(r["ci_low"]) - 1e-12 <= float(r["analytic"]) <= float(r["ci_high"]) + 1e-12
 
+    @pytest.mark.parametrize("model,seed", [("sphere2d", 3), ("ks", 3), ("rod", 1)])
+    def test_random_frame_reaches_the_angle_zero_endpoint(self, model, seed, tmp_path, capsys):
+        # the angle-0 state equals the measurement axis up to rounding, which
+        # pushed the cosine above 1 (two-outcome models) or the rod's stage-1
+        # projection below the degeneracy threshold
+        out = tmp_path / "sweep0.csv"
+        assert main(["sweep", "--model", model, "--state", "1,0,0",
+                     "--frame", f"random:{seed}", "--steps", "3",
+                     "--trials", "2000", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert float(read_csv(out)[0]["analytic"]) == 1.0
+
     def test_sphere_sweep_analytic_column(self, tmp_path, capsys):
         out = tmp_path / "sweep2.csv"
         assert main(["sweep", "--model", "sphere2d", "--state", "1,0,0",
@@ -231,6 +247,24 @@ class TestInputHandling:
                      "--frame", "1,0,0,1,0,0,0,0,1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_non_finite_frame_is_rejected_by_its_text(self, command, capsys):
+        assert main([command, "--model", "sphere2d", "--state", "1,0,0",
+                     "--frame", "nan,1,0", "--trials", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert "'nan,1,0'" in captured.err
+        assert "nan" not in captured.out and "dof" not in captured.err
+
+    @pytest.mark.parametrize("model", ["sphere2d", "ks", "rod"])
+    def test_huge_state_normalizes_without_overflow(self, model, tmp_path, capsys):
+        results = []
+        for i, state in enumerate(["1e308,1e308,0", "1,1,0"]):
+            out = tmp_path / f"state{i}.csv"
+            assert main(["analytic", "--model", model, "--state", state,
+                         "--out", str(out)]) == 0
+            results.append((capsys.readouterr(), out.read_bytes()))
+        assert results[0] == results[1]
+
     def test_frame_reorthonormalized_within_tolerance(self, capsys):
         # slightly off-orthonormal input is accepted and cleaned up
         eps = 5e-7
@@ -248,6 +282,35 @@ class TestInputHandling:
         assert main(["simulate", "--model", "rod", "--state", BENCH,
                      "--trials", "2000", "--alpha", "0.2"]) == 2
         capsys.readouterr()
+
+
+def test_model_and_weight_names_come_from_the_model_table(tmp_path, capsys):
+    # CLI flags, config files and RunConfig accept the same names
+    cfg = tmp_path / "names.cfg"
+    for name, model in MODELS.items():
+        assert main(["analytic", "--model", name, "--state", BENCH]) == 0
+        cfg.write_text(f"model = {name}\nstate = {BENCH}\n")
+        assert main(["analytic", "--config", str(cfg)]) == 0
+        meas = identity_frame() if model.measurement is Frame else unit_vector(1, 0, 0)
+        for weight in rod.WEIGHTS:
+            run_trials(RunConfig(name, unit_vector(SQ2, 0.5, 0.5), meas, weight, trials=3))
+    for weight in rod.WEIGHTS:
+        assert main(["analytic", "--model", "rod", "--weight", weight, "--state", BENCH]) == 0
+        cfg.write_text(f"model = rod\nweight = {weight}\nstate = {BENCH}\n")
+        assert main(["analytic", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+
+    for flag, bad in (("--model", "disk"), ("--weight", "uniform-variant-first-stage")):
+        with pytest.raises(SystemExit):
+            main(["analytic", "--model", "rod", "--state", BENCH, flag, bad])
+        cfg.write_text(f"model = rod\nstate = {BENCH}\n{flag[2:]} = {bad}\n")
+        assert main(["analytic", "--config", str(cfg)]) == 2
+    frame = identity_frame()
+    with pytest.raises(ValueError, match="model"):
+        run_trials(RunConfig("disk", unit_vector(1, 0, 0), frame))
+    with pytest.raises(ValueError, match="weight"):
+        run_trials(RunConfig("rod", unit_vector(1, 0, 0), frame, "uniform-variant-first-stage"))
+    capsys.readouterr()
 
 
 def test_console_entry_point_runs():

@@ -11,7 +11,6 @@ from bornsim.rod import (
     LABELS,
     QUANTUM,
     UNIFORM_VARIANT,
-    UNIFORM_VARIANT_FIRST_STAGE,
     RodMeasurement,
     RodState,
     outcomes_from_uniforms,
@@ -90,7 +89,7 @@ class TestAnalytic:
 
     def test_eigenstate_any_weight(self):
         p = RodState(canonicalize((1, 0, 0)))
-        for w in (QUANTUM, UNIFORM_VARIANT, UNIFORM_VARIANT_FIRST_STAGE):
+        for w in (QUANTUM, UNIFORM_VARIANT):
             dist, paths = rod_analytic(p, IDENT, w)
             assert dist.probs == (1.0, 0.0, 0.0)
             assert len(paths) == 6
@@ -136,7 +135,7 @@ class TestAnalytic:
 
     def test_normalization_for_any_weight(self):
         gen = np.random.default_rng(99)
-        for w in (QUANTUM, UNIFORM_VARIANT, UNIFORM_VARIANT_FIRST_STAGE):
+        for w in (QUANTUM, UNIFORM_VARIANT):
             for _ in range(200):
                 ray = canonicalize(random_unit_vector(gen).array)
                 dist, paths = rod_analytic(RodState(ray), RodMeasurement(random_frame(gen)), w)
@@ -147,21 +146,11 @@ class TestAnalytic:
 class TestWeights:
     def test_vanish_at_zero_and_nondecreasing(self):
         thetas = np.linspace(0.0, math.pi / 2, 2001)
-        for w in (QUANTUM, UNIFORM_VARIANT, UNIFORM_VARIANT_FIRST_STAGE):
-            for fn in (w.first, w.second_fn()):
-                vals = np.asarray(fn(thetas), dtype=float)
-                assert vals[0] == 0.0
-                assert np.all(np.diff(vals) >= -1e-15)
-                assert np.all(vals >= 0.0)
-
-    def test_first_stage_only_variant_uses_quantum_second_stage(self):
-        s2_var = stage2_distribution(
-            canonicalize((0.0, 0.8, 0.6)), IDENT, (1, 2), UNIFORM_VARIANT_FIRST_STAGE
-        )
-        s2_quant = stage2_distribution(
-            canonicalize((0.0, 0.8, 0.6)), IDENT, (1, 2), QUANTUM
-        )
-        assert np.allclose(s2_var, s2_quant, atol=1e-15)
+        for w in (QUANTUM, UNIFORM_VARIANT):
+            vals = np.asarray(w.fn(thetas), dtype=float)
+            assert vals[0] == 0.0
+            assert np.all(np.diff(vals) >= -1e-15)
+            assert np.all(vals >= 0.0)
 
 
 class TestSampler:

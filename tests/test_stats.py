@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from bornsim import stats
 
 from bornsim.geometry import identity_frame, unit_vector
 from bornsim.outcomes import OutcomeDistribution
@@ -108,6 +111,40 @@ class TestRunTrials:
                 RunConfig("rod", P_BENCH, identity_frame(), "cubic",
                           trials=1, master_seed=1)
             )
+
+
+    def test_thread_pool_is_bounded_by_chunks_and_cores(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records the requested pool size and maps without threads."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
+        three_chunks = RunConfig("sphere2d", P_BENCH, EX, trials=2 * stats._CHUNK + 5,
+                                 master_seed=5)
+        serial, _ = run_trials(three_chunks, record_sample=0)
+        for workers in (10_000, 2):
+            emp, _ = run_trials(replace(three_chunks, workers=workers), record_sample=0)
+            assert emp.counts == serial.counts
+        assert pools == [3, 2]
+        run_trials(replace(three_chunks, trials=100, workers=8), record_sample=0)
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
+        emp, _ = run_trials(replace(three_chunks, workers=8), record_sample=0)
+        assert emp.counts == serial.counts
+        assert pools == [3, 2]
 
 
 class TestChiSquare:
@@ -233,6 +270,11 @@ class TestEmpiricalDistribution:
             EmpiricalDistribution(("a", "b"), (1, 1), 3)
         with pytest.raises(ValueError):
             EmpiricalDistribution(("a", "b"), (-1, 4), 3)
+
+    def test_non_finite_probabilities_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                OutcomeDistribution(("a", "b"), (bad, 0.5))
 
     def test_as_distribution_carries_provenance(self):
         emp = EmpiricalDistribution(("a", "b"), (30, 70), 100)
