@@ -35,6 +35,7 @@ from .geometry import (
     UnitVector,
     canonicalize,
     identity_frame,
+    normalize,
     orthonormal_frame,
     random_frame,
     random_unit_vector,
@@ -93,25 +94,11 @@ def _parse_floats(text: str) -> list[float]:
     return vals
 
 
-def _unit(vals: list[float], what: str) -> np.ndarray:
-    """vals / |vals|, rejecting a norm below 1e-12.
-
-    The vector is first scaled by a power of two (exact) so that its norm
-    cannot overflow; the quotient is the same as without the scaling.
-    """
-    _, e = math.frexp(max(abs(v) for v in vals))
-    v = np.ldexp(np.array(vals), -e)
-    n = float(np.linalg.norm(v))
-    if math.ldexp(n, min(e, 0)) < 1e-12:
-        raise InputError(f"{what} must be nonzero")
-    return v / n
-
-
 def _parse_state(text: str) -> UnitVector:
     vals = _parse_floats(text)
     if len(vals) != 3:
         raise InputError(f"state needs 3 components, got {len(vals)}")
-    return UnitVector(*_unit(vals, "state vector").tolist())
+    return UnitVector(*normalize(vals, "state vector must be nonzero").tolist())
 
 
 @dataclass(frozen=True)
@@ -130,7 +117,7 @@ def _custom_frame(vals: list[float]) -> Frame:
     if len(vals) != 9:
         raise InputError(f"frame needs 9 components, got {len(vals)}")
     rows = np.array(vals).reshape(3, 3)
-    unit = [_unit(list(row), "frame rows") for row in rows]
+    unit = [normalize(row, "frame rows must be nonzero") for row in rows]
     for i in range(3):
         for j in range(i + 1, 3):
             if abs(float(unit[i] @ unit[j])) > 1e-6:
@@ -169,7 +156,7 @@ def _parse_frame(token: str, kind: type) -> FrameInput:
     if vals is None:
         m = UnitVector(1.0, 0.0, 0.0) if rng is None else random_unit_vector(rng)
     elif len(vals) in (3, 9):
-        m = UnitVector(*_unit(vals[:3], "direction").tolist())
+        m = UnitVector(*normalize(vals[:3], "direction must be nonzero").tolist())
     else:
         raise InputError(
             f"direction needs 3 components (or a 9-component frame), got {len(vals)}"

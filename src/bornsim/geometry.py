@@ -135,6 +135,21 @@ def identity_frame() -> Frame:
     )
 
 
+def normalize(vec, error: str) -> np.ndarray:
+    """vec / |vec| as a float array; raises ValueError(error) if |vec| < 1e-12.
+
+    The vector is first scaled by a power of two (exact) so that its squares
+    cannot overflow; the quotient is the same as without the scaling.
+    """
+    v = np.asarray(vec, dtype=float)
+    _, e = math.frexp(max(map(abs, v.tolist())))
+    v = np.ldexp(v, -e)
+    n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
+    if math.ldexp(n, min(e, 0)) < DEGENERATE_EPS:
+        raise ValueError(error)
+    return v / n
+
+
 def orthonormal_frame(v1, v2, v3) -> Frame:
     """Gram-Schmidt three vectors into a Frame (axes canonicalized).
 
@@ -142,17 +157,13 @@ def orthonormal_frame(v1, v2, v3) -> Frame:
     pushes pairwise cosines to machine precision. Raises ValueError when the
     triple is linearly dependent (residual norm below 1e-6 at any step).
     """
-    vs = [np.asarray(v, dtype=float) for v in (v1, v2, v3)]
     basis: list[np.ndarray] = []
-    for v in vs:
-        n0 = float(np.linalg.norm(v))
-        if n0 < 1e-12:
-            raise ValueError("degenerate triple: zero vector")
-        w = v / n0
+    for v in (v1, v2, v3):
+        w = normalize(v, "degenerate triple: zero vector")
         for _ in range(2):
             for b in basis:
                 w = w - (w @ b) * b
-        n = float(np.linalg.norm(w))
+        n = math.sqrt(w.dot(w))
         if n < 1e-6:
             raise ValueError("degenerate triple: vectors are not independent")
         basis.append(w / n)

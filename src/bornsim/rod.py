@@ -38,6 +38,7 @@ from .geometry import (
     project_onto_plane,
 )
 from .outcomes import OutcomeDistribution
+from .streams import _BLOCK
 
 LABELS = ("o1", "o2", "o3")
 
@@ -180,7 +181,9 @@ def outcomes_from_uniforms(
     ``u1`` drives the stage-1 choice and ``u2`` the stage-2 choice, both by
     cumulative sums. Ties on a boundary go to the lowest eligible index, and
     zero-weight ties are never selected (so the outcome of an eigenstate is
-    deterministic and degenerate projections are unreachable).
+    deterministic and degenerate projections are unreachable). The sums and
+    eligibility rules are folded into scalar thresholds once per call, so a
+    trial costs three comparisons and a lookup in a six-path table.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
@@ -196,17 +199,18 @@ def outcomes_from_uniforms(
     s1 = w1 / total
     elig = w1 > 0.0
 
-    cum0 = s1[0]
-    cum1 = s1[0] + s1[1]
-    cand0 = elig[0] & (u1 <= cum0)
-    cand1 = elig[1] & (u1 <= cum1)
-    fallback = 1 if elig[1] else 0
-    first = np.where(cand0, 0, np.where(cand1, 1, np.where(elig[2], 2, fallback)))
+    # Stage 1 as two thresholds on u1: break 0 if u1 <= t0, else 1 if
+    # u1 <= t1, else the last eligible tie. t0 = -1 when tie 0 is
+    # ineligible, and t1 = t0 when tie 1 is, so that slot is never reached
+    # (t1 = -1 would send every u1 <= t0 to slot 1).
+    t0 = s1[0] if elig[0] else -1.0
+    t1 = s1[0] + s1[1] if elig[1] else t0
+    last = 2 if elig[2] else (1 if elig[1] else 0)
+    firsts = (0, 1, last)
 
-    # per-first stage-2 constants: P(break retained[0] second), eligibility
-    prob_j = np.zeros(3)
-    elig_j = np.zeros(3, dtype=bool)
-    elig_k = np.zeros(3, dtype=bool)
+    # Stage 2 per first break i: break retained[i][0] if u2 <= thr[i]
+    # (2.0 when it is the only eligible tie, -1 when it is ineligible).
+    thr = np.full(3, -1.0)
     for i in range(3):
         if not elig[i]:
             continue
@@ -217,17 +221,30 @@ def outcomes_from_uniforms(
         t2 = float(w2.sum())
         if t2 <= 0.0:
             raise ValueError("degenerate projection: both stage-2 weights vanish")
-        prob_j[i] = w2[0] / t2
-        elig_j[i] = w2[0] > 0.0
-        elig_k[i] = w2[1] > 0.0
+        if w2[0] > 0.0:
+            thr[i] = w2[0] / t2 if w2[1] > 0.0 else 2.0
 
-    retained = np.array(_RETAINED)
-    jj = retained[first, 0]
-    kk = retained[first, 1]
-    pick_j = elig_j[first] & ((u2 <= prob_j[first]) | ~elig_k[first])
-    second = np.where(pick_j, jj, kk)
-    outcome = 3 - first - second
-    return outcome, first, second
+    # A trial's path code is 2 * slot + pick: it breaks firsts[slot] first
+    # and, if pick, that tie's retained[0] second. The table maps the six
+    # codes to (outcome, first, second).
+    table = np.empty((3, 6), dtype=np.intp)
+    for code in range(6):
+        f = firsts[code // 2]
+        second = _RETAINED[f][1 - code % 2]
+        table[:, code] = (3 - f - second, f, second)
+    thr_slot = thr[list(firsts)]
+
+    # sub-blocks keep the temporaries in cache; mode="clip" (codes are
+    # always 0..5) lets np.take write into ``out`` without a buffer
+    out = np.empty((3, len(u1)), dtype=np.intp)
+    for a in range(0, len(u1), _BLOCK):
+        b = a + _BLOCK
+        slot = np.add(u1[a:b] > t0, u1[a:b] > t1, dtype=np.intp)
+        code = 2 * slot
+        code += u2[a:b] <= np.take(thr_slot, slot)
+        for row in range(3):
+            np.take(table[row], code, out=out[row, a:b], mode="clip")
+    return out[0], out[1], out[2]
 
 
 def rod_sample(

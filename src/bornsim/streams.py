@@ -11,6 +11,13 @@ behind ``java.util.SplittableRandom``) and GOLDEN is the 64-bit golden-ratio
 increment. Because no draw depends on any other trial, results are identical
 for any worker count or scheduling order, and the scalar and vectorized
 paths below produce bit-identical values.
+
+The vectorized path fills its output in sub-blocks of 2**16 trials. Every
+block reuses the same uint64 buffers and mixes them in place (uint64
+arithmetic wraps mod 2**64, which is the SplitMix64 arithmetic), so the
+working set stays in cache and no step allocates a temporary. Blocking
+changes only the order of the work: every draw is the same bits as the
+scalar stream's.
 """
 
 from __future__ import annotations
@@ -52,27 +59,59 @@ class TrialStream:
         return (z >> 11) * _INV_2_53
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+# trials per sub-block of the counting kernels (here and in rod), so that
+# their buffers and temporaries stay in L2 cache
+_BLOCK = 1 << 16
+_U_GOLDEN = np.uint64(GOLDEN)
+_U_M1 = np.uint64(_M1)
+_U_M2 = np.uint64(_M2)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer on z in place (mod 2**64).
+
+    ``tmp`` is a work buffer of z's shape.
+    """
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _U_M1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _U_M2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
 
 
 def trial_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.ndarray:
     """Uniform draws for trials [start, stop), shape (ndraws, stop - start).
 
     Row k holds draw k of each trial, bit-identical to the TrialStream path.
+    The trials are filled in sub-blocks of ``_BLOCK``, reusing three uint64
+    buffers (trial states, draw, mixer work space) and mixing in place, so no
+    step allocates; each draw is written straight into its row of the result.
     """
-    with np.errstate(over="ignore"):
-        t = np.arange(start, stop, dtype=np.uint64)
-        states = _mix64_np((t + np.uint64(1)) * np.uint64(GOLDEN))
-        states ^= np.uint64(master_seed & _MASK)
-        states = _mix64_np(states)
-        out = np.empty((ndraws, stop - start), dtype=float)
-        for k in range(ndraws):
-            z = _mix64_np(states + np.uint64((k + 1) * GOLDEN & _MASK))
-            out[k] = (z >> np.uint64(11)) * _INV_2_53
+    n = stop - start
+    out = np.empty((ndraws, n), dtype=float)
+    size = min(n, _BLOCK)
+    # trial t = start + a + i of the block at a: (t + 1) * GOLDEN is
+    # (start + a + 1) * GOLDEN + offsets[i] (mod 2**64)
+    offsets = np.arange(size, dtype=np.uint64)
+    offsets *= _U_GOLDEN
+    state, z, tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    seed = np.uint64(master_seed & _MASK)
+    steps = [np.uint64((k + 1) * GOLDEN & _MASK) for k in range(ndraws)]
+    for a in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - a)
+        s, zm, tm = state[:m], z[:m], tmp[:m]
+        np.add(offsets[:m], np.uint64((start + a + 1) * GOLDEN & _MASK), out=s)
+        _mix64_inplace(s, tm)
+        s ^= seed
+        _mix64_inplace(s, tm)
+        for k, step in enumerate(steps):
+            np.add(s, step, out=zm)
+            _mix64_inplace(zm, tm)
+            zm >>= _S11
+            # z < 2**53 now: int64 -> float64 converts it exactly, and faster
+            np.multiply(zm.view(np.int64), _INV_2_53, out=out[k, a : a + m])
     return out

@@ -2,6 +2,7 @@ import csv
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -264,6 +265,17 @@ class TestInputHandling:
                          "--out", str(out)]) == 0
             results.append((capsys.readouterr(), out.read_bytes()))
         assert results[0] == results[1]
+
+    def test_huge_frame_rows_normalize_without_overflow(self, capsys):
+        outputs = []
+        for frame in ["1e308,0,0,0,1e308,0,0,0,1e308", "1,0,0,0,1,0,0,0,1"]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["analytic", "--model", "rod", "--state", "1,0,0",
+                             "--frame", frame]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == outputs[1].out
+        assert outputs[0].err == ""
 
     def test_frame_reorthonormalized_within_tolerance(self, capsys):
         # slightly off-orthonormal input is accepted and cleaned up

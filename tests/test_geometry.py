@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bornsim.geometry import (
     complete_frame,
     direction_cosines,
     identity_frame,
+    normalize,
     orthonormal_frame,
     project_onto_plane,
     random_frame,
@@ -159,6 +161,19 @@ class TestFrames:
     def test_gram_schmidt_forced_to_identity(self):
         f = orthonormal_frame((1, 0, 0), (1, 1, 0), (0, 0, 1))
         assert f == identity_frame()
+
+    def test_huge_rows_are_scaled_before_the_norm(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = orthonormal_frame((1e308, 0, 0), (0, 1e308, 0), (0, 0, -1e308))
+        assert f == identity_frame()
+
+    def test_normalize_is_the_plain_quotient_on_ordinary_input(self, rng):
+        for v in rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-5, 6, (200, 1)):
+            got = normalize(v, "zero")
+            assert np.array_equal(got, v / np.linalg.norm(v))
+        with pytest.raises(ValueError, match="zero"):
+            normalize((1e-13, 0, 0), "zero")
 
     def test_degenerate_triple_rejected(self):
         with pytest.raises(ValueError):

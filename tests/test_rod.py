@@ -244,6 +244,98 @@ class TestSampler:
         assert int(first[0]) == 0
 
 
+_RETAINED = ((1, 2), (0, 2), (0, 1))
+
+
+def _reference_constants(p, e, w):
+    """Stage-1 cumulative sums and per-first-break stage-2 constants, as the
+    nested-np.where kernel computed them."""
+    c = np.minimum(np.abs(e.matrix @ p.array), 1.0)
+    w1 = np.asarray(w.fn(np.arccos(c)), dtype=float)
+    s1 = w1 / float(w1.sum())
+    elig = w1 > 0.0
+    prob_j = np.zeros(3)
+    elig_j = np.zeros(3, dtype=bool)
+    elig_k = np.zeros(3, dtype=bool)
+    for i in range(3):
+        if not elig[i]:
+            continue
+        j, k = _RETAINED[i]
+        norm = math.hypot(c[j], c[k])
+        cos = np.array([min(c[j] / norm, 1.0), min(c[k] / norm, 1.0)])
+        w2 = np.asarray(w.fn(np.arccos(cos)), dtype=float)
+        prob_j[i] = w2[0] / float(w2.sum())
+        elig_j[i] = w2[0] > 0.0
+        elig_k[i] = w2[1] > 0.0
+    return (s1[0], s1[0] + s1[1]), elig, prob_j, elig_j, elig_k
+
+
+def _reference_outcomes(p, e, w, u1, u2):
+    """The kernel before it was table-driven: nested np.where over each trial."""
+    (cum0, cum1), elig, prob_j, elig_j, elig_k = _reference_constants(p, e, w)
+    cand0 = elig[0] & (u1 <= cum0)
+    cand1 = elig[1] & (u1 <= cum1)
+    fallback = 1 if elig[1] else 0
+    first = np.where(cand0, 0, np.where(cand1, 1, np.where(elig[2], 2, fallback)))
+    retained = np.array(_RETAINED)
+    jj = retained[first, 0]
+    kk = retained[first, 1]
+    pick_j = elig_j[first] & ((u2 <= prob_j[first]) | ~elig_k[first])
+    second = np.where(pick_j, jj, kk)
+    return 3 - first - second, first, second
+
+
+def _edge_uniforms(p, e, w, gen):
+    """0, 1 - 2**-53, every threshold of the kernel and its two float
+    neighbours, and a few random uniforms."""
+    cums, elig, prob_j, _, _ = _reference_constants(p, e, w)
+    edges = [*cums, *(prob_j[i] for i in range(3) if elig[i])]
+    u = {0.0, 1.0 - 2**-53}
+    for x in edges:
+        u.update((np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)))
+    u.update(gen.random(8))
+    return np.array(sorted(v for v in u if 0.0 <= v < 1.0))
+
+
+# frame coordinates of the test states: eigenstates, in-plane states (a zero
+# stage-2 weight after one first break), symmetric and benchmark states
+_COEFFS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0),
+           (0, 0.6, 0.8), (0.28, 0, 0.96), (1, 1, 1), (SQ2, 0.5, 0.5)]
+
+
+def test_table_driven_kernel_matches_the_nested_where_reference():
+    gen = np.random.default_rng(2208)
+    cases = []
+    for frame in [identity_frame()] + [random_frame(gen) for _ in range(4)]:
+        for a in _COEFFS + [tuple(random_unit_vector(gen).array) for _ in range(4)]:
+            v = np.array(a, dtype=float) @ frame.matrix
+            ray = canonicalize(v / np.linalg.norm(v))
+            cases += [(ray, frame, QUANTUM), (ray, frame, UNIFORM_VARIANT)]
+    # A weight that vanishes on axis 3 and whose other two stage-1
+    # probabilities round to a sum below 1 - 2**-53: u1 = 1 - 2**-53 passes
+    # both thresholds and must fall back to an eligible tie.
+    ray = canonicalize((0.6, 0.0, 0.8))
+    angles = np.arccos([0.8, 0.6, 0.0])
+    rounded = BreakWeight("rounded", lambda t: np.interp(t, angles, [0.0, 0.07, 0.08]))
+    (_, cum1), elig, *_ = _reference_constants(ray, identity_frame(), rounded)
+    assert not elig[2] and cum1 < 1.0 - 2**-53
+    cases.append((ray, identity_frame(), rounded))
+    # every stage-1 eligibility pattern is covered; (True, False, True) is
+    # the one that needs t1 = t0 rather than -1
+    patterns = {tuple(map(bool, _reference_constants(*case)[1])) for case in cases}
+    assert patterns >= {(True,) * 3, (False, True, True), (True, False, True),
+                        (True, True, False)}
+
+    for ray, frame, w in cases:
+        u = _edge_uniforms(ray, frame, w, gen)
+        u1, u2 = (x.ravel() for x in np.meshgrid(u, u))
+        got = outcomes_from_uniforms(ray, frame, w, u1, u2)
+        want = _reference_outcomes(ray, frame, w, u1, u2)
+        for g, r, name in zip(got, want, ("outcome", "first", "second")):
+            assert g.dtype.kind == "i"
+            assert np.array_equal(g, r), (name, ray, frame, w.tag)
+
+
 class TestBreakPath:
     def test_outcome_is_remaining_axis(self):
         assert BreakPath(0, 2).outcome == 1

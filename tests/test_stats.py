@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bornsim import stats
+from bornsim import stats, streams
 
 from bornsim.geometry import identity_frame, unit_vector
 from bornsim.outcomes import OutcomeDistribution
@@ -34,6 +34,27 @@ class TestStreams:
                 stream = TrialStream(master, t)
                 for k in range(4):
                     assert stream.random() == vec[k, t]
+
+    @pytest.mark.parametrize("master, start, n, ndraws", [
+        (2**64 - 1, 2**32 + 5, 1000, 3),               # trial index above 2**32
+        (0, 0, streams._BLOCK - 1, 2),                 # one sub-block, short
+        (2**64 - 1, 1, streams._BLOCK, 2),             # exactly one sub-block
+        (101, 2**33, streams._BLOCK + 1, 1),           # one trial into a second
+        (2**64 - 1, 2**64 - 3, 3, 2),                  # (t + 1) * GOLDEN wraps
+    ])
+    def test_blocked_fill_matches_the_scalar_stream_bitwise(self, master, start, n, ndraws):
+        vec = trial_uniforms(master, start, start + n, ndraws)
+        ref = np.empty((ndraws, n))
+        for i in range(n):
+            stream = TrialStream(master, start + i)
+            for k in range(ndraws):
+                ref[k, i] = stream.random()
+        assert vec.shape == ref.shape
+        assert np.array_equal(vec.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("ndraws", [1, 2, 4])
+    def test_empty_range_has_no_columns(self, ndraws):
+        assert trial_uniforms(2**64 - 1, 7, 7, ndraws).shape == (ndraws, 0)
 
     def test_draws_are_uniform_enough(self):
         u = trial_uniforms(99, 0, 200_000, 2)
