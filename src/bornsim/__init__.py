@@ -21,23 +21,18 @@ from .geometry import (
     Ray,
     UnitVector,
     canonicalize,
-    complete_frame,
     direction_cosines,
     identity_frame,
     orthonormal_frame,
     project_onto_plane,
     random_frame,
     random_unit_vector,
-    ray_angle,
     rotate_frame_about_axis,
     unit_vector,
     vector_angle,
 )
 from .outcomes import OutcomeDistribution, TrialRecord
 from .sphere import (
-    ElasticHiddenVariable,
-    SphereMeasurement,
-    SphereState,
     sphere_analytic,
     sphere_sample,
 )
@@ -47,16 +42,12 @@ from .rod import (
     UNIFORM_VARIANT,
     BreakPath,
     BreakWeight,
-    RodMeasurement,
-    RodState,
     rod_analytic,
     rod_sample,
     stage1_distribution,
     stage2_distribution,
 )
 from .quantum import (
-    RayProjector,
-    RealStateVector,
     born_probabilities,
     frame_additivity_check,
     gleason_measure,
@@ -66,10 +57,9 @@ from .stats import (
     EmpiricalDistribution,
     GofReport,
     RunConfig,
-    RunReport,
     chi_square_gof,
     run_trials,
-    verify_run,
+    wald_interval,
 )
 from .streams import TrialStream, trial_uniforms
 
@@ -80,21 +70,13 @@ __all__ = [
     "BreakWeight",
     "DegenerateProjectionError",
     "DiskState",
-    "ElasticHiddenVariable",
     "EmpiricalDistribution",
     "Frame",
     "GofReport",
     "OutcomeDistribution",
     "QUANTUM",
     "Ray",
-    "RayProjector",
-    "RealStateVector",
-    "RodMeasurement",
-    "RodState",
     "RunConfig",
-    "RunReport",
-    "SphereMeasurement",
-    "SphereState",
     "TrialRecord",
     "TrialStream",
     "UNIFORM_VARIANT",
@@ -102,7 +84,6 @@ __all__ = [
     "born_probabilities",
     "canonicalize",
     "chi_square_gof",
-    "complete_frame",
     "direction_cosines",
     "disk_analytic",
     "disk_measure",
@@ -114,7 +95,6 @@ __all__ = [
     "project_onto_plane",
     "random_frame",
     "random_unit_vector",
-    "ray_angle",
     "rod_analytic",
     "rod_sample",
     "rotate_frame_about_axis",
@@ -128,5 +108,5 @@ __all__ = [
     "trial_uniforms",
     "unit_vector",
     "vector_angle",
-    "verify_run",
+    "wald_interval",
 ]

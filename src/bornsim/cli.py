@@ -44,13 +44,12 @@ from .geometry import (
 from .models import MODELS, ROD
 from .outcomes import OutcomeDistribution
 from .quantum import (
-    RayProjector,
     born_probabilities,
     frame_additivity_check,
     gleason_measure,
     state_vector,
 )
-from .stats import RunConfig, Z_99, run_trials, verify_run
+from .stats import RunConfig, chi_square_gof, run_trials, wald_interval
 from .streams import trial_state
 
 FALLBACK_SEED = 12345
@@ -164,10 +163,12 @@ def _parse_frame(token: str, kind: type) -> FrameInput:
     u = m.array
     w, _ = tangent_basis(u)
     if vals is not None and len(vals) == 9:
-        second = np.array(vals[3:6])
+        # scaled by a power of two (exact) so that its squares cannot overflow
+        _, e = math.frexp(max(map(abs, vals[3:6])))
+        second = np.ldexp(vals[3:6], -e)
         w9 = second - (second @ u) * u
         n = float(np.linalg.norm(w9))
-        if n > 1e-9:
+        if math.ldexp(n, e) > 1e-9:
             w = w9 / n
     return FrameInput(frame_id, m, (u, w))
 
@@ -351,9 +352,9 @@ def cmd_analytic(r: ExperimentSpec) -> int:
 
 
 def cmd_simulate(r: ExperimentSpec) -> int:
-    cfg = _run_config(r, r.state, r.seed)
-    report = verify_run(cfg, _expected_distribution(r), alpha=r.alpha)
-    emp, expected, gof = report.empirical, report.expected, report.gof
+    expected = _expected_distribution(r)
+    emp, _ = run_trials(_run_config(r, r.state, r.seed))
+    gof = chi_square_gof(emp, expected, alpha=r.alpha)
 
     sx, sy, sz = r.state.x, r.state.y, r.state.z
     rows = []
@@ -406,11 +407,8 @@ def cmd_sweep(r: ExperimentSpec) -> int:
         analytic = _self_distribution(r, state).probs[0]
         emp, _ = run_trials(_run_config(r, state, trial_state(r.seed, i)))
         f0 = float(emp.frequencies[0])
-        half = Z_99 * float(np.sqrt(max(f0 * (1.0 - f0), 0.0) / r.trials))
-        rows.append(
-            [_fmt(angle), _fmt(analytic), _fmt(f0),
-             _fmt(max(f0 - half, 0.0)), _fmt(min(f0 + half, 1.0))]
-        )
+        lo, hi = wald_interval(f0, r.trials)
+        rows.append([_fmt(angle), _fmt(analytic), _fmt(f0), _fmt(lo), _fmt(hi)])
     _write_rows(r.out, SWEEP_HEADER, rows)
     print(
         f"sweep model={r.model} weight={_weight_field(r) or '-'} steps={r.steps} "
@@ -424,16 +422,10 @@ def cmd_framecheck(r: ExperimentSpec) -> int:
     rng = np.random.default_rng(r.seed)
     frames = [random_frame(rng) for _ in range(r.trials)]
     if r.measure == MEASURES[0]:
-        g = gleason_measure(state_vector(r.state.array))
-
-        def measure(ray, frame):
-            return g(RayProjector(ray))
-
+        measure = gleason_measure(state_vector(r.state.array))
         label = r.measure
     else:
-        measure = rod.marginal_measure(
-            rod.RodState(canonicalize(r.state)), rod.WEIGHTS[r.weight]
-        )
+        measure = rod.marginal_measure(canonicalize(r.state), rod.WEIGHTS[r.weight])
         label = f"{r.measure}:{r.weight}"
     report = frame_additivity_check(measure, frames)
     print(

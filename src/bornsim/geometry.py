@@ -175,11 +175,6 @@ def vector_angle(u: UnitVector, v: UnitVector) -> float:
     return math.acos(min(1.0, max(-1.0, u.dot(v))))
 
 
-def ray_angle(p: Ray, q: Ray) -> float:
-    """Angle between rays, in [0, pi/2]."""
-    return math.acos(min(1.0, abs(p.rep.dot(q.rep))))
-
-
 def direction_cosines(p: Ray, e: Frame) -> tuple[float, float, float]:
     """Absolute cosines of the angles between a ray and the three frame axes.
 
@@ -230,12 +225,6 @@ def tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.cross(v, a)
     b = b / float(np.linalg.norm(b))
     return a, b
-
-
-def complete_frame(first: Ray) -> Frame:
-    """Frame whose axis 0 is ``first``, completed by the deterministic tangent basis."""
-    a, b = tangent_basis(first.array)
-    return Frame((first, canonicalize(a), canonicalize(b)))
 
 
 def rotate_frame_about_axis(e: Frame, axis_index: int, angle: float) -> Frame:

@@ -48,13 +48,11 @@ def _sphere_kernel(state: UnitVector, direction: UnitVector, weight: str):
 
 
 def _sphere_analytic(state: UnitVector, direction: UnitVector, weight: str):
-    return sphere.sphere_analytic(
-        sphere.SphereMeasurement(direction), sphere.SphereState(state)
-    )
+    return sphere.sphere_analytic(direction, state)
 
 
 def _sphere_collapse(direction: UnitVector, index: int, u: np.ndarray):
-    return sphere.SphereState(direction if index == 0 else -direction)
+    return direction if index == 0 else -direction
 
 
 def _disk_kernel(state: UnitVector, direction: UnitVector, weight: str):
@@ -79,12 +77,11 @@ def _rod_kernel(state: UnitVector, frame: Frame, weight: str):
 
 
 def _rod_analytic(state: UnitVector, frame: Frame, weight: str):
-    p = rod.RodState(canonicalize(state))
-    return rod.rod_analytic(p, rod.RodMeasurement(frame), rod.WEIGHTS[weight])[0]
+    return rod.rod_analytic(canonicalize(state), frame, rod.WEIGHTS[weight])[0]
 
 
 def _rod_collapse(frame: Frame, index: int, u: np.ndarray):
-    return rod.RodState(frame.axes[index])
+    return frame.axes[index]
 
 
 SPHERE2D = Model("sphere2d", sphere.LABELS, 1, 1, UnitVector, False,

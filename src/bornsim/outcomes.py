@@ -11,16 +11,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probability vector over a measurement's outcomes, with provenance.
-
-    ``source`` is ``"analytic"`` for exact evaluations and ``"empirical"``
-    for frequencies estimated from ``trials`` Monte Carlo trials.
-    """
+    """Probability vector over a measurement's outcomes."""
 
     labels: tuple[str, ...]
     probs: tuple[float, ...]
-    source: str = "analytic"
-    trials: int | None = None
 
     def __post_init__(self):
         if len(self.labels) != len(self.probs):
@@ -29,10 +23,6 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities must be finite, got {self.probs}")
         if any(p < 0 for p in self.probs):
             raise ValueError("probabilities must be nonnegative")
-        if self.source not in ("analytic", "empirical"):
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.source == "empirical" and self.trials is None:
-            raise ValueError("empirical distributions must carry a trial count")
 
     @property
     def array(self) -> np.ndarray:
@@ -56,7 +46,10 @@ def cosine_split(labels: tuple[str, str], c: float) -> OutcomeDistribution:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One Monte Carlo trial: outcome label plus the post-measurement state."""
+    """One Monte Carlo trial: outcome label plus the post-measurement state.
+
+    ``final_state`` is a UnitVector (sphere2d), a DiskState (ks) or a Ray (rod).
+    """
 
     index: int
     outcome: str

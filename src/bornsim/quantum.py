@@ -12,56 +12,33 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Frame, Ray
+from .geometry import Frame, Ray, UnitVector, normalize
 from .outcomes import OutcomeDistribution
 
 
-@dataclass(frozen=True)
-class RealStateVector:
-    """Unit vector with 3 real components."""
-
-    components: tuple[float, float, float]
-
-    def __post_init__(self):
-        if len(self.components) != 3:
-            raise ValueError("state vectors have 3 components")
-        n = float(np.linalg.norm(self.components))
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"state vector norm {n} is not 1")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.components)
-
-
-def state_vector(components: Sequence[float]) -> RealStateVector:
-    """Normalizing constructor; rejects zero input."""
+def state_vector(components: Sequence[float]) -> UnitVector:
+    """Normalizing constructor; rejects zero input and input of other than 3 components."""
     v = np.asarray(components, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise ValueError("cannot normalize a zero vector")
-    return RealStateVector(tuple(float(c) for c in v / n))
+    if v.shape != (3,):
+        raise ValueError("state vectors have 3 components")
+    return UnitVector(*normalize(v, "cannot normalize a zero vector").tolist())
 
 
-@dataclass(frozen=True)
-class RayProjector:
-    """Rank-1 projector onto a ray."""
-
-    ray: Ray
-
-
-def born_probabilities(psi: RealStateVector, e: Frame) -> OutcomeDistribution:
+def born_probabilities(psi: UnitVector, e: Frame) -> OutcomeDistribution:
     """P_i = <axis_i, psi>^2 over the three frame axes."""
     amps = e.matrix @ psi.array
     return OutcomeDistribution(("o1", "o2", "o3"), tuple(float(a * a) for a in amps))
 
 
-def gleason_measure(psi: RealStateVector) -> Callable[[RayProjector], float]:
-    """The measure proj -> <psi, x>^2 for the projector's ray representative x."""
+def gleason_measure(psi: UnitVector) -> Callable[[Ray, Frame], float]:
+    """The measure x -> <psi, x>^2 on the ray representative x, in any frame.
+
+    It ignores the frame: the value of a ray is the same in every context.
+    """
     v = psi.array
 
-    def measure(proj: RayProjector) -> float:
-        a = float(proj.ray.rep.array @ v)
+    def measure(ray: Ray, frame: Frame) -> float:
+        a = float(ray.rep.array @ v)
         return min(a * a, 1.0)
 
     return measure

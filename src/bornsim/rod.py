@@ -47,16 +47,6 @@ _RETAINED = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass(frozen=True)
-class RodState:
-    p: Ray
-
-
-@dataclass(frozen=True)
-class RodMeasurement:
-    e: Frame
-
-
-@dataclass(frozen=True)
 class BreakWeight:
     """Breaking weight as a function of the tie/rod angle in [0, pi/2].
 
@@ -98,14 +88,14 @@ def _angles(p: Ray, e: Frame) -> np.ndarray:
     return np.arccos(c)
 
 
-def stage1_distribution(p: RodState, e: RodMeasurement, w: BreakWeight) -> np.ndarray:
+def stage1_distribution(p: Ray, e: Frame, w: BreakWeight) -> np.ndarray:
     """Probability that each of the three ties breaks first.
 
     Weights w(theta_i), normalized by their sum (exactly 2 for the quantum
     weight). Raises ValueError if all three weights vanish, which would need
     a state collinear with every axis.
     """
-    weights = np.asarray(w.fn(_angles(p.p, e.e)), dtype=float)
+    weights = np.asarray(w.fn(_angles(p, e)), dtype=float)
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("degenerate frame/state: all stage-1 weights vanish")
@@ -113,14 +103,14 @@ def stage1_distribution(p: RodState, e: RodMeasurement, w: BreakWeight) -> np.nd
 
 
 def stage2_distribution(
-    p_prime: Ray, e: RodMeasurement, retained: tuple[int, int], w: BreakWeight
+    p_prime: Ray, e: Frame, retained: tuple[int, int], w: BreakWeight
 ) -> np.ndarray:
     """Probability that each retained tie breaks second, given the in-plane ray.
 
     Weights w(theta'_j) over the two retained axes, normalized (exactly 1
     for the quantum weight, since the two angles are complementary).
     """
-    m = e.e.matrix
+    m = e.matrix
     pv = p_prime.array
     cos = np.minimum(np.abs(np.array([pv @ m[retained[0]], pv @ m[retained[1]]])), 1.0)
     weights = np.asarray(w.fn(np.arccos(cos)), dtype=float)
@@ -138,7 +128,7 @@ def _stage2_weights(c, j: int, k: int, w: BreakWeight) -> np.ndarray:
 
 
 def rod_analytic(
-    p: RodState, e: RodMeasurement, w: BreakWeight
+    p: Ray, e: Frame, w: BreakWeight
 ) -> tuple[OutcomeDistribution, dict[BreakPath, float]]:
     """Exact outcome distribution and the six break-order path probabilities.
 
@@ -156,11 +146,11 @@ def rod_analytic(
             paths[BreakPath(first, k)] = 0.0
             continue
         try:
-            p_prime, _ = project_onto_plane(p.p, e.e, first)
+            p_prime, _ = project_onto_plane(p, e, first)
         except DegenerateProjectionError:
             # p lies within 1e-12 of axis `first`, whose stage-1 weight is
             # rounding noise; the in-plane cosines still follow from p's own.
-            w2 = _stage2_weights(direction_cosines(p.p, e.e), j, k, w)
+            w2 = _stage2_weights(direction_cosines(p, e), j, k, w)
             s2 = w2 / float(w2.sum())
         else:
             s2 = stage2_distribution(p_prime, e, (j, k), w)
@@ -247,9 +237,7 @@ def outcomes_from_uniforms(
     return out[0], out[1], out[2]
 
 
-def rod_sample(
-    p: RodState, e: RodMeasurement, w: BreakWeight, rng
-) -> tuple[str, RodState, BreakPath]:
+def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, BreakPath]:
     """One measurement: returns (outcome label, collapsed state, break order).
 
     The rod stabilizes on the outcome axis, so the new state is that axis's
@@ -259,14 +247,14 @@ def rod_sample(
     u1 = rng.random()
     u2 = rng.random()
     outcome, first, second = outcomes_from_uniforms(
-        p.p, e.e, w, np.array([u1]), np.array([u2])
+        p, e, w, np.array([u1]), np.array([u2])
     )
     idx = int(outcome[0])
     path = BreakPath(int(first[0]), int(second[0]))
-    return LABELS[idx], RodState(e.e.axes[idx]), path
+    return LABELS[idx], e.axes[idx], path
 
 
-def marginal_measure(p: RodState, w: BreakWeight) -> Callable[[Ray, Frame], float]:
+def marginal_measure(p: Ray, w: BreakWeight) -> Callable[[Ray, Frame], float]:
     """Outcome probability of a given axis ray, in the context of its frame.
 
     For the quantum weight this is a frame-independent function of the ray
@@ -275,7 +263,7 @@ def marginal_measure(p: RodState, w: BreakWeight) -> Callable[[Ray, Frame], floa
     """
 
     def measure(ray: Ray, frame: Frame) -> float:
-        dist, _ = rod_analytic(p, RodMeasurement(frame), w)
+        dist, _ = rod_analytic(p, frame, w)
         for i, ax in enumerate(frame.axes):
             if abs(ax.rep.dot(ray.rep)) > 1.0 - 1e-9:
                 return dist.probs[i]

@@ -14,8 +14,6 @@ the spin-1/2 probabilities for the angle theta between u and v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import UnitVector
@@ -24,32 +22,9 @@ from .outcomes import OutcomeDistribution, cosine_split
 LABELS = ("o1", "o2")
 
 
-@dataclass(frozen=True)
-class SphereState:
-    v: UnitVector
-
-
-@dataclass(frozen=True)
-class SphereMeasurement:
-    """Measurement along u: outcome o1 collapses to u, o2 to -u."""
-
-    u: UnitVector
-
-
-@dataclass(frozen=True)
-class ElasticHiddenVariable:
-    """Break coordinate along the string, in [-1, 1]."""
-
-    b: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.b <= 1.0:
-            raise ValueError(f"break coordinate {self.b} outside [-1, 1]")
-
-
-def sphere_analytic(e: SphereMeasurement, s: SphereState) -> OutcomeDistribution:
-    """Exact outcome probabilities ((1+cos)/2, (1-cos)/2); they sum to 1 exactly."""
-    return cosine_split(LABELS, e.u.dot(s.v))
+def sphere_analytic(u: UnitVector, v: UnitVector) -> OutcomeDistribution:
+    """Exact probabilities ((1+cos)/2, (1-cos)/2) of measuring v along u; sum exactly 1."""
+    return cosine_split(LABELS, u.dot(v))
 
 
 def outcome_indices(c: float, u1: np.ndarray) -> np.ndarray:
@@ -62,16 +37,12 @@ def outcome_indices(c: float, u1: np.ndarray) -> np.ndarray:
     return (b >= c).astype(np.int64)
 
 
-def sphere_sample(
-    e: SphereMeasurement, s: SphereState, rng
-) -> tuple[str, SphereState, ElasticHiddenVariable]:
-    """One measurement: returns (outcome label, collapsed state, break point).
+def sphere_sample(u: UnitVector, v: UnitVector, rng) -> tuple[str, UnitVector, float]:
+    """One measurement of state v along u: (outcome label, collapsed state, break point).
 
-    ``rng`` needs a ``random()`` method yielding uniforms in [0, 1).
+    The collapsed state is u on o1 and -u on o2; the break point b lies in
+    [-1, 1]. ``rng`` needs a ``random()`` method yielding uniforms in [0, 1).
     """
     u1 = rng.random()
-    c = e.u.dot(s.v)
-    idx = int(outcome_indices(c, np.array([u1]))[0])
-    b = 2.0 * u1 - 1.0
-    new_v = e.u if idx == 0 else -e.u
-    return LABELS[idx], SphereState(new_v), ElasticHiddenVariable(b)
+    idx = int(outcome_indices(u.dot(v), np.array([u1]))[0])
+    return LABELS[idx], u if idx == 0 else -u, 2.0 * u1 - 1.0

@@ -13,6 +13,7 @@ per-outcome 99% normal-approximation confidence intervals.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -73,14 +74,6 @@ class EmpiricalDistribution:
     def frequencies(self) -> np.ndarray:
         return np.array(self.counts) / self.total
 
-    def as_distribution(self) -> OutcomeDistribution:
-        return OutcomeDistribution(
-            self.labels,
-            tuple(float(f) for f in self.frequencies),
-            source="empirical",
-            trials=self.total,
-        )
-
 
 @dataclass(frozen=True)
 class GofReport:
@@ -93,29 +86,6 @@ class GofReport:
     passed: bool
     intervals: tuple[tuple[float, float], ...]
     note: str = ""
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """A run verified against expected probabilities: counts, verdict, CIs."""
-
-    config: RunConfig
-    empirical: EmpiricalDistribution
-    expected: OutcomeDistribution
-    gof: GofReport
-    records: tuple[TrialRecord, ...]
-
-
-def verify_run(
-    cfg: RunConfig,
-    expected: OutcomeDistribution,
-    alpha: float = 0.01,
-    record_sample: int = 10,
-) -> RunReport:
-    """run_trials followed by chi_square_gof against ``expected``."""
-    emp, records = run_trials(cfg, record_sample=record_sample)
-    gof = chi_square_gof(emp, expected, alpha=alpha)
-    return RunReport(cfg, emp, expected, gof, tuple(records))
 
 
 def _validate(cfg: RunConfig) -> Model:
@@ -195,11 +165,7 @@ def chi_square_gof(
     counts = np.array(emp.counts)
     f = counts / n
 
-    intervals = []
-    for fi in f:
-        half = Z_99 * float(np.sqrt(max(fi * (1.0 - fi), 0.0) / n))
-        intervals.append((max(fi - half, 0.0), min(fi + half, 1.0)))
-    intervals = tuple(intervals)
+    intervals = tuple(wald_interval(fi, n) for fi in f)
 
     dof = int(np.sum(p > 0.0)) - 1
     impossible = (p == 0.0) & (counts > 0)
@@ -226,6 +192,12 @@ def chi_square_gof(
         passed=statistic <= critical,
         intervals=intervals,
     )
+
+
+def wald_interval(f: float, n: int) -> tuple[float, float]:
+    """99% normal-approximation interval of a frequency f over n trials, clamped to [0, 1]."""
+    half = Z_99 * math.sqrt(max(f * (1.0 - f), 0.0) / n)
+    return max(f - half, 0.0), min(f + half, 1.0)
 
 
 def _critical(dof: int, alpha: float) -> float:

@@ -22,7 +22,6 @@ from bornsim.geometry import (
     vector_angle,
 )
 from bornsim.quantum import (
-    RayProjector,
     born_probabilities,
     frame_additivity_check,
     gleason_measure,
@@ -31,13 +30,11 @@ from bornsim.quantum import (
 from bornsim.rod import (
     QUANTUM,
     UNIFORM_VARIANT,
-    RodMeasurement,
-    RodState,
     marginal_measure,
     rod_analytic,
     rod_sample,
 )
-from bornsim.sphere import SphereMeasurement, SphereState, sphere_analytic, sphere_sample
+from bornsim.sphere import sphere_analytic, sphere_sample
 from bornsim.stats import RunConfig, chi_square_gof, run_trials
 
 from oracles import disk_up_oracle, rod_tree_oracle, variant_weight
@@ -58,7 +55,7 @@ def _seeded_pairs(seed: int, n: int):
 def test_criterion_01_born_reproduction_exact():
     worst = 0.0
     for ray, frame in _seeded_pairs(101, 100):
-        dist, _ = rod_analytic(RodState(ray), RodMeasurement(frame), QUANTUM)
+        dist, _ = rod_analytic(ray, frame, QUANTUM)
         cos = np.array(direction_cosines(ray, frame))
         worst = max(worst, float(np.max(np.abs(np.array(dist.probs) - cos**2))))
         born = born_probabilities(state_vector(ray.rep.array), frame)
@@ -70,7 +67,7 @@ def test_criterion_01_born_reproduction_exact():
 def test_criterion_02_path_identity_exact():
     worst = 0.0
     for ray, frame in _seeded_pairs(102, 100):
-        dist, paths = rod_analytic(RodState(ray), RodMeasurement(frame), QUANTUM)
+        dist, paths = rod_analytic(ray, frame, QUANTUM)
         cos = np.array(direction_cosines(ray, frame))
         for path, prob in paths.items():
             worst = max(worst, abs(prob - 0.5 * cos[path.outcome] ** 2))
@@ -101,7 +98,7 @@ def test_criterion_04_monte_carlo_agreement():
     for k in range(20):
         ray = canonicalize(random_unit_vector(gen).array)
         frame = random_frame(gen)
-        expected, _ = rod_analytic(RodState(ray), RodMeasurement(frame), QUANTUM)
+        expected, _ = rod_analytic(ray, frame, QUANTUM)
         emp, _ = run_trials(
             RunConfig("rod", ray.rep, frame, "quantum", trials=n, master_seed=910_000 + k),
             record_sample=0,
@@ -123,7 +120,7 @@ def test_criterion_05_sphere_frequencies():
     u = unit_vector(1.0, 0.0, 0.0)
     worst = 0.0
     for k, (name, v) in enumerate(states.items()):
-        expected = sphere_analytic(SphereMeasurement(u), SphereState(v)).probs[0]
+        expected = sphere_analytic(u, v).probs[0]
         emp, _ = run_trials(
             RunConfig("sphere2d", v, u, trials=1_000_000, master_seed=500_100 + k),
             record_sample=0,
@@ -156,7 +153,7 @@ def test_criterion_06_disk_frequencies_with_integration_oracle():
 
 def test_criterion_07_variant_separation():
     ray = canonicalize(P_BENCH.array)
-    dist, _ = rod_analytic(RodState(ray), RodMeasurement(identity_frame()), UNIFORM_VARIANT)
+    dist, _ = rod_analytic(ray, identity_frame(), UNIFORM_VARIANT)
     oracle_probs, _ = rod_tree_oracle(ray.array, np.eye(3), variant_weight)
     assert np.allclose(dist.probs, oracle_probs, atol=1e-12)
     gap = abs(dist.probs[2] - 0.25)
@@ -185,10 +182,10 @@ def test_criterion_08_gleason_form_frame_checks():
     gen = np.random.default_rng(108)
     frames = [random_frame(gen) for _ in range(1000)]
     g = gleason_measure(state_vector(P_BENCH.array))
-    report = frame_additivity_check(lambda ray, frame: g(RayProjector(ray)), frames)
+    report = frame_additivity_check(g, frames)
     assert report.max_deviation < 1e-12
 
-    variant = marginal_measure(RodState(canonicalize(P_BENCH.array)), UNIFORM_VARIANT)
+    variant = marginal_measure(canonicalize(P_BENCH.array), UNIFORM_VARIANT)
     f1 = identity_frame()
     f2 = rotate_frame_about_axis(f1, 0, math.pi / 4)
     shared = f1.axes[0]
@@ -215,9 +212,9 @@ def test_criterion_09_reproducibility_across_workers():
 def test_criterion_10_repeatability_of_collapse():
     gen = np.random.default_rng(110)
 
-    e_sphere = SphereMeasurement(random_unit_vector(gen))
+    e_sphere = random_unit_vector(gen)
     for _ in range(10_000):
-        s = SphereState(random_unit_vector(gen))
+        s = random_unit_vector(gen)
         first, collapsed, _ = sphere_sample(e_sphere, s, gen)
         second, _, _ = sphere_sample(e_sphere, collapsed, gen)
         assert first == second
@@ -229,9 +226,9 @@ def test_criterion_10_repeatability_of_collapse():
         second, _ = disk_measure(collapsed, q, gen)
         assert first == second
 
-    e_rod = RodMeasurement(random_frame(gen))
+    e_rod = random_frame(gen)
     for _ in range(10_000):
-        s = RodState(canonicalize(random_unit_vector(gen).array))
+        s = canonicalize(random_unit_vector(gen).array)
         first, collapsed, _ = rod_sample(s, e_rod, QUANTUM, gen)
         second, _, _ = rod_sample(collapsed, e_rod, QUANTUM, gen)
         assert first == second

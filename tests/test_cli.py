@@ -277,6 +277,20 @@ class TestInputHandling:
         assert outputs[0].out == outputs[1].out
         assert outputs[0].err == ""
 
+    def test_huge_second_row_keeps_the_direction_sweep_plane(self, tmp_path, capsys):
+        # a direction's sweep partner is the frame's second row made orthogonal
+        # to it; the norm of that row must not overflow (a zero partner)
+        results = []
+        for i, frame in enumerate(["1,0,0,1e308,1e308,0,0,0,1", "1,0,0,1,1,0,0,0,1"]):
+            out = tmp_path / f"sweep{i}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["sweep", "--model", "sphere2d", "--state", "1,0,0",
+                             "--frame", frame, "--steps", "5", "--trials", "2000",
+                             "--out", str(out)]) == 0
+            results.append((capsys.readouterr(), out.read_bytes()))
+        assert results[0] == results[1]
+
     def test_frame_reorthonormalized_within_tolerance(self, capsys):
         # slightly off-orthonormal input is accepted and cleaned up
         eps = 5e-7

@@ -10,7 +10,6 @@ from bornsim.geometry import (
     DegenerateProjectionError,
     Frame,
     canonicalize,
-    complete_frame,
     direction_cosines,
     identity_frame,
     normalize,
@@ -18,7 +17,6 @@ from bornsim.geometry import (
     project_onto_plane,
     random_frame,
     random_unit_vector,
-    ray_angle,
     rotate_frame_about_axis,
     unit_vector,
     vector_angle,
@@ -202,11 +200,6 @@ class TestFrames:
             m = g.matrix
             assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
 
-    def test_complete_frame_starts_with_given_ray(self, rng):
-        ray = canonicalize(random_unit_vector(rng).array)
-        f = complete_frame(ray)
-        assert f.axes[0] == ray
-
 
 class TestRandomDirections:
     def test_seed_determinism(self):
@@ -235,10 +228,3 @@ class TestAngles:
         assert vector_angle(u, unit_vector(0.0, 1.0, 0.0)) == pytest.approx(
             math.pi / 2, abs=1e-15
         )
-
-    def test_ray_angle_folds_to_quarter_turn(self, rng):
-        for _ in range(200):
-            p = canonicalize(random_unit_vector(rng).array)
-            q = canonicalize(random_unit_vector(rng).array)
-            a = ray_angle(p, q)
-            assert 0.0 <= a <= math.pi / 2 + 1e-15

@@ -11,8 +11,6 @@ from bornsim.rod import (
     LABELS,
     QUANTUM,
     UNIFORM_VARIANT,
-    RodMeasurement,
-    RodState,
     outcomes_from_uniforms,
     rod_analytic,
     rod_sample,
@@ -27,7 +25,7 @@ from oracles import rod_tree_oracle, quantum_weight, variant_weight
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
 P_BENCH = canonicalize((SQ2, 0.5, 0.5))
-IDENT = RodMeasurement(identity_frame())
+IDENT = identity_frame()
 
 # frozen from the independent tree oracle (see oracles.rod_tree_oracle)
 VARIANT_STAGE1 = (0.289897948556636, 0.355051025721682, 0.355051025721682)
@@ -37,16 +35,16 @@ VARIANT_O3_GAP = 0.042015924466717
 
 class TestStage1:
     def test_eigenstate_splits_evenly_over_other_axes(self):
-        s1 = stage1_distribution(RodState(canonicalize((1, 0, 0))), IDENT, QUANTUM)
+        s1 = stage1_distribution(canonicalize((1, 0, 0)), IDENT, QUANTUM)
         assert np.allclose(s1, [0.0, 0.5, 0.5], atol=1e-15)
         assert s1[0] == 0.0
 
     def test_quantum_weights_normalize_by_two(self):
-        s1 = stage1_distribution(RodState(P_BENCH), IDENT, QUANTUM)
+        s1 = stage1_distribution(P_BENCH, IDENT, QUANTUM)
         assert np.allclose(s1, [0.25, 0.375, 0.375], atol=1e-12)
 
     def test_uniform_variant_stage1(self):
-        s1 = stage1_distribution(RodState(P_BENCH), IDENT, UNIFORM_VARIANT)
+        s1 = stage1_distribution(P_BENCH, IDENT, UNIFORM_VARIANT)
         assert np.allclose(s1, VARIANT_STAGE1, atol=1e-12)
         # direct recomputation, independent of the library path
         sines = np.sqrt(1.0 - np.array([SQ2, 0.5, 0.5]) ** 2)
@@ -55,7 +53,7 @@ class TestStage1:
     def test_all_zero_weights_guarded(self):
         dead = BreakWeight("dead", lambda t: 0.0 * np.asarray(t))
         with pytest.raises(ValueError, match="degenerate frame/state"):
-            stage1_distribution(RodState(P_BENCH), IDENT, dead)
+            stage1_distribution(P_BENCH, IDENT, dead)
 
 
 class TestStage2:
@@ -78,7 +76,7 @@ class TestStage2:
 
 class TestAnalytic:
     def test_quantum_benchmark_distribution_and_paths(self):
-        dist, paths = rod_analytic(RodState(P_BENCH), IDENT, QUANTUM)
+        dist, paths = rod_analytic(P_BENCH, IDENT, QUANTUM)
         assert np.allclose(dist.probs, [0.5, 0.25, 0.25], atol=1e-12)
         # every break order contributes half the outcome probability
         cos2 = np.array([0.5, 0.25, 0.25])
@@ -88,20 +86,20 @@ class TestAnalytic:
         assert both_to_o3 == pytest.approx([0.125, 0.125], abs=1e-12)
 
     def test_eigenstate_any_weight(self):
-        p = RodState(canonicalize((1, 0, 0)))
+        p = canonicalize((1, 0, 0))
         for w in (QUANTUM, UNIFORM_VARIANT):
             dist, paths = rod_analytic(p, IDENT, w)
             assert dist.probs == (1.0, 0.0, 0.0)
             assert len(paths) == 6
 
     def test_uniform_variant_benchmark(self):
-        dist, _ = rod_analytic(RodState(P_BENCH), IDENT, UNIFORM_VARIANT)
+        dist, _ = rod_analytic(P_BENCH, IDENT, UNIFORM_VARIANT)
         assert np.allclose(dist.probs, VARIANT_DIST, atol=1e-12)
         oracle_probs, _ = rod_tree_oracle(P_BENCH.array, np.eye(3), variant_weight)
         assert np.allclose(dist.probs, oracle_probs, atol=1e-12)
 
     def test_variant_deviates_from_born_on_o3(self):
-        dist, _ = rod_analytic(RodState(P_BENCH), IDENT, UNIFORM_VARIANT)
+        dist, _ = rod_analytic(P_BENCH, IDENT, UNIFORM_VARIANT)
         gap = abs(dist.probs[2] - 0.25)
         assert gap == pytest.approx(VARIANT_O3_GAP, abs=1e-12)
         assert gap > 0.02
@@ -112,7 +110,7 @@ class TestAnalytic:
             ray = canonicalize(random_unit_vector(gen).array)
             frame = random_frame(gen)
             for w, fn in ((QUANTUM, quantum_weight), (UNIFORM_VARIANT, variant_weight)):
-                dist, paths = rod_analytic(RodState(ray), RodMeasurement(frame), w)
+                dist, paths = rod_analytic(ray, frame, w)
                 oracle_probs, oracle_paths = rod_tree_oracle(ray.array, frame.matrix, fn)
                 assert np.allclose(dist.probs, oracle_probs, atol=1e-12)
                 for path, prob in paths.items():
@@ -127,7 +125,7 @@ class TestAnalytic:
             v = random_unit_vector(gen)
             frame = random_frame(gen)
             ray = canonicalize(v.array)
-            dist, paths = rod_analytic(RodState(ray), RodMeasurement(frame), QUANTUM)
+            dist, paths = rod_analytic(ray, frame, QUANTUM)
             born = born_probabilities(state_vector(ray.rep.array), frame)
             assert np.allclose(dist.probs, born.probs, atol=1e-12)
             for path, prob in paths.items():
@@ -138,7 +136,7 @@ class TestAnalytic:
         for w in (QUANTUM, UNIFORM_VARIANT):
             for _ in range(200):
                 ray = canonicalize(random_unit_vector(gen).array)
-                dist, paths = rod_analytic(RodState(ray), RodMeasurement(random_frame(gen)), w)
+                dist, paths = rod_analytic(ray, random_frame(gen), w)
                 assert abs(sum(dist.probs) - 1.0) < 1e-12
                 assert abs(sum(paths.values()) - 1.0) < 1e-12
 
@@ -155,11 +153,11 @@ class TestWeights:
 
 class TestSampler:
     def test_eigenstate_collapse_is_deterministic(self):
-        p = RodState(canonicalize((0, 1, 0)))
+        p = canonicalize((0, 1, 0))
         for trial in range(200):
             label, new_state, path = rod_sample(p, IDENT, QUANTUM, TrialStream(3, trial))
             assert label == "o2"
-            assert new_state.p == IDENT.e.axes[1]
+            assert new_state == IDENT.axes[1]
             assert path.outcome == 1
 
     def test_symmetric_state_frequencies(self):
@@ -184,8 +182,8 @@ class TestSampler:
     def test_repeatability_exact(self):
         gen = np.random.default_rng(17)
         for chain in range(10_000):
-            state = RodState(canonicalize(random_unit_vector(gen).array))
-            e = RodMeasurement(random_frame(gen))
+            state = canonicalize(random_unit_vector(gen).array)
+            e = random_frame(gen)
             first, collapsed, _ = rod_sample(state, e, QUANTUM, gen)
             second, _, _ = rod_sample(collapsed, e, QUANTUM, gen)
             assert first == second
@@ -200,7 +198,7 @@ class TestSampler:
             ray = canonicalize(random_unit_vector(gen).array)
             frame = random_frame(gen)
             w = weights[k % 2]
-            expected, _ = rod_analytic(RodState(ray), RodMeasurement(frame), w)
+            expected, _ = rod_analytic(ray, frame, w)
             emp, _ = run_trials(
                 RunConfig("rod", ray.rep, frame, w.tag, trials=n, master_seed=8200 + k),
                 record_sample=0,
@@ -226,7 +224,7 @@ class TestSampler:
     def test_boundary_uniforms_never_select_zero_weight(self):
         # eigenstate: stage-1 weight of axis 1 is zero; u1 = 0 must not pick it
         ray = canonicalize((1, 0, 0))
-        s1 = stage1_distribution(RodState(ray), IDENT, QUANTUM)
+        s1 = stage1_distribution(ray, IDENT, QUANTUM)
         edges = np.array([0.0, s1[1], s1[1] + s1[2], 1.0 - 2**-53])
         outcome, first, second = outcomes_from_uniforms(
             ray, identity_frame(), QUANTUM, edges, np.array([0.0, 0.5, 1.0 - 2**-53, 0.25])
@@ -236,7 +234,7 @@ class TestSampler:
         assert np.all(second != 0)
 
     def test_tie_on_boundary_goes_to_lowest_index(self):
-        s1 = stage1_distribution(RodState(P_BENCH), IDENT, QUANTUM)
+        s1 = stage1_distribution(P_BENCH, IDENT, QUANTUM)
         # u exactly on the first cumulative edge selects category 0
         _, first, _ = outcomes_from_uniforms(
             P_BENCH, identity_frame(), QUANTUM, np.array([s1[0]]), np.array([0.5])

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from bornsim.geometry import random_unit_vector, unit_vector
+from bornsim.geometry import UnitVector, random_unit_vector, unit_vector
 from bornsim.sphere import (
-    ElasticHiddenVariable,
     LABELS,
-    SphereMeasurement,
-    SphereState,
     outcome_indices,
     sphere_analytic,
     sphere_sample,
@@ -22,25 +19,22 @@ from oracles import binomial_bound
 EX = unit_vector(1.0, 0.0, 0.0)
 
 
-def state_at(theta: float) -> SphereState:
-    return SphereState(unit_vector(math.cos(theta), math.sin(theta), 0.0))
+def state_at(theta: float) -> UnitVector:
+    return unit_vector(math.cos(theta), math.sin(theta), 0.0)
 
 
 class TestAnalytic:
     def test_eigenstate(self):
-        d = sphere_analytic(SphereMeasurement(EX), SphereState(EX))
+        d = sphere_analytic(EX, EX)
         assert d.probs == (1.0, 0.0)
 
     def test_orthogonal(self):
-        d = sphere_analytic(SphereMeasurement(EX), SphereState(unit_vector(0.0, 1.0, 0.0)))
+        d = sphere_analytic(EX, unit_vector(0.0, 1.0, 0.0))
         assert d.probs == (0.5, 0.5)
 
     def test_sixty_degrees(self):
         # closed form at cos(theta) = 1/2: ((1+c)/2, (1-c)/2) = (0.75, 0.25)
-        d = sphere_analytic(
-            SphereMeasurement(EX),
-            SphereState(unit_vector(0.5, math.sqrt(3.0) / 2.0, 0.0)),
-        )
+        d = sphere_analytic(EX, unit_vector(0.5, math.sqrt(3.0) / 2.0, 0.0))
         assert d.probs[0] == pytest.approx(0.75, abs=1e-15)
         assert d.probs[1] == pytest.approx(0.25, abs=1e-15)
 
@@ -48,7 +42,7 @@ class TestAnalytic:
         for _ in range(5000):
             u = random_unit_vector(rng)
             v = random_unit_vector(rng)
-            p1, p2 = sphere_analytic(SphereMeasurement(u), SphereState(v)).probs
+            p1, p2 = sphere_analytic(u, v).probs
             assert p1 + p2 == 1.0
             assert 0.0 <= p1 <= 1.0
 
@@ -74,14 +68,17 @@ class TestSampler:
 
     def test_sample_returns_collapsed_state_and_hidden(self):
         stream = TrialStream(99, 0)
-        label, new_state, hidden = sphere_sample(
-            SphereMeasurement(EX), state_at(math.pi / 3), stream
-        )
+        label, new_state, b = sphere_sample(EX, state_at(math.pi / 3), stream)
         assert label in LABELS
-        assert isinstance(hidden, ElasticHiddenVariable)
-        assert -1.0 <= hidden.b <= 1.0
+        assert -1.0 <= b <= 1.0
         expected = EX if label == "o1" else -EX
-        assert new_state.v == expected
+        assert new_state == expected
+
+    def test_break_point_below_the_particle_gives_o1(self):
+        v = state_at(math.pi / 3)
+        for trial in range(1000):
+            label, _, b = sphere_sample(EX, v, TrialStream(5, trial))
+            assert (label == "o1") == (b < EX.dot(v))
 
     def test_monte_carlo_matches_closed_form_at_sixty_degrees(self):
         v = unit_vector(0.5, math.sqrt(3.0) / 2.0, 0.0)
@@ -89,10 +86,6 @@ class TestSampler:
             RunConfig("sphere2d", v, EX, trials=200_000, master_seed=2024)
         )
         assert abs(emp.frequencies[0] - 0.75) < binomial_bound(0.75, 200_000)
-
-    def test_hidden_variable_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ElasticHiddenVariable(1.5)
 
 
 class TestProperties:
@@ -103,7 +96,7 @@ class TestProperties:
         for k in range(100):
             u = random_unit_vector(gen)
             v = random_unit_vector(gen)
-            expected = sphere_analytic(SphereMeasurement(u), SphereState(v))
+            expected = sphere_analytic(u, v)
             emp, _ = run_trials(
                 RunConfig("sphere2d", v, u, trials=n, master_seed=7000 + k),
                 record_sample=0,
@@ -113,9 +106,9 @@ class TestProperties:
 
     def test_repeatability_over_chains(self):
         gen = np.random.default_rng(42)
-        e = SphereMeasurement(random_unit_vector(gen))
+        e = random_unit_vector(gen)
         for chain in range(10_000):
-            s = SphereState(random_unit_vector(gen))
+            s = random_unit_vector(gen)
             first, collapsed, _ = sphere_sample(e, s, gen)
             second, _, _ = sphere_sample(e, collapsed, gen)
             assert first == second
@@ -126,7 +119,7 @@ class TestProperties:
         # two-sample homogeneity test, both at alpha = 0.01
         n = 1_000_000
         v = unit_vector(0.5, math.sqrt(3.0) / 2.0, 0.0)
-        expected = sphere_analytic(SphereMeasurement(EX), SphereState(v))
+        expected = sphere_analytic(EX, v)
         emp, _ = run_trials(
             RunConfig("sphere2d", v, EX, trials=n, master_seed=555), record_sample=0
         )

@@ -8,16 +8,15 @@ from bornsim import stats, streams
 
 from bornsim.geometry import identity_frame, unit_vector
 from bornsim.outcomes import OutcomeDistribution
-from bornsim.rod import QUANTUM, RodMeasurement, RodState, rod_analytic
-from bornsim.geometry import canonicalize
-from bornsim.sphere import SphereState
+from bornsim.rod import QUANTUM, rod_analytic
+from bornsim.geometry import UnitVector, canonicalize
 from bornsim.stats import (
     CHI2_CRITICAL,
     EmpiricalDistribution,
     RunConfig,
     chi_square_gof,
     run_trials,
-    verify_run,
+    wald_interval,
 )
 from bornsim.streams import TrialStream, mix64, trial_state, trial_uniforms
 
@@ -84,7 +83,7 @@ class TestRunTrials:
         assert emp.total == 1
         assert sum(emp.counts) == 1
         assert len(records) == 1
-        assert isinstance(records[0].final_state, SphereState)
+        assert isinstance(records[0].final_state, UnitVector)
 
     def test_worker_count_does_not_change_counts(self):
         base = RunConfig("rod", P_BENCH, identity_frame(), "quantum",
@@ -238,13 +237,18 @@ class TestChiSquare:
             assert hi - lo == pytest.approx(
                 2 * 2.576 * math.sqrt(f * (1 - f) / 1000), abs=1e-12
             )
+        assert report.intervals == tuple(wald_interval(f, 1000) for f in emp.frequencies)
+
+    def test_wald_interval_is_clamped_to_the_unit_interval(self):
+        assert wald_interval(0.0, 10) == (0.0, 0.0)
+        assert wald_interval(1.0, 10) == (1.0, 1.0)
+        lo, hi = wald_interval(0.01, 10)
+        assert lo == 0.0 and 0.01 < hi < 1.0
 
     def test_calibration_rejection_rate_near_alpha(self):
         # a correctly matched model/expected pair is rejected at alpha = 0.01
         # in 1% +- 0.8% of 1000 independent seeded runs
-        expected, _ = rod_analytic(
-            RodState(canonicalize(P_BENCH.array)), RodMeasurement(identity_frame()), QUANTUM
-        )
+        expected, _ = rod_analytic(canonicalize(P_BENCH.array), identity_frame(), QUANTUM)
         rejections = 0
         for k in range(1000):
             emp, _ = run_trials(
@@ -270,21 +274,6 @@ class TestChiSquare:
         assert report.statistic > 1000.0
 
 
-class TestVerifyRun:
-    def test_bundles_counts_verdict_and_records(self):
-        cfg = RunConfig("rod", P_BENCH, identity_frame(), "quantum",
-                        trials=100_000, master_seed=3)
-        expected, _ = rod_analytic(
-            RodState(canonicalize(P_BENCH.array)), RodMeasurement(identity_frame()), QUANTUM
-        )
-        report = verify_run(cfg, expected, alpha=0.01, record_sample=5)
-        assert report.config is cfg
-        assert report.empirical.total == 100_000
-        assert report.gof.passed
-        assert len(report.records) == 5
-        assert report.expected is expected
-
-
 class TestEmpiricalDistribution:
     def test_validates_totals(self):
         with pytest.raises(ValueError):
@@ -296,10 +285,3 @@ class TestEmpiricalDistribution:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 OutcomeDistribution(("a", "b"), (bad, 0.5))
-
-    def test_as_distribution_carries_provenance(self):
-        emp = EmpiricalDistribution(("a", "b"), (30, 70), 100)
-        dist = emp.as_distribution()
-        assert dist.source == "empirical"
-        assert dist.trials == 100
-        assert dist.probs == (0.3, 0.7)
