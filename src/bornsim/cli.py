@@ -1,16 +1,23 @@
 """Command-line front end: exact tables, Monte Carlo runs, sweeps, frame checks.
 
-Commands
---------
+Commands and the options each takes
+-----------------------------------
 analytic    print the exact outcome distribution for a model configuration
+            (model weight state frame out)
 simulate    run Monte Carlo trials, write a CSV, verdict vs expected probabilities
+            (model weight state frame trials seed alpha expect out workers)
 sweep       sweep the state angle over [0, pi/2], one CSV row per point
+            (model weight state frame trials seed out workers steps)
 framecheck  sum a ray measure over random frames and report deviation from 1
+            (measure weight state trials seed out)
 
-Inputs come from flags, optionally seeded by a ``key = value`` config file
-(``--config``); explicit flags override the file. The default seed is taken
-from the ``BORNSIM_SEED`` environment variable when set (the only
-environment input), else 12345.
+Each option is a flag (``--trials``) and a key of the ``key = value`` config
+file that every command also takes (``--config``); explicit flags override
+the file. A config file may name any command's option, so one file serves
+all four commands; only the keys the running command reads are converted
+and checked. The default seed is taken from the ``BORNSIM_SEED``
+environment variable when set (the only environment input, read only by
+commands that take a seed), else 12345.
 
 Exit codes: 0 success, 2 invalid input, 3 statistical verification failure.
 CSV floats are printed with 12 significant digits, and output bytes are
@@ -26,6 +33,8 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -49,14 +58,14 @@ from .quantum import (
     gleason_measure,
     state_vector,
 )
-from .stats import RunConfig, chi_square_gof, run_trials, wald_interval
+from .stats import CHI2_CRITICAL, RunConfig, chi_square_gof, run_trials, wald_interval
 from .streams import trial_state
 
 FALLBACK_SEED = 12345
 SEED_ENV_VAR = "BORNSIM_SEED"
 MIN_TRIALS_FOR_VERDICT = 1000
-# framecheck measures: the Gleason form of the state, or the rod's marginals
-MEASURES = ("gleason", ROD.name)
+# significance levels with tabulated chi-square critical values
+ALPHAS = tuple(sorted({alpha for _, alpha in CHI2_CRITICAL}))
 
 SIMULATE_HEADER = [
     "model", "weight", "state_x", "state_y", "state_z", "frame_id",
@@ -67,11 +76,6 @@ ANALYTIC_HEADER = [
     "outcome", "probability",
 ]
 SWEEP_HEADER = ["angle", "analytic", "empirical", "ci_low", "ci_high"]
-
-_CONFIG_KEYS = {
-    "model", "weight", "state", "frame", "trials", "seed", "alpha",
-    "expect", "out", "steps", "workers", "measure",
-}
 
 
 class InputError(ValueError):
@@ -173,23 +177,83 @@ def _parse_frame(token: str, kind: type) -> FrameInput:
     return FrameInput(frame_id, m, (u, w))
 
 
-@dataclass
-class ExperimentSpec:
-    """Validated, fully-defaulted inputs of one command invocation."""
+@dataclass(frozen=True)
+class Option:
+    """One command input: flag ``--<name>`` and config key ``<name>``.
 
-    command: str
-    model: str | None = None
-    weight: str = rod.QUANTUM.tag
-    state: UnitVector | None = None
-    frame: FrameInput | None = None  # not parsed for framecheck
-    trials: int = 100000
-    seed: int = FALLBACK_SEED
-    alpha: float = 0.01
-    expect: str = "self"
-    out: str | None = None
-    steps: int = 9
-    workers: int = 1
-    measure: str = MEASURES[0]
+    ``parse(text, r)`` turns the flag text, else the config text, else
+    ``default`` into the value the commands read; ``r`` holds the options
+    of the same command resolved before this one. Text outside ``choices``
+    is rejected before parsing. An option is mandatory when ``required``
+    holds the value hint for the error that no text raises.
+    """
+
+    name: str
+    help: str
+    parse: Callable[[str | None, SimpleNamespace], Any] = lambda text, r: text
+    default: str | None = None
+    choices: tuple[str, ...] = ()
+    required: str | None = None
+
+
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"{what} must be an integer, got {text!r}") from exc
+
+
+def _count(name: str, least: int, default: int, help: str) -> Option:
+    """An integer option that rejects values below ``least``."""
+
+    def parse(text: str, r: SimpleNamespace) -> int:
+        n = _integer(text, name)
+        if n < least:
+            raise InputError(f"{name} must be >= {least}")
+        return n
+
+    return Option(name, help, parse, str(default))
+
+
+def _seed(text: str | None, r: SimpleNamespace) -> int:
+    if text is not None:
+        return _integer(text, "seed")
+    env = os.environ.get(SEED_ENV_VAR)
+    return FALLBACK_SEED if env is None else _integer(env, SEED_ENV_VAR)
+
+
+def _alpha(text: str, r: SimpleNamespace) -> float:
+    try:
+        alpha = float(text)
+    except ValueError as exc:
+        raise InputError(f"alpha must be a number, got {text!r}") from exc
+    if alpha not in ALPHAS:
+        listed = " or ".join(map(str, ALPHAS))
+        raise InputError(f"alpha must be {listed} (tabulated critical values)")
+    return alpha
+
+
+OPTIONS = {o.name: o for o in (
+    Option("model", "measurement machine", lambda text, r: MODELS[text],
+           choices=tuple(MODELS), required="|".join(MODELS)),
+    Option("weight", "rod breaking weight", default=rod.QUANTUM.tag,
+           choices=tuple(rod.WEIGHTS)),
+    Option("state", "state vector, e.g. '0.707,0.5,0.5'",
+           lambda text, r: _parse_state(text), required="x,y,z"),
+    Option("frame", "'identity', 'random:<seed>', or 9 reals (3 for direction models)",
+           lambda text, r: _parse_frame(text, r.model.measurement), default="identity"),
+    _count("trials", 1, 100000, "Monte Carlo trials (framecheck: random frames)"),
+    Option("seed", f"master seed (default: ${SEED_ENV_VAR}, else {FALLBACK_SEED})",
+           _seed),
+    Option("alpha", "chi-square significance level", _alpha, default="0.01"),
+    Option("expect", "expected distribution: the model's own, or the Born rule",
+           default="self", choices=("self", "born")),
+    Option("out", "CSV output path ('-' for stdout)"),
+    _count("workers", 1, 1, "upper bound on worker threads"),
+    _count("steps", 2, 9, "number of sweep points (>= 2)"),
+    Option("measure", "framecheck measure: the state's Gleason measure, or the "
+           "rod's outcome marginals", default="gleason", choices=("gleason", ROD.name)),
+)}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -204,7 +268,7 @@ def _read_config(path: str) -> dict[str, str]:
                     raise InputError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in OPTIONS:
                     raise InputError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val.strip()
     except OSError as exc:
@@ -212,93 +276,33 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return FALLBACK_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
-def _pick(args, config: dict[str, str], key: str, default, convert):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return convert(flag) if isinstance(flag, str) else flag
-    if key in config:
-        return convert(config[key])
-    return default
-
-
-def _to_int(text, what: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} must be an integer, got {text!r}") from exc
-
-
-def _to_float(text, what: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} must be a number, got {text!r}") from exc
-
-
-def _resolve(args: argparse.Namespace) -> ExperimentSpec:
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-    r = ExperimentSpec(command=args.command)
-
-    r.model = _pick(args, config, "model", None, str)
-    r.weight = _pick(args, config, "weight", r.weight, str)
-    state_text = _pick(args, config, "state", None, str)
-    frame_token = _pick(args, config, "frame", "identity", str)
-    r.trials = _pick(args, config, "trials", 100000, lambda t: _to_int(t, "trials"))
-    r.seed = _pick(args, config, "seed", _default_seed(), lambda t: _to_int(t, "seed"))
-    r.alpha = _pick(args, config, "alpha", 0.01, lambda t: _to_float(t, "alpha"))
-    r.expect = _pick(args, config, "expect", "self", str)
-    r.out = _pick(args, config, "out", None, str)
-    r.steps = _pick(args, config, "steps", 9, lambda t: _to_int(t, "steps"))
-    r.workers = _pick(args, config, "workers", 1, lambda t: _to_int(t, "workers"))
-    r.measure = _pick(args, config, "measure", r.measure, str)
-
-    if r.command == "framecheck":
-        if r.measure not in MEASURES:
-            choices = " or ".join(repr(m) for m in MEASURES)
-            raise InputError(f"measure must be {choices}, got {r.measure!r}")
-    else:
-        if r.model is None:
-            raise InputError(f"a model is required (--model {'|'.join(MODELS)})")
-        if r.model not in MODELS:
-            raise InputError(f"unknown model {r.model!r}")
-    if r.weight not in rod.WEIGHTS:
-        raise InputError(f"unknown weight {r.weight!r}")
-    if r.expect not in ("self", "born"):
-        raise InputError(f"expect must be 'self' or 'born', got {r.expect!r}")
-    if state_text is None:
-        raise InputError("a state is required (--state x,y,z)")
-    r.state = _parse_state(state_text)
-    if r.trials < 1:
-        raise InputError("trials must be >= 1")
-    if r.workers < 1:
-        raise InputError("workers must be >= 1")
-    if r.alpha not in (0.01, 0.05):
-        raise InputError("alpha must be 0.01 or 0.05 (tabulated critical values)")
-
-    if r.command != "framecheck":
-        r.frame = _parse_frame(frame_token, MODELS[r.model].measurement)
+def _resolve(args: argparse.Namespace, names: tuple[str, ...]) -> SimpleNamespace:
+    """The options ``names`` of one command, each parsed once, in that order."""
+    config = _read_config(args.config) if args.config else {}
+    r = SimpleNamespace()
+    for name in names:
+        opt = OPTIONS[name]
+        text = getattr(args, name)
+        if text is None:
+            text = config.get(name, opt.default)
+        if text is None and opt.required:
+            raise InputError(f"a {name} is required (--{name} {opt.required})")
+        if opt.choices and text not in opt.choices:
+            *rest, last = map(repr, opt.choices)
+            raise InputError(f"{name} must be {', '.join(rest)} or {last}, got {text!r}")
+        setattr(r, name, opt.parse(text, r))
     return r
 
 
-def _weight_field(r: ExperimentSpec) -> str:
-    return r.weight if MODELS[r.model].weighted else ""
+def _weight_field(r: SimpleNamespace) -> str:
+    return r.weight if r.model.weighted else ""
 
 
-def _self_distribution(r: ExperimentSpec, state: UnitVector) -> OutcomeDistribution:
-    return MODELS[r.model].analytic(state, r.frame.measurement, r.weight)
+def _self_distribution(r: SimpleNamespace, state: UnitVector) -> OutcomeDistribution:
+    return r.model.analytic(state, r.frame.measurement, r.weight)
 
 
-def _expected_distribution(r: ExperimentSpec) -> OutcomeDistribution:
+def _expected_distribution(r: SimpleNamespace) -> OutcomeDistribution:
     """--expect self: the model's own exact distribution; born: the state-vector rule.
 
     The state-vector rule is stated over a Frame; for the two-outcome models
@@ -311,9 +315,9 @@ def _expected_distribution(r: ExperimentSpec) -> OutcomeDistribution:
     return _self_distribution(r, r.state)
 
 
-def _run_config(r: ExperimentSpec, state: UnitVector, seed: int) -> RunConfig:
+def _run_config(r: SimpleNamespace, state: UnitVector, seed: int) -> RunConfig:
     return RunConfig(
-        model=r.model,
+        model=r.model.name,
         state=state,
         measurement=r.frame.measurement,
         weight=r.weight,
@@ -336,14 +340,14 @@ def _write_rows(path: str | None, header: list[str], rows: list[list[str]]) -> N
             fh.close()
 
 
-def cmd_analytic(r: ExperimentSpec) -> int:
+def cmd_analytic(r: SimpleNamespace) -> int:
     dist = _self_distribution(r, r.state)
     for label, prob in zip(dist.labels, dist.probs):
         print(f"{label} {_fmt(prob)}")
     if r.out is not None:
         sx, sy, sz = r.state.x, r.state.y, r.state.z
         rows = [
-            [r.model, _weight_field(r), _fmt(sx), _fmt(sy), _fmt(sz),
+            [r.model.name, _weight_field(r), _fmt(sx), _fmt(sy), _fmt(sz),
              r.frame.frame_id, label, _fmt(prob)]
             for label, prob in zip(dist.labels, dist.probs)
         ]
@@ -351,7 +355,7 @@ def cmd_analytic(r: ExperimentSpec) -> int:
     return 0
 
 
-def cmd_simulate(r: ExperimentSpec) -> int:
+def cmd_simulate(r: SimpleNamespace) -> int:
     expected = _expected_distribution(r)
     emp, _ = run_trials(_run_config(r, r.state, r.seed))
     gof = chi_square_gof(emp, expected, alpha=r.alpha)
@@ -361,7 +365,7 @@ def cmd_simulate(r: ExperimentSpec) -> int:
     for i, label in enumerate(emp.labels):
         lo, hi = gof.intervals[i]
         rows.append(
-            [r.model, _weight_field(r), _fmt(sx), _fmt(sy), _fmt(sz),
+            [r.model.name, _weight_field(r), _fmt(sx), _fmt(sy), _fmt(sz),
              r.frame.frame_id, label, str(emp.counts[i]),
              _fmt(emp.frequencies[i]), _fmt(expected.probs[i]),
              _fmt(lo), _fmt(hi)]
@@ -370,7 +374,7 @@ def cmd_simulate(r: ExperimentSpec) -> int:
 
     err = sys.stderr
     print(
-        f"simulate model={r.model} weight={_weight_field(r) or '-'} "
+        f"simulate model={r.model.name} weight={_weight_field(r) or '-'} "
         f"trials={r.trials} seed={r.seed} expect={r.expect}",
         file=err,
     )
@@ -394,9 +398,7 @@ def cmd_simulate(r: ExperimentSpec) -> int:
     return 0 if gof.passed else 3
 
 
-def cmd_sweep(r: ExperimentSpec) -> int:
-    if r.steps < 2:
-        raise InputError("steps must be >= 2")
+def cmd_sweep(r: SimpleNamespace) -> int:
     u, w = r.frame.sweep
     angles = np.linspace(0.0, np.pi / 2, r.steps)
 
@@ -411,22 +413,22 @@ def cmd_sweep(r: ExperimentSpec) -> int:
         rows.append([_fmt(angle), _fmt(analytic), _fmt(f0), _fmt(lo), _fmt(hi)])
     _write_rows(r.out, SWEEP_HEADER, rows)
     print(
-        f"sweep model={r.model} weight={_weight_field(r) or '-'} steps={r.steps} "
+        f"sweep model={r.model.name} weight={_weight_field(r) or '-'} steps={r.steps} "
         f"trials-per-point={r.trials} seed={r.seed}",
         file=sys.stderr,
     )
     return 0
 
 
-def cmd_framecheck(r: ExperimentSpec) -> int:
+def cmd_framecheck(r: SimpleNamespace) -> int:
     rng = np.random.default_rng(r.seed)
     frames = [random_frame(rng) for _ in range(r.trials)]
-    if r.measure == MEASURES[0]:
-        measure = gleason_measure(state_vector(r.state.array))
-        label = r.measure
-    else:
+    if r.measure == ROD.name:
         measure = rod.marginal_measure(canonicalize(r.state), rod.WEIGHTS[r.weight])
         label = f"{r.measure}:{r.weight}"
+    else:
+        measure = gleason_measure(state_vector(r.state.array))
+        label = r.measure
     report = frame_additivity_check(measure, frames)
     print(
         f"framecheck measure={label} frames={report.frames_checked} "
@@ -442,6 +444,22 @@ def cmd_framecheck(r: ExperimentSpec) -> int:
     return 0
 
 
+# Each command: its function, its help line, and the options it reads, in
+# the order they are resolved (a frame is parsed for the model before it).
+COMMANDS = {
+    "analytic": (cmd_analytic, "exact outcome distribution",
+                 ("model", "weight", "state", "frame", "out")),
+    "simulate": (cmd_simulate, "Monte Carlo run with chi-square verdict",
+                 ("model", "weight", "state", "frame", "trials", "seed", "alpha",
+                  "expect", "out", "workers")),
+    "sweep": (cmd_sweep, "state-angle sweep over [0, pi/2]",
+              ("model", "weight", "state", "frame", "trials", "seed", "out",
+               "workers", "steps")),
+    "framecheck": (cmd_framecheck, "frame-additivity check over random frames",
+                   ("measure", "weight", "state", "trials", "seed", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bornsim",
@@ -449,52 +467,20 @@ def build_parser() -> argparse.ArgumentParser:
         "sphere, disk (ks) and rod measurement models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_expect: bool = False) -> None:
-        p.add_argument("--model", choices=list(MODELS))
-        p.add_argument("--weight", choices=list(rod.WEIGHTS))
-        p.add_argument("--state", help="state vector, e.g. '0.707,0.5,0.5'")
-        p.add_argument(
-            "--frame",
-            help="'identity', 'random:<seed>', or 9 reals (3 for direction models)",
-        )
-        p.add_argument("--trials")
-        p.add_argument("--seed")
-        p.add_argument("--alpha")
-        if with_expect:
-            p.add_argument("--expect", choices=["self", "born"])
-        p.add_argument("--out", help="CSV output path ('-' for stdout)")
-        p.add_argument("--workers")
-        p.add_argument("--config", help="key = value file mirroring the flags")
-
-    p_analytic = sub.add_parser("analytic", help="exact outcome distribution")
-    common(p_analytic)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo run with chi-square verdict")
-    common(p_sim, with_expect=True)
-
-    p_sweep = sub.add_parser("sweep", help="state-angle sweep over [0, pi/2]")
-    common(p_sweep)
-    p_sweep.add_argument("--steps", help="number of sweep points (>= 2)")
-
-    p_fc = sub.add_parser("framecheck", help="frame-additivity check over random frames")
-    common(p_fc)
-    p_fc.add_argument("--measure", choices=list(MEASURES))
-
+    for command, (_, summary, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in names:
+            opt = OPTIONS[name]
+            p.add_argument(f"--{name}", choices=opt.choices or None, help=opt.help)
+        p.add_argument("--config", help="key = value file; keys are option names")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "analytic": cmd_analytic,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "framecheck": cmd_framecheck,
-    }
+    run, _, names = COMMANDS[args.command]
     try:
-        resolved = _resolve(args)
-        return handlers[args.command](resolved)
+        return run(_resolve(args, names))
     except ValueError as exc:  # InputError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,9 +72,11 @@ def up_indices(
 ) -> np.ndarray:
     """Vectorized trial kernel: 0 for up, 1 for down, per (u1, u2) pair.
 
-    Evaluates t.q without materializing t, in the tangent basis of p; the
-    scalar sampler goes through the same expression so both paths agree
-    bitwise.
+    Evaluates t.q without materializing t, in the tangent basis of p. The
+    scalar path (``sample_hidden`` then ``disk_measure``) materializes t with
+    ``hidden_from_uniforms`` first, so its t.q can differ from this one in
+    the last bits: the two agree on the outcome of every draw whose |t.q|
+    is larger than that rounding, not bitwise on t.q.
     """
     a, b = tangent_basis(p)
     aq = float(a @ q)

@@ -136,13 +136,17 @@ def identity_frame() -> Frame:
 
 
 def normalize(vec, error: str) -> np.ndarray:
-    """vec / |vec| as a float array; raises ValueError(error) if |vec| < 1e-12.
+    """vec / |vec| as a float array; raises ValueError(error) if |vec| < 1e-12
+    or a component is not finite.
 
     The vector is first scaled by a power of two (exact) so that its squares
     cannot overflow; the quotient is the same as without the scaling.
     """
     v = np.asarray(vec, dtype=float)
-    _, e = math.frexp(max(map(abs, v.tolist())))
+    components = v.tolist()
+    if not all(map(math.isfinite, components)):
+        raise ValueError(error)
+    _, e = math.frexp(max(map(abs, components)))
     v = np.ldexp(v, -e)
     n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
     if math.ldexp(n, min(e, 0)) < DEGENERATE_EPS:

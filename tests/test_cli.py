@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -250,8 +251,9 @@ class TestInputHandling:
 
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
     def test_non_finite_frame_is_rejected_by_its_text(self, command, capsys):
+        trials = ["--trials", "2000"] if command == "simulate" else []
         assert main([command, "--model", "sphere2d", "--state", "1,0,0",
-                     "--frame", "nan,1,0", "--trials", "2000"]) == 2
+                     "--frame", "nan,1,0", *trials]) == 2
         captured = capsys.readouterr()
         assert "'nan,1,0'" in captured.err
         assert "nan" not in captured.out and "dof" not in captured.err
@@ -308,6 +310,68 @@ class TestInputHandling:
         assert main(["simulate", "--model", "rod", "--state", BENCH,
                      "--trials", "2000", "--alpha", "0.2"]) == 2
         capsys.readouterr()
+
+
+class TestOptionSets:
+    COMMAND_OPTIONS = {
+        "analytic": {"model", "weight", "state", "frame", "out"},
+        "simulate": {"model", "weight", "state", "frame", "trials", "seed", "alpha",
+                     "expect", "out", "workers"},
+        "sweep": {"model", "weight", "state", "frame", "trials", "seed", "out",
+                  "workers", "steps"},
+        "framecheck": {"measure", "weight", "state", "trials", "seed", "out"},
+    }
+
+    @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+    def test_each_command_takes_only_the_options_it_reads(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--([a-z]+)", capsys.readouterr().out))
+        assert flags == self.COMMAND_OPTIONS[command] | {"config", "help"}
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--model", "rod", "--state", "1,0,0", "--trials", "5"],
+        ["sweep", "--model", "rod", "--state", "1,0,0", "--alpha", "0.05"],
+        ["framecheck", "--state", "1,0,0", "--trials", "5", "--frame", "identity"],
+        ["framecheck", "--state", "1,0,0", "--trials", "5", "--model", "rod"],
+    ])
+    def test_a_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def _run(self, argv, tmp_path, capsys, name):
+        out = tmp_path / f"{name}.csv"
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes()
+
+    def test_analytic_ignores_config_values_and_seed_it_does_not_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv = ["analytic", "--model", "rod", "--state", BENCH]
+        plain = self._run(argv, tmp_path, capsys, "plain")
+        assert plain[0] == 0
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text("alpha = 0.2\nworkers = 0\ntrials = 0\n")
+        assert self._run([*argv, "--config", str(cfg)], tmp_path, capsys, "cfg") == plain
+        monkeypatch.setenv("BORNSIM_SEED", "abc")
+        assert self._run(argv, tmp_path, capsys, "env") == plain
+        # the same values fail a command that reads them
+        assert main(["simulate", "--model", "rod", "--state", BENCH,
+                     "--config", str(cfg)]) == 2
+        assert main(["simulate", "--model", "rod", "--state", BENCH]) == 2
+        capsys.readouterr()
+
+    def test_framecheck_ignores_a_config_workers_value(self, tmp_path, capsys):
+        argv = ["framecheck", "--state", BENCH, "--trials", "20", "--seed", "3"]
+        plain = self._run(argv, tmp_path, capsys, "plain")
+        assert plain[0] == 0
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text("workers = 0\n")
+        assert self._run([*argv, "--config", str(cfg)], tmp_path, capsys, "cfg") == plain
 
 
 def test_model_and_weight_names_come_from_the_model_table(tmp_path, capsys):

@@ -105,6 +105,32 @@ class TestMeasurement:
         assert np.array_equal(batch, np.array(singles))
 
 
+    def test_kernel_and_scalar_path_agree_on_outcomes(self):
+        # the scalar path materializes t before taking t.q, so the two t.q
+        # values may differ in the last bits; the outcomes must not, away
+        # from the equator tie
+        class Draws:
+            def __init__(self, *values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for _ in range(13):
+            p, q = random_unit_vector(rng), random_unit_vector(rng)
+            u1, u2 = rng.random(800), rng.random(800)
+            kernel = up_indices(p.array, q.array, u1, u2)
+            tq = hidden_from_uniforms(p.array, u1, u2) @ q.array
+            for i in np.flatnonzero(np.abs(tq) > 1e-12):
+                s = initial_state(p, Draws(u1[i], u2[i]))
+                label, _ = disk_measure(s, q, Draws(0.5, 0.5))
+                assert LABELS.index(label) == kernel[i]
+                compared += 1
+        assert compared >= 10_000
+
+
 class TestBornAgreement:
     def test_fifty_random_pairs_at_one_million(self):
         # up-frequency within 5 sigma of cos^2(theta/2); closed form is

@@ -173,6 +173,14 @@ class TestFrames:
         with pytest.raises(ValueError, match="zero"):
             normalize((1e-13, 0, 0), "zero")
 
+    @pytest.mark.parametrize(
+        "vec", [(math.nan, 1, 0), (1, math.nan, 0), (math.inf, 0, 0), (0, 1, -math.inf)]
+    )
+    def test_normalize_rejects_non_finite_components(self, vec):
+        # the position matters to max(): a NaN first wins, a NaN later loses
+        with pytest.raises(ValueError, match="^finite$"):
+            normalize(vec, "finite")
+
     def test_degenerate_triple_rejected(self):
         with pytest.raises(ValueError):
             orthonormal_frame((1, 0, 0), (2, 0, 0), (0, 0, 1))
