@@ -19,7 +19,9 @@ and checked. The default seed is taken from the ``BORNSIM_SEED``
 environment variable when set (the only environment input, read only by
 commands that take a seed), else 12345.
 
-Exit codes: 0 success, 2 invalid input, 3 statistical verification failure.
+Exit codes: 0 success, 2 invalid input (including an ``--out`` path that
+cannot be opened, which is opened before any work), 3 statistical
+verification failure.
 CSV floats are printed with 12 significant digits, and output bytes are
 identical for identical resolved inputs (including the seed).
 """
@@ -27,6 +29,7 @@ identical for identical resolved inputs (including the seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -34,7 +37,7 @@ import re
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -327,17 +330,27 @@ def _run_config(r: SimpleNamespace, state: UnitVector, seed: int) -> RunConfig:
     )
 
 
-def _write_rows(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    """CSV to ``path``, or to stdout when it is None or '-'."""
-    to_file = path is not None and path != "-"
-    fh = open(path, "w", encoding="utf-8", newline="") if to_file else sys.stdout
+@contextlib.contextmanager
+def _opened_out(path: str | None) -> Iterator[TextIO | None]:
+    """The ``--out`` stream: None without the flag, stdout for '-', else the
+    file, opened (and truncated) before the command does any work, so that a
+    path that cannot be opened fails first."""
+    if path is None or path == "-":
+        yield None if path is None else sys.stdout
+        return
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if to_file:
-            fh.close()
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot open --out file {path!r}: {exc.strerror or exc}") from exc
+    with fh:
+        yield fh
+
+
+def _write_rows(out: TextIO | None, header: list[str], rows: list[list[str]]) -> None:
+    """CSV to the ``--out`` stream, or to stdout without one."""
+    writer = csv.writer(sys.stdout if out is None else out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def cmd_analytic(r: SimpleNamespace) -> int:
@@ -480,7 +493,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     run, _, names = COMMANDS[args.command]
     try:
-        return run(_resolve(args, names))
+        r = _resolve(args, names)
+        with _opened_out(r.out) as out:
+            r.out = out
+            return run(r)
     except ValueError as exc:  # InputError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 2

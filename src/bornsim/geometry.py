@@ -9,6 +9,31 @@ Tolerances used across the package:
 * ``1e-12`` for algebraic identities in double precision,
 * ``1e-10`` for constructed orthonormality,
 * ``1e-6`` as the rejection threshold for non-normalizable input.
+
+Rounding contract
+-----------------
+Frames, canonical rays and the rod tables built from them are pinned to the
+last bit (``tests/test_golden_analytic.py``, and the benchmark's CSV
+digests), so a rewrite of this path must keep every rounding step:
+
+* Every ``dot`` and ``@`` stays the same numpy call on operands with the
+  same values and layout. numpy hands a 3-element dot to BLAS, and with
+  OpenBLAS on x86-64 that is a fused multiply-add chain: on 20 000 pairs of
+  Gaussian 3-vectors (numpy 2.4, OpenBLAS, AVX-512 Xeon) plain Python
+  ``x0*y0 + x1*y1 + x2*y2`` matched it on only 13 277, and ``m @ v`` (a
+  matrix-vector product) matched the three row dots ``m[i] @ v`` on only
+  9 325 of 20 000. ``np.linalg.norm(v)`` of a vector is ``sqrt(v.dot(v))``
+  on ``v.ravel(order="K")``, and of rows ``sqrt(add.reduce(g * g, axis=1))``;
+  either may be written out.
+* ``arccos`` and ``sin`` stay numpy ufuncs on contiguous arrays: numpy's
+  vectorized ``arccos`` differed from ``math.acos`` on 8 969 of 100 000
+  uniform inputs in [0, 1). Each element's result does not depend on its
+  neighbours, so several evaluations may share one call.
+* Element-wise ``*``, ``+``, ``-``, ``/``, ``abs``, ``min``, negation,
+  exact power-of-two scaling (``ldexp``) and ``sqrt``, and ``tolist``/
+  ``float`` round trips round the same on Python floats as in numpy, so
+  they may move between the two. So may a two-term sum; the three-term
+  ``sum`` of the rod's stage-1 weights stays numpy's.
 """
 
 from __future__ import annotations
@@ -22,24 +47,27 @@ NORM_TOL = 1e-6        # |norm - 1| beyond this is rejected as non-normalizable
 COMPONENT_EPS = 1e-12  # components at or below this count as zero for sign rules
 ORTHO_TOL = 1e-10      # pairwise |cos| bound for frame axes
 DEGENERATE_EPS = 1e-12
+OTHER_AXES = ((1, 2), (0, 2), (0, 1))  # the two axes other than axis i, ascending
 
 
 class DegenerateProjectionError(ValueError):
     """Projection target plane is orthogonal to the projected ray."""
 
 
-def _as_unit_array(vec, tol: float = NORM_TOL) -> np.ndarray:
+def _unit_components(vec, tol: float = NORM_TOL) -> tuple[float, float, float]:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
+    c = v.ravel(order="K")  # contiguous, as np.linalg.norm makes it
+    n = math.sqrt(c.dot(c))  # np.linalg.norm(v), without its overhead
     if not math.isfinite(n) or abs(n - 1.0) > tol:
         raise ValueError(f"vector norm {n} deviates from 1 by more than {tol}")
+    x, y, z = v.tolist()
     if abs(n - 1.0) <= 1e-14:
         # already unit to working precision; dividing would shift the last ulp
         # and break idempotency of the canonical representative
-        return v.astype(float, copy=True)
-    return v / n
+        return x, y, z
+    return x / n, y / n, z / n
 
 
 @dataclass(frozen=True)
@@ -63,8 +91,7 @@ class UnitVector:
 
 def unit_vector(x: float, y: float, z: float) -> UnitVector:
     """Validating constructor: renormalizes input whose norm is within 1e-6 of 1."""
-    v = _as_unit_array((x, y, z))
-    return UnitVector(float(v[0]), float(v[1]), float(v[2]))
+    return UnitVector(*_unit_components((x, y, z)))
 
 
 @dataclass(frozen=True)
@@ -89,16 +116,13 @@ def canonicalize(vec) -> Ray:
     ``canonicalize(v) == canonicalize(-v)``. Rejects input whose norm is off
     by more than 1e-6.
     """
-    if isinstance(vec, UnitVector):
-        v = _as_unit_array(np.array([vec.x, vec.y, vec.z]))
-    else:
-        v = _as_unit_array(vec)
-    for c in v:
+    x, y, z = _unit_components(vec.array if isinstance(vec, UnitVector) else vec)
+    for c in (x, y, z):
         if abs(c) > COMPONENT_EPS:
             if c < 0:
-                v = -v
+                x, y, z = -x, -y, -z
             break
-    return Ray(UnitVector(float(v[0]), float(v[1]), float(v[2])))
+    return Ray(UnitVector(x, y, z))
 
 
 @dataclass(frozen=True)
@@ -108,15 +132,17 @@ class Frame:
     axes: tuple[Ray, Ray, Ray]
 
     def __post_init__(self):
-        m = np.array([ax.rep.array for ax in self.axes])
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d = abs(float(m[i] @ m[j]))
-                if d > ORTHO_TOL:
-                    raise ValueError(
-                        f"frame axes {i} and {j} not orthogonal: |cos| = {d:.3e}"
-                    )
-        m.flags.writeable = False
+        a, b, c = self.axes
+        a, b, c = a.rep, b.rep, c.rep
+        m = np.array(((a.x, a.y, a.z), (b.x, b.y, b.z), (c.x, c.y, c.z)))
+        rows = (m[0], m[1], m[2])
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            d = abs(float(rows[i] @ rows[j]))
+            if d > ORTHO_TOL:
+                raise ValueError(
+                    f"frame axes {i} and {j} not orthogonal: |cos| = {d:.3e}"
+                )
+        m.setflags(write=False)
         object.__setattr__(self, "_matrix", m)
 
     @property
@@ -161,17 +187,22 @@ def orthonormal_frame(v1, v2, v3) -> Frame:
     pushes pairwise cosines to machine precision. Raises ValueError when the
     triple is linearly dependent (residual norm below 1e-6 at any step).
     """
-    basis: list[np.ndarray] = []
+    basis: list[tuple[np.ndarray, tuple[float, float, float]]] = []
     for v in (v1, v2, v3):
         w = normalize(v, "degenerate triple: zero vector")
+        x, y, z = w.tolist()
         for _ in range(2):
-            for b in basis:
-                w = w - (w @ b) * b
+            for b, (b0, b1, b2) in basis:
+                d = float(w @ b)
+                x, y, z = x - d * b0, y - d * b1, z - d * b2
+                w = np.array((x, y, z))
         n = math.sqrt(w.dot(w))
         if n < 1e-6:
             raise ValueError("degenerate triple: vectors are not independent")
-        basis.append(w / n)
-    return Frame(tuple(canonicalize(b) for b in basis))
+        unit = (x / n, y / n, z / n)
+        basis.append((np.array(unit), unit))
+    (a, _), (b, _), (c, _) = basis
+    return Frame((canonicalize(a), canonicalize(b), canonicalize(c)))
 
 
 def vector_angle(u: UnitVector, v: UnitVector) -> float:
@@ -184,9 +215,8 @@ def direction_cosines(p: Ray, e: Frame) -> tuple[float, float, float]:
 
     Their squares sum to 1 (within 1e-12 in double precision).
     """
-    c = np.abs(e.matrix @ p.array)
-    c = np.minimum(c, 1.0)
-    return (float(c[0]), float(c[1]), float(c[2]))
+    x, y, z = (e.matrix @ p.array).tolist()
+    return min(abs(x), 1.0), min(abs(y), 1.0), min(abs(z), 1.0)
 
 
 def project_onto_plane(p: Ray, e: Frame, dropped_axis: int) -> tuple[Ray, float]:
@@ -202,17 +232,27 @@ def project_onto_plane(p: Ray, e: Frame, dropped_axis: int) -> tuple[Ray, float]
     """
     if dropped_axis not in (0, 1, 2):
         raise ValueError(f"dropped_axis must be 0, 1 or 2, got {dropped_axis}")
-    m = e.matrix
-    pv = p.array
-    keep = [k for k in range(3) if k != dropped_axis]
-    comps = [float(pv @ m[k]) for k in keep]
-    norm = math.hypot(comps[0], comps[1])
+    j, k = OTHER_AXES[dropped_axis]
+    m, pv = e.matrix, p.array
+    return plane_ray(float(pv @ m[j]), float(pv @ m[k]), m[j].tolist(), m[k].tolist())
+
+
+def plane_ray(ca: float, cb: float, a: list[float], b: list[float]) -> tuple[Ray, float]:
+    """``project_onto_plane``'s result from the ray's dots ``ca`` and ``cb`` with
+    the retained axes, whose components are ``a`` and ``b``. A caller that
+    projects one ray onto several planes takes each dot once."""
+    norm = math.hypot(ca, cb)
     if norm < DEGENERATE_EPS:
         raise DegenerateProjectionError(
             "degenerate projection: ray coincides with the dropped axis"
         )
-    proj = (comps[0] * m[keep[0]] + comps[1] * m[keep[1]]) / norm
-    return canonicalize(proj / float(np.linalg.norm(proj))), norm
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    x = (ca * a0 + cb * b0) / norm
+    y = (ca * a1 + cb * b1) / norm
+    z = (ca * a2 + cb * b2) / norm
+    v = np.array((x, y, z))
+    n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
+    return canonicalize((x / n, y / n, z / n)), norm
 
 
 def tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +280,7 @@ def rotate_frame_about_axis(e: Frame, axis_index: int, angle: float) -> Frame:
     if axis_index not in (0, 1, 2):
         raise ValueError(f"axis_index must be 0, 1 or 2, got {axis_index}")
     m = e.matrix
-    others = [k for k in range(3) if k != axis_index]
+    others = OTHER_AXES[axis_index]
     b, c = m[others[0]], m[others[1]]
     cb, sb = math.cos(angle), math.sin(angle)
     rows: list[np.ndarray | None] = [None, None, None]
@@ -268,8 +308,8 @@ def random_frame(rng: np.random.Generator) -> Frame:
     """
     while True:
         g = rng.standard_normal((3, 3))
-        norms = np.linalg.norm(g, axis=1)
-        if np.any(norms < 1e-12):
+        norms = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm(g, axis=1)
+        if min(norms.tolist()) < 1e-12:
             continue
         u = g / norms[:, None]
         cos01 = abs(float(u[0] @ u[1]))

@@ -31,19 +31,17 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    OTHER_AXES,
     DegenerateProjectionError,
     Frame,
     Ray,
     direction_cosines,
-    project_onto_plane,
+    plane_ray,
 )
 from .outcomes import OutcomeDistribution
 from .streams import _BLOCK
 
 LABELS = ("o1", "o2", "o3")
-
-# retained axis pairs (ascending) for each stage-1 choice
-_RETAINED = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,20 @@ class BreakPath:
         object.__setattr__(self, "outcome", 3 - self.first_broken - self.second_broken)
 
 
-def _angles(p: Ray, e: Frame) -> np.ndarray:
-    c = np.array(direction_cosines(p, e))
-    return np.arccos(c)
+# the six break orders, in the order rod_analytic lists them
+_PATHS = tuple(
+    BreakPath(first, second) for first in range(3) for second in OTHER_AXES[first]
+)
+
+
+def _stage1(c, w: BreakWeight) -> list[float]:
+    """Normalized stage-1 weights from the ray's direction cosines ``c``."""
+    weights = np.asarray(w.fn(np.arccos(c)), dtype=float)
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ValueError("degenerate frame/state: all stage-1 weights vanish")
+    w0, w1, w2 = weights.tolist()
+    return [w0 / total, w1 / total, w2 / total]
 
 
 def stage1_distribution(p: Ray, e: Frame, w: BreakWeight) -> np.ndarray:
@@ -95,11 +104,26 @@ def stage1_distribution(p: Ray, e: Frame, w: BreakWeight) -> np.ndarray:
     weight). Raises ValueError if all three weights vanish, which would need
     a state collinear with every axis.
     """
-    weights = np.asarray(w.fn(_angles(p, e)), dtype=float)
-    total = float(weights.sum())
+    return np.array(_stage1(direction_cosines(p, e), w))
+
+
+def _in_plane_cosines(pv: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
+    """|cos| of the angles between the in-plane ray ``pv`` and the retained axes a, b."""
+    return [min(abs(float(pv @ a)), 1.0), min(abs(float(pv @ b)), 1.0)]
+
+
+def _cosines_from_ray(c, j: int, k: int) -> list[float]:
+    """The in-plane cosines of axes j and k, from the ray's direction cosines ``c``."""
+    norm = math.hypot(c[j], c[k])
+    return [min(c[j] / norm, 1.0), min(c[k] / norm, 1.0)]
+
+
+def _stage2(wj: float, wk: float) -> tuple[float, float]:
+    """Normalized stage-2 weights of the two retained axes."""
+    total = wj + wk
     if total <= 0.0:
-        raise ValueError("degenerate frame/state: all stage-1 weights vanish")
-    return weights / total
+        raise ValueError("degenerate projection: both stage-2 weights vanish")
+    return wj / total, wk / total
 
 
 def stage2_distribution(
@@ -111,20 +135,13 @@ def stage2_distribution(
     for the quantum weight, since the two angles are complementary).
     """
     m = e.matrix
-    pv = p_prime.array
-    cos = np.minimum(np.abs(np.array([pv @ m[retained[0]], pv @ m[retained[1]]])), 1.0)
-    weights = np.asarray(w.fn(np.arccos(cos)), dtype=float)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("degenerate projection: both stage-2 weights vanish")
-    return weights / total
+    cos = _in_plane_cosines(p_prime.array, m[retained[0]], m[retained[1]])
+    return np.array(_stage2(*np.asarray(w.fn(np.arccos(cos)), dtype=float).tolist()))
 
 
 def _stage2_weights(c, j: int, k: int, w: BreakWeight) -> np.ndarray:
     """Stage-2 weights of axes j and k, from the ray's direction cosines ``c``."""
-    norm = math.hypot(c[j], c[k])
-    cos = np.array([min(c[j] / norm, 1.0), min(c[k] / norm, 1.0)])
-    return np.asarray(w.fn(np.arccos(cos)), dtype=float)
+    return np.asarray(w.fn(np.arccos(_cosines_from_ray(c, j, k))), dtype=float)
 
 
 def rod_analytic(
@@ -136,31 +153,38 @@ def rod_analytic(
     stage-1 weight is zero carry probability zero (they are never sampled,
     so the degenerate projection behind them is never taken).
     """
-    s1 = stage1_distribution(p, e, w)
-    probs = np.zeros(3)
-    paths: dict[BreakPath, float] = {}
-    for first in range(3):
-        j, k = _RETAINED[first]
+    c = direction_cosines(p, e)
+    s1 = _stage1(c, w)
+    m = e.matrix
+    axes = (m[0], m[1], m[2])
+    pv = p.array
+    dots = (float(pv @ axes[0]), float(pv @ axes[1]), float(pv @ axes[2]))
+    rows = m.tolist()
+    firsts = []
+    cosines: list[float] = []
+    for first in (0, 1, 2):
         if s1[first] == 0.0:
-            paths[BreakPath(first, j)] = 0.0
-            paths[BreakPath(first, k)] = 0.0
             continue
+        firsts.append(first)
+        j, k = OTHER_AXES[first]
         try:
-            p_prime, _ = project_onto_plane(p, e, first)
+            p_prime, _ = plane_ray(dots[j], dots[k], rows[j], rows[k])
         except DegenerateProjectionError:
             # p lies within 1e-12 of axis `first`, whose stage-1 weight is
             # rounding noise; the in-plane cosines still follow from p's own.
-            w2 = _stage2_weights(direction_cosines(p, e), j, k, w)
-            s2 = w2 / float(w2.sum())
+            cosines += _cosines_from_ray(c, j, k)
         else:
-            s2 = stage2_distribution(p_prime, e, (j, k), w)
-        for second, pr2 in zip((j, k), s2):
-            path = BreakPath(first, second)
-            pr = float(s1[first] * pr2)
-            paths[path] = pr
-            probs[path.outcome] += pr
-    dist = OutcomeDistribution(LABELS, tuple(float(x) for x in probs))
-    return dist, paths
+            cosines += _in_plane_cosines(p_prime.array, axes[j], axes[k])
+    # one ufunc pass weighs the retained pair of every first break
+    w2 = np.asarray(w.fn(np.arccos(cosines)), dtype=float).tolist()
+    probs = [0.0, 0.0, 0.0]
+    path_probs = [0.0] * 6
+    for n, first in enumerate(firsts):
+        for i, pr2 in enumerate(_stage2(w2[2 * n], w2[2 * n + 1]), start=2 * first):
+            pr = s1[first] * pr2
+            path_probs[i] = pr
+            probs[_PATHS[i].outcome] += pr
+    return OutcomeDistribution(LABELS, tuple(probs)), dict(zip(_PATHS, path_probs))
 
 
 def outcomes_from_uniforms(
@@ -204,7 +228,7 @@ def outcomes_from_uniforms(
     for i in range(3):
         if not elig[i]:
             continue
-        j, k = _RETAINED[i]
+        j, k = OTHER_AXES[i]
         w2 = _stage2_weights(c, j, k, w)
         if np.any(w2 < 0.0):
             raise ValueError("negative stage-2 weight")
@@ -220,7 +244,7 @@ def outcomes_from_uniforms(
     table = np.empty((3, 6), dtype=np.intp)
     for code in range(6):
         f = firsts[code // 2]
-        second = _RETAINED[f][1 - code % 2]
+        second = OTHER_AXES[f][1 - code % 2]
         table[:, code] = (3 - f - second, f, second)
     thr_slot = thr[list(firsts)]
 

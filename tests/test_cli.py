@@ -412,3 +412,43 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "o1 1"
+
+
+class TestUnopenableOut:
+    """An --out path that cannot be opened exits 2, naming it, before any work."""
+
+    @staticmethod
+    def _no_trials(monkeypatch):
+        def run_trials(*args, **kwargs):
+            raise AssertionError("run_trials was called")
+
+        monkeypatch.setattr("bornsim.cli.run_trials", run_trials)
+
+    def _check(self, argv, out, capsys):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot open --out file {str(out)!r}" in captured.err
+        assert not out.exists()
+
+    def test_analytic(self, tmp_path, capsys):
+        self._check(["analytic", "--model", "rod", "--state", "1,0,0"],
+                    tmp_path / "missing" / "a.csv", capsys)
+
+    def test_simulate_runs_no_trial(self, tmp_path, capsys, monkeypatch):
+        self._no_trials(monkeypatch)
+        self._check(["simulate", "--model", "rod", "--state", BENCH, "--trials", "2000"],
+                    tmp_path / "missing" / "s.csv", capsys)
+
+    def test_sweep_runs_no_trial(self, tmp_path, capsys, monkeypatch):
+        self._no_trials(monkeypatch)
+        self._check(["sweep", "--model", "sphere2d", "--state", "1,0,0", "--steps", "3",
+                     "--trials", "100"], tmp_path / "missing" / "w.csv", capsys)
+
+    def test_framecheck(self, tmp_path, capsys):
+        # a directory cannot be opened for writing either
+        assert main(["framecheck", "--state", BENCH, "--trials", "3",
+                     "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot open --out file {str(tmp_path)!r}" in captured.err

@@ -236,3 +236,22 @@ class TestAngles:
         assert vector_angle(u, unit_vector(0.0, 1.0, 0.0)) == pytest.approx(
             math.pi / 2, abs=1e-15
         )
+
+
+def test_shared_arrays_cannot_be_corrupted():
+    """A Frame builds its matrix once and hands out that array, so it is
+    read-only; a UnitVector or Ray builds its array on each access, so writing
+    to one leaves the vector as it was."""
+    frame = random_frame(np.random.default_rng(4))
+    before = frame.matrix.tolist()
+    for a in (frame.matrix, frame.matrix[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+    assert frame.matrix.tolist() == before
+    u = unit_vector(0.6, 0.8, 0.0)
+    ray = canonicalize((0.0, -0.6, 0.8))
+    for a in (u.array, ray.array, ray.rep.array, frame.axes[2].array):
+        a[0] = 0.5
+    assert u.array.tolist() == [0.6, 0.8, 0.0]
+    assert ray.array.tolist() == [0.0, 0.6, -0.8]
+    assert frame.axes[2].array.tolist() == before[2]
