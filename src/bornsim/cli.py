@@ -434,6 +434,8 @@ def cmd_sweep(r: SimpleNamespace) -> int:
 
 
 def cmd_framecheck(r: SimpleNamespace) -> int:
+    if r.seed < 0:  # numpy's generator takes no negative seed
+        raise InputError(f"framecheck seed must be >= 0, got {r.seed}")
     rng = np.random.default_rng(r.seed)
     frames = [random_frame(rng) for _ in range(r.trials)]
     if r.measure == ROD.name:

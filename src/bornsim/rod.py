@@ -85,15 +85,21 @@ class BreakPath:
 _PATHS = tuple(
     BreakPath(first, second) for first in range(3) for second in OTHER_AXES[first]
 )
+# (outcome, first, second) of each path, one column per path
+_PATH_TABLE = np.array(
+    [(p.outcome, p.first_broken, p.second_broken) for p in _PATHS], dtype=np.intp
+).T
 
 
 def _stage1(c, w: BreakWeight) -> list[float]:
     """Normalized stage-1 weights from the ray's direction cosines ``c``."""
     weights = np.asarray(w.fn(np.arccos(c)), dtype=float)
+    w0, w1, w2 = weights.tolist()
+    if w0 < 0.0 or w1 < 0.0 or w2 < 0.0:
+        raise ValueError("negative stage-1 weight")
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("degenerate frame/state: all stage-1 weights vanish")
-    w0, w1, w2 = weights.tolist()
     return [w0 / total, w1 / total, w2 / total]
 
 
@@ -101,8 +107,8 @@ def stage1_distribution(p: Ray, e: Frame, w: BreakWeight) -> np.ndarray:
     """Probability that each of the three ties breaks first.
 
     Weights w(theta_i), normalized by their sum (exactly 2 for the quantum
-    weight). Raises ValueError if all three weights vanish, which would need
-    a state collinear with every axis.
+    weight). Raises ValueError on a negative weight, or if all three weights
+    vanish, which would need a state collinear with every axis.
     """
     return np.array(_stage1(direction_cosines(p, e), w))
 
@@ -120,10 +126,19 @@ def _cosines_from_ray(c, j: int, k: int) -> list[float]:
 
 def _stage2(wj: float, wk: float) -> tuple[float, float]:
     """Normalized stage-2 weights of the two retained axes."""
+    if wj < 0.0 or wk < 0.0:
+        raise ValueError("negative stage-2 weight")
     total = wj + wk
     if total <= 0.0:
         raise ValueError("degenerate projection: both stage-2 weights vanish")
     return wj / total, wk / total
+
+
+def _stage2_pairs(cosines: list[float], w: BreakWeight) -> list[tuple[float, float]]:
+    """``_stage2`` of each retained pair, from their in-plane cosines listed
+    two per pair; one ufunc pass weighs them all."""
+    ws = np.asarray(w.fn(np.arccos(cosines)), dtype=float).tolist()
+    return [_stage2(ws[n], ws[n + 1]) for n in range(0, len(ws), 2)]
 
 
 def stage2_distribution(
@@ -136,12 +151,7 @@ def stage2_distribution(
     """
     m = e.matrix
     cos = _in_plane_cosines(p_prime.array, m[retained[0]], m[retained[1]])
-    return np.array(_stage2(*np.asarray(w.fn(np.arccos(cos)), dtype=float).tolist()))
-
-
-def _stage2_weights(c, j: int, k: int, w: BreakWeight) -> np.ndarray:
-    """Stage-2 weights of axes j and k, from the ray's direction cosines ``c``."""
-    return np.asarray(w.fn(np.arccos(_cosines_from_ray(c, j, k))), dtype=float)
+    return np.array(_stage2_pairs(cos, w)[0])
 
 
 def rod_analytic(
@@ -175,12 +185,10 @@ def rod_analytic(
             cosines += _cosines_from_ray(c, j, k)
         else:
             cosines += _in_plane_cosines(p_prime.array, axes[j], axes[k])
-    # one ufunc pass weighs the retained pair of every first break
-    w2 = np.asarray(w.fn(np.arccos(cosines)), dtype=float).tolist()
     probs = [0.0, 0.0, 0.0]
     path_probs = [0.0] * 6
-    for n, first in enumerate(firsts):
-        for i, pr2 in enumerate(_stage2(w2[2 * n], w2[2 * n + 1]), start=2 * first):
+    for first, pair in zip(firsts, _stage2_pairs(cosines, w)):
+        for i, pr2 in enumerate(pair, start=2 * first):
             pr = s1[first] * pr2
             path_probs[i] = pr
             probs[_PATHS[i].outcome] += pr
@@ -193,60 +201,42 @@ def outcomes_from_uniforms(
     """Vectorized trial kernel: (outcome, first_broken, second_broken) indices.
 
     ``u1`` drives the stage-1 choice and ``u2`` the stage-2 choice, both by
-    cumulative sums. Ties on a boundary go to the lowest eligible index, and
-    zero-weight ties are never selected (so the outcome of an eigenstate is
-    deterministic and degenerate projections are unreachable). The sums and
-    eligibility rules are folded into scalar thresholds once per call, so a
-    trial costs three comparisons and a lookup in a six-path table.
+    cumulative sums. The thresholds are ``_stage1`` of the ray's direction
+    cosines and ``_stage2`` of the in-plane cosines that follow from them,
+    the rule ``rod_analytic`` tabulates. Ties on a boundary go to the lowest
+    eligible index, and zero-probability ties are never selected (so the
+    outcome of an eigenstate is deterministic and degenerate projections are
+    unreachable). The sums and eligibility rules are folded into scalar
+    thresholds once per call, so a trial costs three comparisons and a
+    lookup in a six-path table.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
-    m = e.matrix
-    c = np.minimum(np.abs(m @ p.array), 1.0)
-    theta = np.arccos(c)
-    w1 = np.asarray(w.fn(theta), dtype=float)
-    if np.any(w1 < 0.0):
-        raise ValueError("negative stage-1 weight")
-    total = float(w1.sum())
-    if total <= 0.0:
-        raise ValueError("degenerate frame/state: all stage-1 weights vanish")
-    s1 = w1 / total
-    elig = w1 > 0.0
+    c = direction_cosines(p, e)
+    s1 = _stage1(c, w)
+    firsts = [i for i in (0, 1, 2) if s1[i] != 0.0]
+    cosines = [x for i in firsts for x in _cosines_from_ray(c, *OTHER_AXES[i])]
 
     # Stage 1 as two thresholds on u1: break 0 if u1 <= t0, else 1 if
     # u1 <= t1, else the last eligible tie. t0 = -1 when tie 0 is
     # ineligible, and t1 = t0 when tie 1 is, so that slot is never reached
     # (t1 = -1 would send every u1 <= t0 to slot 1).
-    t0 = s1[0] if elig[0] else -1.0
-    t1 = s1[0] + s1[1] if elig[1] else t0
-    last = 2 if elig[2] else (1 if elig[1] else 0)
-    firsts = (0, 1, last)
+    t0 = s1[0] if s1[0] != 0.0 else -1.0
+    t1 = s1[0] + s1[1] if s1[1] != 0.0 else t0
+    slots = (0, 1, firsts[-1])
 
     # Stage 2 per first break i: break retained[i][0] if u2 <= thr[i]
     # (2.0 when it is the only eligible tie, -1 when it is ineligible).
-    thr = np.full(3, -1.0)
-    for i in range(3):
-        if not elig[i]:
-            continue
-        j, k = OTHER_AXES[i]
-        w2 = _stage2_weights(c, j, k, w)
-        if np.any(w2 < 0.0):
-            raise ValueError("negative stage-2 weight")
-        t2 = float(w2.sum())
-        if t2 <= 0.0:
-            raise ValueError("degenerate projection: both stage-2 weights vanish")
-        if w2[0] > 0.0:
-            thr[i] = w2[0] / t2 if w2[1] > 0.0 else 2.0
+    thr = [-1.0, -1.0, -1.0]
+    for i, (pj, pk) in zip(firsts, _stage2_pairs(cosines, w)):
+        if pj != 0.0:
+            thr[i] = pj if pk != 0.0 else 2.0
+    thr_slot = np.array([thr[f] for f in slots])
 
-    # A trial's path code is 2 * slot + pick: it breaks firsts[slot] first
-    # and, if pick, that tie's retained[0] second. The table maps the six
-    # codes to (outcome, first, second).
-    table = np.empty((3, 6), dtype=np.intp)
-    for code in range(6):
-        f = firsts[code // 2]
-        second = OTHER_AXES[f][1 - code % 2]
-        table[:, code] = (3 - f - second, f, second)
-    thr_slot = thr[list(firsts)]
+    # A trial's path code is 2 * slot + pick: it breaks first = slots[slot]
+    # first and, if pick, that tie's retained[0] second, which is the path
+    # _PATHS[2 * first + 1 - pick].
+    table = _PATH_TABLE[:, [2 * f + n for f in slots for n in (1, 0)]]
 
     # sub-blocks keep the temporaries in cache; mode="clip" (codes are
     # always 0..5) lets np.take write into ``out`` without a buffer

@@ -36,6 +36,7 @@ CHI2_CRITICAL = {
 Z_99 = 2.576  # two-sided 99% normal quantile
 
 _CHUNK = 1 << 18
+_RECORDS = 10  # trials replayed into TrialRecords by run_trials
 
 
 @dataclass(frozen=True)
@@ -107,14 +108,12 @@ def _validate(cfg: RunConfig) -> Model:
     return model
 
 
-def run_trials(
-    cfg: RunConfig, record_sample: int = 10
-) -> tuple[EmpiricalDistribution, list[TrialRecord]]:
+def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]]:
     """Run cfg.trials independent measurements from the configured state.
 
     Returns the aggregated outcome counts plus TrialRecords for the first
-    ``record_sample`` trials. Counts are deterministic given
-    ``cfg.master_seed`` regardless of ``cfg.workers``.
+    ``_RECORDS`` trials (all of them when there are fewer). Counts are
+    deterministic given ``cfg.master_seed`` regardless of ``cfg.workers``.
     """
     model = _validate(cfg)
     kernel = model.kernel(cfg.state, cfg.measurement, cfg.weight)
@@ -142,7 +141,7 @@ def run_trials(
     counts = np.sum(partials, axis=0, dtype=np.int64)
 
     emp = EmpiricalDistribution(model.labels, tuple(int(c) for c in counts), cfg.trials)
-    records = [record(t) for t in range(min(record_sample, cfg.trials))]
+    records = [record(t) for t in range(min(_RECORDS, cfg.trials))]
     return emp, records
 
 

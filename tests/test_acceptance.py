@@ -101,7 +101,6 @@ def test_criterion_04_monte_carlo_agreement():
         expected, _ = rod_analytic(ray, frame, QUANTUM)
         emp, _ = run_trials(
             RunConfig("rod", ray.rep, frame, "quantum", trials=n, master_seed=910_000 + k),
-            record_sample=0,
         )
         passed += chi_square_gof(emp, expected, alpha=0.01).passed
     assert passed >= 18
@@ -123,7 +122,6 @@ def test_criterion_05_sphere_frequencies():
         expected = sphere_analytic(u, v).probs[0]
         emp, _ = run_trials(
             RunConfig("sphere2d", v, u, trials=1_000_000, master_seed=500_100 + k),
-            record_sample=0,
         )
         dev = abs(float(emp.frequencies[0]) - expected)
         worst = max(worst, dev)
@@ -141,9 +139,7 @@ def test_criterion_06_disk_frequencies_with_integration_oracle():
         theta = vector_angle(p, q)
         closed = math.cos(theta / 2.0) ** 2
         worst_oracle = max(worst_oracle, abs(disk_up_oracle(theta) - closed))
-        emp, _ = run_trials(
-            RunConfig("ks", p, q, trials=n, master_seed=600_100 + k), record_sample=0
-        )
+        emp, _ = run_trials(RunConfig("ks", p, q, trials=n, master_seed=600_100 + k))
         worst_mc = max(worst_mc, abs(float(emp.frequencies[0]) - closed))
     assert worst_oracle < 1e-6
     assert worst_mc < 0.002
@@ -167,7 +163,6 @@ def test_criterion_07_variant_separation():
         emp, _ = run_trials(
             RunConfig("rod", P_BENCH, identity_frame(), "uniform-variant",
                       trials=1_000_000, master_seed=700_100 + k),
-            record_sample=0,
         )
         report = chi_square_gof(emp, born, alpha=0.01)
         rejections += not report.passed
@@ -201,9 +196,9 @@ def test_criterion_09_reproducibility_across_workers():
                      trials=1_000_000, master_seed=909, workers=1)
     cfg8 = RunConfig("rod", P_BENCH, identity_frame(), "quantum",
                      trials=1_000_000, master_seed=909, workers=8)
-    emp1, _ = run_trials(cfg1, record_sample=0)
-    emp8, _ = run_trials(cfg8, record_sample=0)
-    emp1_again, _ = run_trials(cfg1, record_sample=0)
+    emp1, _ = run_trials(cfg1)
+    emp8, _ = run_trials(cfg8)
+    emp1_again, _ = run_trials(cfg1)
     assert emp1.counts == emp8.counts
     assert emp1 == emp1_again
     _pass(9, f"counts {emp1.counts} bit-identical for 1 vs 8 workers and across runs")

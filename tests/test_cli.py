@@ -196,6 +196,16 @@ class TestFramecheck:
         for r in rows:
             assert abs(float(r["sum"]) - 1.0) < 1e-12
 
+    def test_negative_seed_flag_is_rejected_by_name(self, capsys):
+        assert main(["framecheck", "--state", "1,0,0", "--trials", "3",
+                     "--seed", "-1"]) == 2
+        assert "framecheck seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_seed_env_var_is_rejected_by_name(self, capsys, monkeypatch):
+        monkeypatch.setenv("BORNSIM_SEED", "-7")
+        assert main(["framecheck", "--state", "1,0,0", "--trials", "3"]) == 2
+        assert "framecheck seed must be >= 0, got -7" in capsys.readouterr().err
+
 
 class TestInputHandling:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):

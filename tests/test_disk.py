@@ -81,9 +81,7 @@ class TestMeasurement:
 
     def test_orthogonal_direction_is_even(self):
         q = unit_vector(1.0, 0.0, 0.0)
-        emp, _ = run_trials(
-            RunConfig("ks", EZ, q, trials=1_000_000, master_seed=77), record_sample=0
-        )
+        emp, _ = run_trials(RunConfig("ks", EZ, q, trials=1_000_000, master_seed=77))
         oracle = disk_up_oracle(math.pi / 2)
         assert abs(oracle - 0.5) < 1e-9
         assert abs(emp.frequencies[0] - 0.5) < 0.002
@@ -145,7 +143,6 @@ class TestBornAgreement:
             assert abs(disk_up_oracle(theta) - born) < 1e-6
             emp, _ = run_trials(
                 RunConfig("ks", p, q, trials=n, master_seed=9100 + k),
-                record_sample=0,
             )
             assert abs(emp.frequencies[0] - born) <= binomial_bound(born, n)
 

@@ -40,7 +40,7 @@ def _measurement(golden: dict, model: str) -> Frame | UnitVector:
 def _counts(golden: dict, model: str, weight: str, seed: int, trials: int, workers: int):
     cfg = RunConfig(model, UnitVector(*golden["state"]), _measurement(golden, model),
                     weight, trials=trials, master_seed=seed, workers=workers)
-    return list(run_trials(cfg, record_sample=0)[0].counts)
+    return list(run_trials(cfg)[0].counts)
 
 
 def _record() -> dict:

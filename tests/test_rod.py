@@ -33,6 +33,16 @@ VARIANT_DIST = (0.415968151066566, 0.292015924466717, 0.292015924466717)
 VARIANT_O3_GAP = 0.042015924466717
 
 
+SYMMETRIC = canonicalize((SQ3, SQ3, SQ3))
+
+
+def _rule_users(p, w):
+    """Each public route through the rod rule, on ray ``p`` in the identity frame."""
+    u = np.array([0.5])
+    return (lambda: stage1_distribution(p, IDENT, w), lambda: rod_analytic(p, IDENT, w),
+            lambda: outcomes_from_uniforms(p, IDENT, w, u, u))
+
+
 class TestStage1:
     def test_eigenstate_splits_evenly_over_other_axes(self):
         s1 = stage1_distribution(canonicalize((1, 0, 0)), IDENT, QUANTUM)
@@ -52,8 +62,13 @@ class TestStage1:
 
     def test_all_zero_weights_guarded(self):
         dead = BreakWeight("dead", lambda t: 0.0 * np.asarray(t))
-        with pytest.raises(ValueError, match="degenerate frame/state"):
-            stage1_distribution(P_BENCH, IDENT, dead)
+        # negative at the benchmark's stage-1 angle pi/4, positive at pi/3
+        negative = BreakWeight("negative", lambda t: np.asarray(t) - 0.9)
+        for w, error in ((dead, "degenerate frame/state"),
+                         (negative, "^negative stage-1 weight$")):
+            for call in _rule_users(P_BENCH, w):
+                with pytest.raises(ValueError, match=error):
+                    call()
 
 
 class TestStage2:
@@ -72,6 +87,20 @@ class TestStage2:
         dead = BreakWeight("dead", lambda t: 0.0 * np.asarray(t))
         with pytest.raises(ValueError, match="degenerate projection"):
             stage2_distribution(canonicalize((0.0, 1.0, 0.0)), IDENT, (1, 2), dead)
+        # zero below 0.9: every stage-1 angle of the symmetric state (0.955)
+        # weighs 1, and both in-plane angles after any first break (pi/4) 0
+        step = BreakWeight("step", lambda t: np.where(np.asarray(t) < 0.9, 0.0, 1.0))
+        # the benchmark's stage-1 angles (pi/4, pi/3, pi/3) weigh > 0, but
+        # after tie 1 breaks first the in-plane angle 0.615 weighs < 0
+        negative = BreakWeight("negative", lambda t: np.asarray(t) - 0.7)
+        assert np.all(stage1_distribution(P_BENCH, IDENT, negative) > 0.0)
+        with pytest.raises(ValueError, match="^negative stage-2 weight$"):
+            stage2_distribution(canonicalize((0.8, 0.0, 0.6)), IDENT, (0, 2), negative)
+        for p, w, error in ((SYMMETRIC, step, "degenerate projection"),
+                            (P_BENCH, negative, "^negative stage-2 weight$")):
+            for call in _rule_users(p, w)[1:]:
+                with pytest.raises(ValueError, match=error):
+                    call()
 
 
 class TestAnalytic:
@@ -161,11 +190,9 @@ class TestSampler:
             assert path.outcome == 1
 
     def test_symmetric_state_frequencies(self):
-        state = canonicalize((SQ3, SQ3, SQ3))
         emp, _ = run_trials(
-            RunConfig("rod", state.rep, identity_frame(), "quantum",
+            RunConfig("rod", SYMMETRIC.rep, identity_frame(), "quantum",
                       trials=1_000_000, master_seed=61),
-            record_sample=0,
         )
         for f in emp.frequencies:
             assert abs(f - 1.0 / 3.0) < 0.002
@@ -174,7 +201,6 @@ class TestSampler:
         emp, _ = run_trials(
             RunConfig("rod", P_BENCH.rep, identity_frame(), "quantum",
                       trials=1_000_000, master_seed=62),
-            record_sample=0,
         )
         for f, p in zip(emp.frequencies, (0.5, 0.25, 0.25)):
             assert abs(f - p) < 0.002
@@ -201,7 +227,6 @@ class TestSampler:
             expected, _ = rod_analytic(ray, frame, w)
             emp, _ = run_trials(
                 RunConfig("rod", ray.rep, frame, w.tag, trials=n, master_seed=8200 + k),
-                record_sample=0,
             )
             passed += chi_square_gof(emp, expected, alpha=0.01).passed
         assert passed >= 19

@@ -99,7 +99,6 @@ class TestProperties:
             expected = sphere_analytic(u, v)
             emp, _ = run_trials(
                 RunConfig("sphere2d", v, u, trials=n, master_seed=7000 + k),
-                record_sample=0,
             )
             for f, p in zip(emp.frequencies, expected.probs):
                 assert abs(f - p) <= binomial_bound(p, n)
@@ -120,9 +119,7 @@ class TestProperties:
         n = 1_000_000
         v = unit_vector(0.5, math.sqrt(3.0) / 2.0, 0.0)
         expected = sphere_analytic(EX, v)
-        emp, _ = run_trials(
-            RunConfig("sphere2d", v, EX, trials=n, master_seed=555), record_sample=0
-        )
+        emp, _ = run_trials(RunConfig("sphere2d", v, EX, trials=n, master_seed=555))
         assert chi_square_gof(emp, expected, alpha=0.01).passed
 
         cat_counts = np.random.default_rng(556).multinomial(n, expected.probs)

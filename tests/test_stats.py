@@ -103,19 +103,22 @@ class TestRunTrials:
         # benchmark state against (0.5, 0.25, 0.25) at one million trials
         cfg = RunConfig("rod", P_BENCH, identity_frame(), "quantum",
                         trials=1_000_000, master_seed=2)
-        emp, _ = run_trials(cfg, record_sample=0)
+        emp, _ = run_trials(cfg)
         for count, p in zip(emp.counts, (0.5, 0.25, 0.25)):
             assert abs(count - p * 1_000_000) < 2200
 
     def test_records_replay_their_trials(self):
         cfg = RunConfig("rod", P_BENCH, identity_frame(), "quantum",
                         trials=50, master_seed=7)
-        emp, records = run_trials(cfg, record_sample=50)
-        assert len(records) == 50
-        counted = {label: 0 for label in emp.labels}
+        _, records = run_trials(cfg)
+        assert [r.index for r in records] == list(range(10))
+        # counts are per trial index, so a 10-trial run counts the same trials
+        head, _ = run_trials(replace(cfg, trials=10))
+        counted = {label: 0 for label in head.labels}
         for r in records:
             counted[r.outcome] += 1
-        assert tuple(counted[label] for label in emp.labels) == emp.counts
+        assert tuple(counted[label] for label in head.labels) == head.counts
+        assert len(run_trials(replace(cfg, trials=3))[1]) == 3
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -155,14 +158,14 @@ class TestRunTrials:
         monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
         three_chunks = RunConfig("sphere2d", P_BENCH, EX, trials=2 * stats._CHUNK + 5,
                                  master_seed=5)
-        serial, _ = run_trials(three_chunks, record_sample=0)
+        serial, _ = run_trials(three_chunks)
         for workers in (10_000, 2):
-            emp, _ = run_trials(replace(three_chunks, workers=workers), record_sample=0)
+            emp, _ = run_trials(replace(three_chunks, workers=workers))
             assert emp.counts == serial.counts
         assert pools == [3, 2]
-        run_trials(replace(three_chunks, trials=100, workers=8), record_sample=0)
+        run_trials(replace(three_chunks, trials=100, workers=8))
         monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
-        emp, _ = run_trials(replace(three_chunks, workers=8), record_sample=0)
+        emp, _ = run_trials(replace(three_chunks, workers=8))
         assert emp.counts == serial.counts
         assert pools == [3, 2]
 
@@ -254,7 +257,6 @@ class TestChiSquare:
             emp, _ = run_trials(
                 RunConfig("rod", P_BENCH, identity_frame(), "quantum",
                           trials=10_000, master_seed=300_000 + k),
-                record_sample=0,
             )
             if not chi_square_gof(emp, expected, alpha=0.01).passed:
                 rejections += 1
@@ -266,7 +268,6 @@ class TestChiSquare:
         emp, _ = run_trials(
             RunConfig("rod", P_BENCH, identity_frame(), "uniform-variant",
                       trials=1_000_000, master_seed=8),
-            record_sample=0,
         )
         born = born_probabilities(state_vector(P_BENCH.array), identity_frame())
         report = chi_square_gof(emp, born, alpha=0.01)
