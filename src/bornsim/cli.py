@@ -274,7 +274,7 @@ def _read_config(path: str) -> dict[str, str]:
                 if key not in OPTIONS:
                     raise InputError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -333,13 +333,13 @@ def _run_config(r: SimpleNamespace, state: UnitVector, seed: int) -> RunConfig:
 @contextlib.contextmanager
 def _opened_out(path: str | None) -> Iterator[TextIO | None]:
     """The ``--out`` stream: None without the flag, stdout for '-', else the
-    file, opened (and truncated) before the command does any work, so that a
-    path that cannot be opened fails first."""
+    file, opened for appending before the command does any work, so that a
+    path that cannot be opened fails first; ``_write_rows`` empties it."""
     if path is None or path == "-":
         yield None if path is None else sys.stdout
         return
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        fh = open(path, "a", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot open --out file {path!r}: {exc.strerror or exc}") from exc
     with fh:
@@ -347,7 +347,10 @@ def _opened_out(path: str | None) -> Iterator[TextIO | None]:
 
 
 def _write_rows(out: TextIO | None, header: list[str], rows: list[list[str]]) -> None:
-    """CSV to the ``--out`` stream, or to stdout without one."""
+    """CSV to the ``--out`` stream, or to stdout without one. An ``--out``
+    file is emptied only here, so a command that fails first leaves it as is."""
+    if out not in (None, sys.stdout) and os.path.isfile(out.name):
+        out.truncate(0)
     writer = csv.writer(sys.stdout if out is None else out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -46,11 +45,7 @@ def cosine_split(labels: tuple[str, str], c: float) -> OutcomeDistribution:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One Monte Carlo trial: outcome label plus the post-measurement state.
-
-    ``final_state`` is a UnitVector (sphere2d), a DiskState (ks) or a Ray (rod).
-    """
+    """One Monte Carlo trial: its index and outcome label."""
 
     index: int
     outcome: str
-    final_state: Any

@@ -111,8 +111,9 @@ def _validate(cfg: RunConfig) -> Model:
 def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]]:
     """Run cfg.trials independent measurements from the configured state.
 
-    Returns the aggregated outcome counts plus TrialRecords for the first
-    ``_RECORDS`` trials (all of them when there are fewer). Counts are
+    Returns the aggregated outcome counts plus the ``(index, outcome)``
+    TrialRecords of the first ``_RECORDS`` trials (all of them when there
+    are fewer), each replayed through its own stream. Counts are
     deterministic given ``cfg.master_seed`` regardless of ``cfg.workers``.
     """
     model = _validate(cfg)
@@ -124,10 +125,9 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
         return np.bincount(kernel(u), minlength=len(model.labels))
 
     def record(t: int) -> TrialRecord:
-        # trial t again, through its own stream, to materialize the final state
-        u = trial_uniforms(cfg.master_seed, t, t + 1, model.record_draws)
-        idx = int(kernel(u)[0])
-        return TrialRecord(t, model.labels[idx], model.collapse(cfg.measurement, idx, u))
+        # trial t again, through its own stream and the same kernel
+        u = trial_uniforms(cfg.master_seed, t, t + 1, model.draws)
+        return TrialRecord(t, model.labels[int(kernel(u)[0])])
 
     ranges = [
         (a, min(a + _CHUNK, cfg.trials)) for a in range(0, cfg.trials, _CHUNK)
@@ -167,30 +167,17 @@ def chi_square_gof(
     intervals = tuple(wald_interval(fi, n) for fi in f)
 
     dof = int(np.sum(p > 0.0)) - 1
+    critical = _critical(dof, alpha)
     impossible = (p == 0.0) & (counts > 0)
     if np.any(impossible):
         bad = [expected.labels[i] for i in np.flatnonzero(impossible)]
-        return GofReport(
-            statistic=float("inf"),
-            dof=dof,
-            alpha=alpha,
-            critical=_critical(dof, alpha),
-            passed=False,
-            intervals=intervals,
-            note=f"counts on zero-probability outcomes: {', '.join(bad)}",
-        )
-
-    mask = p > 0.0
-    statistic = float(n * np.sum((f[mask] - p[mask]) ** 2 / p[mask]))
-    critical = _critical(dof, alpha)
-    return GofReport(
-        statistic=statistic,
-        dof=dof,
-        alpha=alpha,
-        critical=critical,
-        passed=statistic <= critical,
-        intervals=intervals,
-    )
+        statistic = float("inf")
+        note = f"counts on zero-probability outcomes: {', '.join(bad)}"
+    else:
+        mask = p > 0.0
+        statistic = float(n * np.sum((f[mask] - p[mask]) ** 2 / p[mask]))
+        note = ""
+    return GofReport(statistic, dof, alpha, critical, statistic <= critical, intervals, note)
 
 
 def wald_interval(f: float, n: int) -> tuple[float, float]:

@@ -196,10 +196,23 @@ class TestFramecheck:
         for r in rows:
             assert abs(float(r["sum"]) - 1.0) < 1e-12
 
-    def test_negative_seed_flag_is_rejected_by_name(self, capsys):
+    def test_negative_seed_flag_is_rejected_by_name(self, tmp_path, capsys):
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"frame_index,sum,deviation\n0,1,0\n")
         assert main(["framecheck", "--state", "1,0,0", "--trials", "3",
-                     "--seed", "-1"]) == 2
+                     "--seed", "-1", "--out", str(out)]) == 2
         assert "framecheck seed must be >= 0, got -1" in capsys.readouterr().err
+        # the command failed before its rows, so the existing file is untouched
+        assert out.read_bytes() == b"frame_index,sum,deviation\n0,1,0\n"
+
+    def test_existing_out_file_is_replaced_by_the_rows(self, tmp_path, capsys):
+        out = tmp_path / "fc.csv"
+        out.write_text("stale\n" * 100)
+        assert main(["framecheck", "--state", "1,0,0", "--trials", "2", "--seed", "1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text().splitlines()[0] == "frame_index,sum,deviation"
+        assert len(read_csv(out)) == 2
 
     def test_negative_seed_env_var_is_rejected_by_name(self, capsys, monkeypatch):
         monkeypatch.setenv("BORNSIM_SEED", "-7")
@@ -233,6 +246,12 @@ class TestInputHandling:
         capsys.readouterr()
         rows = read_csv(out)
         assert sum(int(r["count"]) for r in rows) == 2500
+
+    def test_config_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        assert main(["analytic", "--config", str(cfg)]) == 2
+        assert f"error: cannot read config file {cfg}: " in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

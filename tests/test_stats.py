@@ -9,7 +9,8 @@ from bornsim import stats, streams
 from bornsim.geometry import identity_frame, unit_vector
 from bornsim.outcomes import OutcomeDistribution
 from bornsim.rod import QUANTUM, rod_analytic
-from bornsim.geometry import UnitVector, canonicalize
+from bornsim.geometry import canonicalize
+from bornsim.models import MODELS
 from bornsim.stats import (
     CHI2_CRITICAL,
     EmpiricalDistribution,
@@ -83,7 +84,6 @@ class TestRunTrials:
         assert emp.total == 1
         assert sum(emp.counts) == 1
         assert len(records) == 1
-        assert isinstance(records[0].final_state, UnitVector)
 
     def test_worker_count_does_not_change_counts(self):
         base = RunConfig("rod", P_BENCH, identity_frame(), "quantum",
@@ -107,17 +107,24 @@ class TestRunTrials:
         for count, p in zip(emp.counts, (0.5, 0.25, 0.25)):
             assert abs(count - p * 1_000_000) < 2200
 
-    def test_records_replay_their_trials(self):
-        cfg = RunConfig("rod", P_BENCH, identity_frame(), "quantum",
-                        trials=50, master_seed=7)
+    # the two-outcome models measure perpendicular to the state: p = (1/2, 1/2)
+    @pytest.mark.parametrize("model, measurement", [
+        ("sphere2d", unit_vector(0.0, SQ2, -SQ2)),
+        ("ks", unit_vector(0.0, SQ2, -SQ2)),
+        ("rod", identity_frame()),
+    ])
+    def test_records_replay_their_trials(self, model, measurement):
+        cfg = RunConfig(model, P_BENCH, measurement, "quantum", trials=50, master_seed=7)
         _, records = run_trials(cfg)
         assert [r.index for r in records] == list(range(10))
-        # counts are per trial index, so a 10-trial run counts the same trials
-        head, _ = run_trials(replace(cfg, trials=10))
-        counted = {label: 0 for label in head.labels}
+        # counts are per trial index, so trial t is the one a (t+1)-trial run
+        # counts on top of a t-trial run
+        before = (0,) * len(MODELS[model].labels)
         for r in records:
-            counted[r.outcome] += 1
-        assert tuple(counted[label] for label in head.labels) == head.counts
+            emp, _ = run_trials(replace(cfg, trials=r.index + 1))
+            added = [a - b for a, b in zip(emp.counts, before)]
+            assert added == [int(label == r.outcome) for label in emp.labels]
+            before = emp.counts
         assert len(run_trials(replace(cfg, trials=3))[1]) == 3
 
     def test_model_validation(self):
