@@ -334,16 +334,25 @@ def _run_config(r: SimpleNamespace, state: UnitVector, seed: int) -> RunConfig:
 def _opened_out(path: str | None) -> Iterator[TextIO | None]:
     """The ``--out`` stream: None without the flag, stdout for '-', else the
     file, opened for appending before the command does any work, so that a
-    path that cannot be opened fails first; ``_write_rows`` empties it."""
+    path that cannot be opened fails first; ``_write_rows`` empties it. A
+    file this call created is removed again if the command fails."""
     if path is None or path == "-":
         yield None if path is None else sys.stdout
         return
     try:
-        fh = open(path, "a", encoding="utf-8", newline="")
+        try:
+            fh, created = open(path, "x", encoding="utf-8", newline=""), True
+        except FileExistsError:
+            fh, created = open(path, "a", encoding="utf-8", newline=""), False
     except OSError as exc:
         raise InputError(f"cannot open --out file {path!r}: {exc.strerror or exc}") from exc
-    with fh:
-        yield fh
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _write_rows(out: TextIO | None, header: list[str], rows: list[list[str]]) -> None:

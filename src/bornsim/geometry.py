@@ -261,14 +261,21 @@ def tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Pure function of v; used to place disk/azimuth coordinates around a pole.
     """
     v = np.asarray(v, dtype=float)
-    h = int(np.argmin(np.abs(v)))
-    e = np.zeros(3)
-    e[h] = 1.0
-    a = np.cross(v, e)
-    a = a / float(np.linalg.norm(a))
-    b = np.cross(v, a)
-    b = b / float(np.linalg.norm(b))
+    e = [0.0, 0.0, 0.0]
+    e[int(np.argmin(np.abs(v)))] = 1.0
+    a = _unit_cross(v.tolist(), e)
+    b = _unit_cross(v.tolist(), a.tolist())
     return a, b
+
+
+def _unit_cross(u: list[float], w: list[float]) -> np.ndarray:
+    """np.cross(u, w) / np.linalg.norm(np.cross(u, w)) for 3-vectors, with
+    the products and differences of np.cross on Python floats (see the
+    rounding contract) and the norm's dot kept in numpy."""
+    c = np.array([u[1] * w[2] - u[2] * w[1],
+                  u[2] * w[0] - u[0] * w[2],
+                  u[0] * w[1] - u[1] * w[0]])
+    return c / math.sqrt(float(c.dot(c)))
 
 
 def rotate_frame_about_axis(e: Frame, axis_index: int, angle: float) -> Frame:

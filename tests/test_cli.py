@@ -205,6 +205,13 @@ class TestFramecheck:
         # the command failed before its rows, so the existing file is untouched
         assert out.read_bytes() == b"frame_index,sum,deviation\n0,1,0\n"
 
+    def test_failed_command_leaves_no_new_out_file(self, tmp_path, capsys):
+        out = tmp_path / "new.csv"
+        assert main(["framecheck", "--state", "1,0,0", "--trials", "3",
+                     "--seed", "-1", "--out", str(out)]) == 2
+        assert "framecheck seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_existing_out_file_is_replaced_by_the_rows(self, tmp_path, capsys):
         out = tmp_path / "fc.csv"
         out.write_text("stale\n" * 100)

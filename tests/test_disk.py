@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bornsim import disk
 from bornsim.disk import (
     DiskState,
     LABELS,
@@ -13,9 +14,9 @@ from bornsim.disk import (
     sample_hidden,
     up_indices,
 )
-from bornsim.geometry import random_unit_vector, unit_vector, vector_angle
+from bornsim.geometry import random_unit_vector, tangent_basis, unit_vector, vector_angle
 from bornsim.stats import RunConfig, run_trials
-from bornsim.streams import trial_uniforms
+from bornsim.streams import _BLOCK, trial_uniforms
 
 from oracles import binomial_bound, disk_mean_cos_oracle, disk_up_oracle
 
@@ -159,3 +160,125 @@ class TestBornAgreement:
             first, collapsed = disk_measure(s, q, rng)
             second, _ = disk_measure(collapsed, q, rng)
             assert first == second
+
+
+def _reference_up_indices(p, q, u1, u2):
+    """The kernel before it filtered: one float64 pass over every trial."""
+    a, b = tangent_basis(p)
+    aq = float(a @ q)
+    bq = float(b @ q)
+    pq = float(p @ q)
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    st = np.sqrt(u1)
+    ct = np.sqrt(1.0 - u1)
+    phi = 2.0 * math.pi * u2
+    tq = st * (np.cos(phi) * aq + np.sin(phi) * bq) + ct * pq
+    return (tq <= 0.0).astype(np.int64)
+
+
+def _float32_pass_only(p, q, u1, u2):
+    """What the kernel would decide with its float64 pass left out."""
+    a, b = tangent_basis(p)
+    tq = disk._t_dot_q(u1, u2, float(a @ q), float(b @ q), float(p @ q), np.float32)
+    return (tq <= 0.0).astype(np.int64)
+
+
+def _crossing_uniforms(p, q, u1, grid=64, ulps=3):
+    """u2 values at the float64 neighbours of every zero crossing of t.q at
+    each u1: sign changes on a grid, narrowed by bisection on the reference
+    kernel to two adjacent floats, then ``ulps`` more floats on either side."""
+    u1 = np.repeat(u1, grid)
+    u2 = np.tile(np.arange(grid) / grid, len(u1) // grid)
+    down = _reference_up_indices(p, q, u1, u2)
+    flips = np.flatnonzero((down[:-1] != down[1:]) & (u1[:-1] == u1[1:]))
+    x, lo, hi = u1[flips], u2[flips], u2[flips + 1]
+    lo_down = down[flips]
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (mid > lo) & (mid < hi)
+        if not open_.any():
+            break
+        same = _reference_up_indices(p, q, x, mid) == lo_down
+        lo = np.where(open_ & same, mid, lo)
+        hi = np.where(open_ & ~same, mid, hi)
+    assert np.array_equal(np.nextafter(lo, 1.0), hi)
+    u1s, u2s = [x, x], [lo, hi]
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+        u1s += [x, x]
+        u2s += [lo, hi]
+    return np.concatenate(u1s), np.concatenate(u2s)
+
+
+def _decision_cases(gen):
+    """(p, q) pairs: random, p = q, p = -q, and p perpendicular to q (exactly
+    on the axes, and to rounding for random p)."""
+    cases = [(random_unit_vector(gen).array, random_unit_vector(gen).array) for _ in range(12)]
+    for _ in range(3):
+        p = random_unit_vector(gen).array
+        perp = np.cross(p, random_unit_vector(gen).array)
+        cases += [(p, p), (p, -p), (p, perp / np.linalg.norm(perp))]
+    ez, ex = EZ.array, np.array([1.0, 0.0, 0.0])
+    cases += [(ez, ez), (ez, -ez), (ez, ex), (ex, ez)]
+    return cases
+
+
+def test_filtered_kernel_decides_as_the_one_pass_reference():
+    gen = np.random.default_rng(1997)
+    float32_wrong = 0
+    for p, q in _decision_cases(gen):
+        edge = np.array([0.0, 1.0 - 2**-53])
+        u1c, u2c = _crossing_uniforms(p, q, np.concatenate([edge, gen.random(30)]))
+        u1 = np.concatenate([u1c, np.repeat(edge, 200), gen.random(2_000)])
+        u2 = np.concatenate([u2c, gen.random(400), gen.random(2_000)])
+        want = _reference_up_indices(p, q, u1, u2)
+        got = up_indices(p, q, u1, u2)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (p, q)
+        float32_wrong += int(np.sum(_float32_pass_only(p, q, u1, u2) != want))
+    # the crossings are close enough to the equator that float32 trig alone
+    # gets some of them wrong, so the float64 pass is what this test checks
+    assert float32_wrong > 0
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_filtered_kernel_matches_the_reference_across_block_edges(n):
+    gen = np.random.default_rng(n)
+    p, q = random_unit_vector(gen).array, random_unit_vector(gen).array
+    u1c, u2c = _crossing_uniforms(p, q, gen.random(200))
+    # crossings on both sides of every block edge, random trials between
+    k = np.arange(n)
+    pick = gen.integers(0, len(u1c), n)
+    near_edge = (k % _BLOCK < 50) | (k % _BLOCK >= _BLOCK - 50)
+    u1 = np.where(near_edge, u1c[pick], gen.random(n))
+    u2 = np.where(near_edge, u2c[pick], gen.random(n))
+    got = up_indices(p, q, u1, u2)
+    assert got.shape == (n,)
+    assert np.array_equal(got, _reference_up_indices(p, q, u1, u2))
+
+
+def test_float32_trig_stays_inside_the_kernel_margin():
+    """The float32 pass is safe while cos and sin of the azimuth rounded to
+    float32 stay within 2**-20 of float64 cos and sin of the azimuth (see
+    ``disk.up_indices``). A platform whose float32 trig breaks this fails
+    here instead of moving counts."""
+    gen = np.random.default_rng(20)
+    two_pi = 2.0 * math.pi
+    # float32 values of k pi/2 and 8 float32 neighbours on either side
+    below = above = (np.arange(5) * (math.pi / 2)).astype(np.float32)
+    near_quarters = [below]
+    for _ in range(8):
+        below = np.nextafter(below, np.float32(-1))
+        above = np.nextafter(above, np.float32(8))
+        near_quarters += [below, above]
+    phi = np.concatenate([
+        two_pi * gen.random(1_000_000),
+        np.concatenate(near_quarters).astype(float),
+        [np.nextafter(two_pi, 0.0), two_pi * (1.0 - 2**-53)],
+    ])
+    phi = phi[(phi >= 0.0) & (phi < two_pi)]
+    phi32 = phi.astype(np.float32)
+    for f in (np.cos, np.sin):
+        err = np.abs(f(phi32).astype(float) - f(phi))
+        assert float(err.max()) <= 2.0**-20, f.__name__

@@ -18,6 +18,7 @@ from bornsim.geometry import (
     random_frame,
     random_unit_vector,
     rotate_frame_about_axis,
+    tangent_basis,
     unit_vector,
     vector_angle,
 )
@@ -226,6 +227,31 @@ class TestRandomDirections:
         assert np.all(np.abs(means) < 0.01)
         # and norms are exactly unit
         assert np.allclose(np.linalg.norm(draws, axis=1), 1.0, atol=1e-12)
+
+
+def _reference_tangent_basis(v):
+    """tangent_basis as it was written with np.cross and np.linalg.norm."""
+    e = np.zeros(3)
+    e[int(np.argmin(np.abs(v)))] = 1.0
+    a = np.cross(v, e)
+    a = a / float(np.linalg.norm(a))
+    b = np.cross(v, a)
+    b = b / float(np.linalg.norm(b))
+    return a, b
+
+
+def test_tangent_basis_keeps_the_rounding_of_np_cross():
+    # bit for bit, signed zeros included: the disk kernel's outcomes and the
+    # CLI's sweep planes are built on this basis
+    gen = np.random.default_rng(258)
+    vs = [random_unit_vector(gen).array for _ in range(5_000)]
+    for c in [(1, 0, 0), (0, -1, 0), (-0.0, 0, 1), (0.6, -0.0, -0.8), (1, 1, 1),
+              (-1, 1, -1), (0.6, 0.8, 0), (0, 0.6, -0.8), (1e-300, 1, 0)]:
+        vs.append(normalize(c, "test vector"))
+    for v in vs:
+        got, want = tangent_basis(v), _reference_tangent_basis(v)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), v
 
 
 class TestAngles:
