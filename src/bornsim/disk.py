@@ -94,6 +94,8 @@ def up_indices(
 ) -> np.ndarray:
     """Vectorized trial kernel: 0 for up, 1 for down, per (u1, u2) pair.
 
+    A ValueError is raised if ``u1`` and ``u2`` differ in length.
+
     Contract: the outcome of every trial is that of the float64 formula
     ``_t_dot_q(u1, u2, aq, bq, pq) <= 0``, the equator tie included.
 
@@ -117,12 +119,16 @@ def up_indices(
     in the last bits: the two agree on the outcome of every draw whose |t.q|
     is larger than that rounding, not bitwise on t.q.
     """
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    if len(u1) != len(u2):
+        raise ValueError(
+            f"u1 and u2 must hold one draw per trial: got {len(u1)} and {len(u2)}"
+        )
     a, b = tangent_basis(p)
     aq = float(a @ q)
     bq = float(b @ q)
     pq = float(p @ q)
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
     out = np.empty(len(u1), dtype=np.int64)
     for lo in range(0, len(u1), _BLOCK):
         u1b, u2b = u1[lo : lo + _BLOCK], u2[lo : lo + _BLOCK]

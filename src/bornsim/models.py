@@ -23,11 +23,13 @@ class Model:
     """One machine: its outcomes, what it measures with, and two functions.
 
     ``kernel(state, measurement, weight)`` returns a function from a block
-    of uniforms (row k holds draw k of each trial) to outcome indices; it
-    reads ``draws`` rows. ``analytic(state, measurement, weight)`` is the
-    exact distribution. ``measurement`` is Frame or UnitVector (an oriented
-    direction); models that are not ``weighted`` ignore ``weight``. The
-    post-measurement state is defined once, in each machine's sampler.
+    of uniforms (row k holds draw k of each trial; it reads ``draws`` rows)
+    to the block's outcome counts: int64, one per label, summing to the
+    number of trials. A 1-trial block's outcome is its nonzero count.
+    ``analytic(state, measurement, weight)`` is the exact distribution.
+    ``measurement`` is Frame or UnitVector (an oriented direction); models
+    that are not ``weighted`` ignore ``weight``. The post-measurement state
+    is defined once, in each machine's sampler.
     """
 
     name: str
@@ -39,9 +41,15 @@ class Model:
     analytic: Callable[..., OutcomeDistribution]
 
 
+def _two_counts(indices: np.ndarray) -> np.ndarray:
+    """[n - k, k] for n outcome indices of which k are 1."""
+    k = np.count_nonzero(indices)
+    return np.array([len(indices) - k, k], dtype=np.int64)
+
+
 def _sphere_kernel(state: UnitVector, direction: UnitVector, weight: str):
     c = direction.dot(state)
-    return lambda u: sphere.outcome_indices(c, u[0])
+    return lambda u: _two_counts(sphere.outcome_indices(c, u[0]))
 
 
 def _sphere_analytic(state: UnitVector, direction: UnitVector, weight: str):
@@ -50,7 +58,7 @@ def _sphere_analytic(state: UnitVector, direction: UnitVector, weight: str):
 
 def _disk_kernel(state: UnitVector, direction: UnitVector, weight: str):
     p, q = state.array, direction.array
-    return lambda u: disk.up_indices(p, q, u[0], u[1])
+    return lambda u: _two_counts(disk.up_indices(p, q, u[0], u[1]))
 
 
 def _disk_analytic(state: UnitVector, direction: UnitVector, weight: str):
@@ -59,7 +67,9 @@ def _disk_analytic(state: UnitVector, direction: UnitVector, weight: str):
 
 def _rod_kernel(state: UnitVector, frame: Frame, weight: str):
     ray, w = canonicalize(state), rod.WEIGHTS[weight]
-    return lambda u: rod.outcomes_from_uniforms(ray, frame, w, u[0], u[1])[0]
+    return lambda u: rod.fold_paths(
+        rod.outcomes_from_uniforms(ray, frame, w, u[0], u[1])
+    )
 
 
 def _rod_analytic(state: UnitVector, frame: Frame, weight: str):

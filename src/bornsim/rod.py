@@ -85,10 +85,8 @@ class BreakPath:
 _PATHS = tuple(
     BreakPath(first, second) for first in range(3) for second in OTHER_AXES[first]
 )
-# (outcome, first, second) of each path, one column per path
-_PATH_TABLE = np.array(
-    [(p.outcome, p.first_broken, p.second_broken) for p in _PATHS], dtype=np.intp
-).T
+# row i is the one-hot outcome of path i: path counts @ it = outcome counts
+_PATH_OUTCOMES = np.eye(3, dtype=np.int64)[[p.outcome for p in _PATHS]]
 
 
 def _stage1(c, w: BreakWeight) -> list[float]:
@@ -197,30 +195,44 @@ def rod_analytic(
 
 def outcomes_from_uniforms(
     p: Ray, e: Frame, w: BreakWeight, u1: np.ndarray, u2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized trial kernel: (outcome, first_broken, second_broken) indices.
+) -> np.ndarray:
+    """Vectorized trial kernel: how many trials follow each of the six break paths.
 
-    ``u1`` drives the stage-1 choice and ``u2`` the stage-2 choice, both by
-    cumulative sums. The thresholds are ``_stage1`` of the ray's direction
-    cosines and ``_stage2`` of the in-plane cosines that follow from them,
-    the rule ``rod_analytic`` tabulates. Ties on a boundary go to the lowest
-    eligible index, and zero-probability ties are never selected (so the
-    outcome of an eigenstate is deterministic and degenerate projections are
-    unreachable). The sums and eligibility rules are folded into scalar
-    thresholds once per call, so a trial costs three comparisons and a
-    lookup in a six-path table.
+    Returns int64 counts in ``_PATHS`` order, (first, second) broken =
+    (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1); outcome k is the sum of
+    the two paths that leave axis k standing. Trial i reads ``u1[i]`` for
+    its stage-1 choice and ``u2[i]`` for its stage-2 choice, both by
+    cumulative sums; a ValueError is raised if their lengths differ. The
+    thresholds are ``_stage1`` of the ray's direction cosines and
+    ``_stage2`` of the in-plane cosines that follow from them, the rule
+    ``rod_analytic`` tabulates. Ties on a boundary go to the lowest eligible
+    index, and zero-probability ties are never selected (so the outcome of
+    an eigenstate is deterministic and degenerate projections are
+    unreachable).
+
+    The sums and eligibility rules are folded into scalar thresholds once
+    per call, and each sub-block of trials is counted with boolean masks:
+    no per-trial index is written. A single trial's path is the one nonzero
+    count of a 1-trial call. The name is older than the counting contract;
+    it is kept because the benchmark's tracer (``bench/spans.py``) wraps
+    the kernel by this name and reads ``u1`` as its fourth argument.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
+    if len(u1) != len(u2):
+        raise ValueError(
+            f"u1 and u2 must hold one draw per trial: got {len(u1)} and {len(u2)}"
+        )
     c = direction_cosines(p, e)
     s1 = _stage1(c, w)
     firsts = [i for i in (0, 1, 2) if s1[i] != 0.0]
     cosines = [x for i in firsts for x in _cosines_from_ray(c, *OTHER_AXES[i])]
 
-    # Stage 1 as two thresholds on u1: break 0 if u1 <= t0, else 1 if
-    # u1 <= t1, else the last eligible tie. t0 = -1 when tie 0 is
-    # ineligible, and t1 = t0 when tie 1 is, so that slot is never reached
-    # (t1 = -1 would send every u1 <= t0 to slot 1).
+    # Stage 1 as two thresholds on u1: break 0 if u1 <= t0 (slot 0), else 1
+    # if u1 <= t1 (slot 1), else the last eligible tie (slot 2). t0 = -1
+    # when tie 0 is ineligible, and t1 = t0 when tie 1 is, so that slot is
+    # never reached (t1 = -1 would send every u1 <= t0 to slot 1). t1 >= t0
+    # always, so slots 0 and 2 never overlap.
     t0 = s1[0] if s1[0] != 0.0 else -1.0
     t1 = s1[0] + s1[1] if s1[1] != 0.0 else t0
     slots = (0, 1, firsts[-1])
@@ -231,24 +243,35 @@ def outcomes_from_uniforms(
     for i, (pj, pk) in zip(firsts, _stage2_pairs(cosines, w)):
         if pj != 0.0:
             thr[i] = pj if pk != 0.0 else 2.0
-    thr_slot = np.array([thr[f] for f in slots])
+    r0, r1, r2 = (thr[f] for f in slots)
 
-    # A trial's path code is 2 * slot + pick: it breaks first = slots[slot]
-    # first and, if pick, that tie's retained[0] second, which is the path
-    # _PATHS[2 * first + 1 - pick].
-    table = _PATH_TABLE[:, [2 * f + n for f in slots for n in (1, 0)]]
-
-    # sub-blocks keep the temporaries in cache; mode="clip" (codes are
-    # always 0..5) lets np.take write into ``out`` without a buffer
-    out = np.empty((3, len(u1)), dtype=np.intp)
+    # per slot: trials in it, and those of them that break retained[0]
+    # second; sub-blocks keep the masks in cache
+    n0 = n2 = k0 = k1 = k2 = 0
     for a in range(0, len(u1), _BLOCK):
-        b = a + _BLOCK
-        slot = np.add(u1[a:b] > t0, u1[a:b] > t1, dtype=np.intp)
-        code = 2 * slot
-        code += u2[a:b] <= np.take(thr_slot, slot)
-        for row in range(3):
-            np.take(table[row], code, out=out[row, a:b], mode="clip")
-    return out[0], out[1], out[2]
+        x, y = u1[a : a + _BLOCK], u2[a : a + _BLOCK]
+        lo = x <= t0
+        hi = x > t1
+        n0 += np.count_nonzero(lo)
+        n2 += np.count_nonzero(hi)
+        k0 += np.count_nonzero(lo & (y <= r0))
+        k2 += np.count_nonzero(hi & (y <= r2))
+        # bool a > b is a and not b: pick in slot 1, neither slot 0 nor 2
+        k1 += np.count_nonzero((y <= r1) > (lo | hi))
+    n1 = len(u1) - n0 - n2
+
+    # slot s breaks slots[s] first, then retained[0] (path 2 * first) on a
+    # pick or retained[1] (path 2 * first + 1) otherwise
+    counts = np.zeros(6, dtype=np.int64)
+    for first, n, k in zip(slots, (n0, n1, n2), (k0, k1, k2)):
+        counts[2 * first] += k
+        counts[2 * first + 1] += n - k
+    return counts
+
+
+def fold_paths(counts: np.ndarray) -> np.ndarray:
+    """Outcome counts (o1, o2, o3) from the six path counts in ``_PATHS`` order."""
+    return counts @ _PATH_OUTCOMES
 
 
 def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, BreakPath]:
@@ -260,12 +283,9 @@ def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, BreakPa
     """
     u1 = rng.random()
     u2 = rng.random()
-    outcome, first, second = outcomes_from_uniforms(
-        p, e, w, np.array([u1]), np.array([u2])
-    )
-    idx = int(outcome[0])
-    path = BreakPath(int(first[0]), int(second[0]))
-    return LABELS[idx], e.axes[idx], path
+    counts = outcomes_from_uniforms(p, e, w, np.array([u1]), np.array([u2]))
+    path = _PATHS[int(np.flatnonzero(counts)[0])]
+    return LABELS[path.outcome], e.axes[path.outcome], path
 
 
 def marginal_measure(p: Ray, w: BreakWeight) -> Callable[[Ray, Frame], float]:

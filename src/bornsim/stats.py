@@ -1,10 +1,11 @@
 """Monte Carlo trial runner and statistical verification.
 
-Trials are counted through the vectorized model kernels, with every trial's
-randomness derived from ``(master_seed, trial index)`` by the counter-based
-streams in :mod:`bornsim.streams`. Counts are therefore a pure function of
-the run configuration: the same config gives bit-identical counts for any
-worker count, chunking, or scheduling order.
+Trials are counted in chunks by the vectorized model kernels, which return
+each chunk's outcome counts. Every trial's randomness is derived from
+``(master_seed, trial index)`` by the counter-based streams in
+:mod:`bornsim.streams`. Counts are therefore a pure function of the run
+configuration: the same config gives bit-identical counts for any worker
+count, chunking, or scheduling order.
 
 Goodness of fit is a plain multinomial chi-square with critical values
 tabulated for 1 and 2 degrees of freedom (no inverse-CDF dependency), plus
@@ -113,32 +114,35 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
 
     Returns the aggregated outcome counts plus the ``(index, outcome)``
     TrialRecords of the first ``_RECORDS`` trials (all of them when there
-    are fewer), each replayed through its own stream. Counts are
+    are fewer), each replayed through its own stream. Trials are drawn and
+    counted in chunks of ``_CHUNK``: the model's kernel returns each
+    chunk's outcome counts, and worker k of ``threads`` sums chunks k,
+    k + threads, ... into its own counts. Chunk starts come from a lazy
+    range, so memory does not grow with ``cfg.trials``. Counts are
     deterministic given ``cfg.master_seed`` regardless of ``cfg.workers``.
     """
     model = _validate(cfg)
     kernel = model.kernel(cfg.state, cfg.measurement, cfg.weight)
+    # -(-a // b) is ceil(a / b), the chunk count; len() of a range overflows
+    threads = min(cfg.workers, -(-cfg.trials // _CHUNK), os.cpu_count() or 1)
 
-    def count_range(bounds: tuple[int, int]) -> np.ndarray:
-        a, b = bounds
-        u = trial_uniforms(cfg.master_seed, a, b, model.draws)
-        return np.bincount(kernel(u), minlength=len(model.labels))
+    def count_chunks(k: int) -> np.ndarray:
+        counts = np.zeros(len(model.labels), dtype=np.int64)
+        for a in range(k * _CHUNK, cfg.trials, threads * _CHUNK):
+            b = min(a + _CHUNK, cfg.trials)
+            counts += kernel(trial_uniforms(cfg.master_seed, a, b, model.draws))
+        return counts
 
     def record(t: int) -> TrialRecord:
         # trial t again, through its own stream and the same kernel
         u = trial_uniforms(cfg.master_seed, t, t + 1, model.draws)
-        return TrialRecord(t, model.labels[int(kernel(u)[0])])
+        return TrialRecord(t, model.labels[int(np.flatnonzero(kernel(u))[0])])
 
-    ranges = [
-        (a, min(a + _CHUNK, cfg.trials)) for a in range(0, cfg.trials, _CHUNK)
-    ]
-    threads = min(cfg.workers, len(ranges), os.cpu_count() or 1)
     if threads == 1:
-        partials = [count_range(r) for r in ranges]
+        counts = count_chunks(0)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(count_range, ranges))
-    counts = np.sum(partials, axis=0, dtype=np.int64)
+            counts = sum(pool.map(count_chunks, range(threads)))
 
     emp = EmpiricalDistribution(model.labels, tuple(int(c) for c in counts), cfg.trials)
     records = [record(t) for t in range(min(_RECORDS, cfg.trials))]

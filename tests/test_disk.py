@@ -258,6 +258,14 @@ def test_filtered_kernel_matches_the_reference_across_block_edges(n):
     assert np.array_equal(got, _reference_up_indices(p, q, u1, u2))
 
 
+def test_draws_of_different_lengths_are_rejected():
+    p, q = EZ.array, direction_at(1.0).array
+    u = np.full(5, 0.5)
+    for u1, u2 in ((u, u[:1]), (u[:1], u), (u, np.full(7, 0.5))):
+        with pytest.raises(ValueError, match="u1 and u2"):
+            up_indices(p, q, u1, u2)
+
+
 def test_float32_trig_stays_inside_the_kernel_margin():
     """The float32 pass is safe while cos and sin of the azimuth rounded to
     float32 stay within 2**-20 of float64 cos and sin of the azimuth (see

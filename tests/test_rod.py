@@ -11,6 +11,8 @@ from bornsim.rod import (
     LABELS,
     QUANTUM,
     UNIFORM_VARIANT,
+    _PATHS,
+    fold_paths,
     outcomes_from_uniforms,
     rod_analytic,
     rod_sample,
@@ -18,7 +20,7 @@ from bornsim.rod import (
     stage2_distribution,
 )
 from bornsim.stats import RunConfig, chi_square_gof, run_trials
-from bornsim.streams import TrialStream, trial_uniforms
+from bornsim.streams import _BLOCK, TrialStream, trial_uniforms
 
 from oracles import rod_tree_oracle, quantum_weight, variant_weight
 
@@ -34,6 +36,17 @@ VARIANT_O3_GAP = 0.042015924466717
 
 
 SYMMETRIC = canonicalize((SQ3, SQ3, SQ3))
+
+
+def _single_paths(p, e, w, u1, u2):
+    """Each trial's ``_PATHS`` index, from the one nonzero count of a 1-trial call."""
+    paths = []
+    for i in range(len(u1)):
+        counts = outcomes_from_uniforms(p, e, w, u1[i : i + 1], u2[i : i + 1])
+        (nonzero,) = np.flatnonzero(counts)
+        assert counts[nonzero] == 1
+        paths.append(nonzero)
+    return np.array(paths, dtype=np.int64)
 
 
 def _rule_users(p, w):
@@ -232,39 +245,47 @@ class TestSampler:
         assert passed >= 19
 
     def test_scalar_and_vector_paths_agree_bitwise(self):
+        # a batch counts what its 1-trial calls count, and every 7th trial
+        # takes the same path three ways: the scalar sampler on its own
+        # stream, a 1-trial call, and the step in a growing batch's counts
         u = trial_uniforms(master_seed=40, start=0, stop=5_000, ndraws=2)
         for ray, frame, w in (
             (P_BENCH, identity_frame(), QUANTUM),
             (canonicalize((0.2, 0.9, np.sqrt(1 - 0.04 - 0.81))), identity_frame(), UNIFORM_VARIANT),
         ):
-            batch, bf, bs = outcomes_from_uniforms(ray, frame, w, u[0], u[1])
+            singles = _single_paths(ray, frame, w, u[0], u[1])
+            batch = outcomes_from_uniforms(ray, frame, w, u[0], u[1])
+            assert np.array_equal(batch, np.bincount(singles, minlength=6))
             for i in range(0, 5_000, 7):
-                o, f, s = outcomes_from_uniforms(
-                    ray, frame, w, u[0][i : i + 1], u[1][i : i + 1]
-                )
-                assert (int(o[0]), int(f[0]), int(s[0])) == (
-                    int(batch[i]), int(bf[i]), int(bs[i])
-                )
+                before, after = (outcomes_from_uniforms(ray, frame, w, u[0][:m], u[1][:m])
+                                 for m in (i, i + 1))
+                step = after - before
+                assert np.flatnonzero(step).tolist() == [singles[i]]
+                assert step.sum() == 1
+                _, _, path = rod_sample(ray, frame, w, TrialStream(40, i))
+                assert path == _PATHS[singles[i]]
 
     def test_boundary_uniforms_never_select_zero_weight(self):
         # eigenstate: stage-1 weight of axis 1 is zero; u1 = 0 must not pick it
         ray = canonicalize((1, 0, 0))
         s1 = stage1_distribution(ray, IDENT, QUANTUM)
         edges = np.array([0.0, s1[1], s1[1] + s1[2], 1.0 - 2**-53])
-        outcome, first, second = outcomes_from_uniforms(
-            ray, identity_frame(), QUANTUM, edges, np.array([0.0, 0.5, 1.0 - 2**-53, 0.25])
-        )
-        assert np.all(outcome == 0)
-        assert np.all(first != 0)
-        assert np.all(second != 0)
+        u2 = np.array([0.0, 0.5, 1.0 - 2**-53, 0.25])
+        singles = _single_paths(ray, identity_frame(), QUANTUM, edges, u2)
+        for path in (_PATHS[i] for i in singles):
+            assert path.outcome == 0
+            assert path.first_broken != 0
+            assert path.second_broken != 0
+        counts = outcomes_from_uniforms(ray, identity_frame(), QUANTUM, edges, u2)
+        assert np.array_equal(counts, np.bincount(singles, minlength=6))
 
     def test_tie_on_boundary_goes_to_lowest_index(self):
         s1 = stage1_distribution(P_BENCH, IDENT, QUANTUM)
         # u exactly on the first cumulative edge selects category 0
-        _, first, _ = outcomes_from_uniforms(
+        (single,) = _single_paths(
             P_BENCH, identity_frame(), QUANTUM, np.array([s1[0]]), np.array([0.5])
         )
-        assert int(first[0]) == 0
+        assert _PATHS[single].first_broken == 0
 
 
 _RETAINED = ((1, 2), (0, 2), (0, 1))
@@ -349,14 +370,65 @@ def test_table_driven_kernel_matches_the_nested_where_reference():
     assert patterns >= {(True,) * 3, (False, True, True), (True, False, True),
                         (True, True, False)}
 
+    # (outcome, first, second) of each path, one column per path
+    table = np.array([(p.outcome, p.first_broken, p.second_broken) for p in _PATHS]).T
     for ray, frame, w in cases:
         u = _edge_uniforms(ray, frame, w, gen)
         u1, u2 = (x.ravel() for x in np.meshgrid(u, u))
-        got = outcomes_from_uniforms(ray, frame, w, u1, u2)
+        singles = _single_paths(ray, frame, w, u1, u2)
         want = _reference_outcomes(ray, frame, w, u1, u2)
-        for g, r, name in zip(got, want, ("outcome", "first", "second")):
-            assert g.dtype.kind == "i"
+        for g, r, name in zip(table[:, singles], want, ("outcome", "first", "second")):
             assert np.array_equal(g, r), (name, ray, frame, w.tag)
+        # the grid's six counts: path (first, second) is 2 * first, plus 1
+        # when second is the higher of the two retained axes
+        outcome, first, second = want
+        counts = outcomes_from_uniforms(ray, frame, w, u1, u2)
+        assert counts.dtype == np.int64
+        want_paths = 2 * first + (second > outcome)
+        assert np.array_equal(counts, np.bincount(want_paths, minlength=6)), (ray, w.tag)
+
+
+def test_counts_equal_the_sum_of_one_trial_calls_at_sub_block_edges():
+    u = trial_uniforms(master_seed=41, start=0, stop=_BLOCK + 1, ndraws=2)
+    frame = random_frame(np.random.default_rng(41))
+    w = UNIFORM_VARIANT
+    singles = _single_paths(P_BENCH, frame, w, u[0], u[1])
+    for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+        counts = outcomes_from_uniforms(P_BENCH, frame, w, u[0][:n], u[1][:n])
+        assert counts.dtype == np.int64 and counts.shape == (6,)
+        assert np.array_equal(counts, np.bincount(singles[:n], minlength=6)), n
+
+
+def test_path_counts_match_the_paper_path_identity():
+    # Monte Carlo: every path count within 5 sigma of N times its exact
+    # probability; for the quantum weight, both paths that end on axis k
+    # carry cos^2(theta_k) / 2 (the paper's route to the Born rule)
+    n = 1 << 20
+    u = trial_uniforms(master_seed=20261018, start=0, stop=n, ndraws=2)
+    gen = np.random.default_rng(1018)
+    for frame in [IDENT] + [random_frame(gen) for _ in range(3)]:
+        cos2 = (frame.matrix @ P_BENCH.array) ** 2
+        for w in (QUANTUM, UNIFORM_VARIANT):
+            counts = outcomes_from_uniforms(P_BENCH, frame, w, u[0], u[1])
+            _, path_probs = rod_analytic(P_BENCH, frame, w)
+            probs = np.array([path_probs[path] for path in _PATHS])
+            assert counts.sum() == n
+            sigma = np.sqrt(n * probs * (1.0 - probs))
+            assert np.all(np.abs(counts - n * probs) <= 5.0 * sigma), (w.tag, counts)
+            by_outcome = [0, 0, 0]
+            for c, path in zip(counts, _PATHS):
+                by_outcome[path.outcome] += c
+            assert np.array_equal(fold_paths(counts), by_outcome)
+            if w is QUANTUM:
+                for path, prob in zip(_PATHS, probs):
+                    assert abs(prob - cos2[path.outcome] / 2.0) < 1e-12
+
+
+def test_draws_of_different_lengths_are_rejected():
+    u = np.full(5, 0.5)
+    for u1, u2 in ((u, u[:1]), (u[:1], u), (u, np.full(7, 0.5))):
+        with pytest.raises(ValueError, match="u1 and u2"):
+            outcomes_from_uniforms(P_BENCH, IDENT, QUANTUM, u1, u2)
 
 
 class TestBreakPath:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -175,6 +176,46 @@ class TestRunTrials:
         emp, _ = run_trials(replace(three_chunks, workers=8))
         assert emp.counts == serial.counts
         assert pools == [3, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch, workers):
+        class Stop(Exception):
+            pass
+
+        starts = []
+
+        def first_chunk_stops(master_seed, start, stop, ndraws):
+            starts.append(start)
+            raise Stop
+
+        monkeypatch.setattr(stats, "trial_uniforms", first_chunk_stops)
+        cfg = RunConfig("rod", P_BENCH, identity_frame(), trials=2**34,
+                        master_seed=3, workers=workers)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                run_trials(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert 0 < len(starts) <= workers
+        assert set(starts) <= {k * stats._CHUNK for k in range(workers)}
+
+    @pytest.mark.parametrize("model, measurement", [
+        ("sphere2d", unit_vector(0.0, SQ2, -SQ2)),
+        ("ks", unit_vector(0.0, SQ2, -SQ2)),
+        ("rod", identity_frame()),
+    ])
+    def test_kernels_return_outcome_counts(self, model, measurement):
+        m = MODELS[model]
+        kernel = m.kernel(P_BENCH, measurement, "quantum")
+        u = trial_uniforms(4, 0, 1000, m.draws)
+        counts = kernel(u)
+        assert counts.dtype == np.int64 and counts.shape == (len(m.labels),)
+        singles = np.array([kernel(u[:, i : i + 1]) for i in range(1000)])
+        assert np.all(np.sort(singles, axis=1) == [0] * (len(m.labels) - 1) + [1])
+        assert np.array_equal(counts, singles.sum(axis=0))
 
 
 class TestChiSquare:
