@@ -16,7 +16,7 @@ The counting kernel ``up_indices`` needs only the sign of t.q, so it filters
 (Shewchuk 1997, adaptive-precision geometric predicates): a pass with
 float32 trig decides every trial whose |t.q| is above ``_MARGIN``, and the
 float64 formula is evaluated again on the few trials inside it. Every
-trial's outcome equals the one-pass float64 formula's; see ``up_indices``.
+trial's outcome equals the one-pass float64 formula's; see ``_down``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .streams import _BLOCK
 
 LABELS = ("up", "down")
 
-# |t.q| above which the float32 pass decides a trial (see ``up_indices``)
+# |t.q| above which the float32 pass decides a trial (see ``_down``)
 _MARGIN = 2.0**-12
 
 
@@ -89,21 +89,21 @@ def _t_dot_q(
     return st * (np.cos(phi) * aq + np.sin(phi) * bq) + ct * pq
 
 
-def up_indices(
-    p: np.ndarray, q: np.ndarray, u1: np.ndarray, u2: np.ndarray
-) -> np.ndarray:
-    """Vectorized trial kernel: 0 for up, 1 for down, per (u1, u2) pair.
+def basis_dots(p: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
+    """Run constants of the counting kernel: q dotted with p's tangent basis and p."""
+    a, b = tangent_basis(p)
+    return float(a @ q), float(b @ q), float(p @ q)
 
-    A ValueError is raised if ``u1`` and ``u2`` differ in length.
 
-    Contract: the outcome of every trial is that of the float64 formula
-    ``_t_dot_q(u1, u2, aq, bq, pq) <= 0``, the equator tie included.
+def _down(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Per (u1, u2) pair, True iff the trial is down: exactly where the
+    float64 formula ``_t_dot_q(u1, u2, *dots) <= 0`` holds, ties included.
 
-    Per sub-block of ``_BLOCK`` trials, a first pass takes the cosine and
-    sine of the azimuth rounded to float32 (about 20 times cheaper than
-    float64 trig with numpy 2.4 on x86-64) and decides every trial whose
-    |t.q| > ``_MARGIN``; the trials inside the margin, every exact tie among
-    them, are gathered and decided by the float64 formula.
+    A first pass takes the cosine and sine of the azimuth rounded to
+    float32 (about 20 times cheaper than float64 trig with numpy 2.4 on
+    x86-64) and decides every trial whose |t.q| > ``_MARGIN``; the trials
+    inside the margin, every exact tie among them, are gathered and decided
+    by the float64 formula.
 
     Why the margin is safe: both passes use the same float64 st, ct and
     dots, so they differ only in the bracket cos(phi) aq + sin(phi) bq, where
@@ -113,31 +113,33 @@ def up_indices(
     float32 products and sum the bracket moves by less than 2**-19, and
     st <= 1. A trial with |t.q| > 2**-12 in the first pass therefore has
     the same sign, and is no tie, in float64.
+    """
+    tq = _t_dot_q(u1, u2, *dots, np.float32)
+    near = np.flatnonzero(np.abs(tq) <= _MARGIN)
+    if near.size:
+        tq[near] = _t_dot_q(u1[near], u2[near], *dots)
+    return tq <= 0.0
 
-    The scalar path (``sample_hidden`` then ``disk_measure``) materializes t
-    with ``hidden_from_uniforms`` first, so its t.q can differ from this one
-    in the last bits: the two agree on the outcome of every draw whose |t.q|
-    is larger than that rounding, not bitwise on t.q.
+
+def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Vectorized trial kernel: int64 counts (up, down) of the (u1, u2) pairs.
+
+    ``dots`` is the ``basis_dots`` of the state p and direction q, computed
+    once per run; each sub-block of ``_BLOCK`` trials is decided by ``_down``.
+    A ValueError is raised if ``u1`` and ``u2`` differ in length. The scalar
+    path (``sample_hidden`` then ``disk_measure``) materializes t first; its
+    t.q can differ in the last bits, so the two agree on the outcome of
+    every draw whose |t.q| is larger than that rounding.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     if len(u1) != len(u2):
-        raise ValueError(
-            f"u1 and u2 must hold one draw per trial: got {len(u1)} and {len(u2)}"
-        )
-    a, b = tangent_basis(p)
-    aq = float(a @ q)
-    bq = float(b @ q)
-    pq = float(p @ q)
-    out = np.empty(len(u1), dtype=np.int64)
-    for lo in range(0, len(u1), _BLOCK):
-        u1b, u2b = u1[lo : lo + _BLOCK], u2[lo : lo + _BLOCK]
-        tq = _t_dot_q(u1b, u2b, aq, bq, pq, np.float32)
-        near = np.flatnonzero(np.abs(tq) <= _MARGIN)
-        if near.size:
-            tq[near] = _t_dot_q(u1b[near], u2b[near], aq, bq, pq)
-        np.less_equal(tq, 0.0, out=out[lo : lo + _BLOCK])
-    return out
+        raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
+    down = sum(
+        np.count_nonzero(_down(dots, u1[lo : lo + _BLOCK], u2[lo : lo + _BLOCK]))
+        for lo in range(0, len(u1), _BLOCK)
+    )
+    return np.array([len(u1) - down, down], dtype=np.int64)
 
 
 def sample_hidden(p: UnitVector, rng) -> UnitVector:

@@ -1,9 +1,15 @@
 """The three measurement machines as one table, keyed by CLI model id.
 
 The Monte Carlo runner and the CLI read these records and name no model
-themselves. The record functions reach the kernels and ``rod.rod_analytic``
-through their modules at call time, so a wrapper installed on a module
-attribute (a profiler or tracer) sees every call.
+themselves. A kernel closes over its machine's run constants
+(``rod.thresholds``, ``disk.basis_dots``, the sphere's c = u.v), computed
+once per run, and calls the machine's count step on each block of uniforms.
+The record functions reach both steps and ``rod.rod_analytic`` through
+their modules at call time, so a wrapper installed on a module attribute (a
+profiler or tracer) sees every call. The count steps keep names older than
+the counting contract and take the draws as ``u1=``/``u2=`` keywords,
+because the benchmark's tracer wraps them by name and finds ``u1`` by
+position or by that keyword.
 """
 
 from __future__ import annotations
@@ -22,10 +28,11 @@ from .outcomes import OutcomeDistribution
 class Model:
     """One machine: its outcomes, what it measures with, and two functions.
 
-    ``kernel(state, measurement, weight)`` returns a function from a block
-    of uniforms (row k holds draw k of each trial; it reads ``draws`` rows)
-    to the block's outcome counts: int64, one per label, summing to the
-    number of trials. A 1-trial block's outcome is its nonzero count.
+    ``kernel(state, measurement, weight)`` computes the run constants once
+    and returns the count step on a block of uniforms (row k holds draw k of
+    each trial; it reads ``draws`` rows): int64 outcome counts, one per
+    label, summing to the number of trials. A 1-trial block's outcome is its
+    nonzero count.
     ``analytic(state, measurement, weight)`` is the exact distribution.
     ``measurement`` is Frame or UnitVector (an oriented direction); models
     that are not ``weighted`` ignore ``weight``. The post-measurement state
@@ -41,15 +48,9 @@ class Model:
     analytic: Callable[..., OutcomeDistribution]
 
 
-def _two_counts(indices: np.ndarray) -> np.ndarray:
-    """[n - k, k] for n outcome indices of which k are 1."""
-    k = np.count_nonzero(indices)
-    return np.array([len(indices) - k, k], dtype=np.int64)
-
-
 def _sphere_kernel(state: UnitVector, direction: UnitVector, weight: str):
     c = direction.dot(state)
-    return lambda u: _two_counts(sphere.outcome_indices(c, u[0]))
+    return lambda u: sphere.outcome_indices(c, u1=u[0])
 
 
 def _sphere_analytic(state: UnitVector, direction: UnitVector, weight: str):
@@ -57,8 +58,8 @@ def _sphere_analytic(state: UnitVector, direction: UnitVector, weight: str):
 
 
 def _disk_kernel(state: UnitVector, direction: UnitVector, weight: str):
-    p, q = state.array, direction.array
-    return lambda u: _two_counts(disk.up_indices(p, q, u[0], u[1]))
+    dots = disk.basis_dots(state.array, direction.array)
+    return lambda u: disk.up_indices(dots, u1=u[0], u2=u[1])
 
 
 def _disk_analytic(state: UnitVector, direction: UnitVector, weight: str):
@@ -66,10 +67,8 @@ def _disk_analytic(state: UnitVector, direction: UnitVector, weight: str):
 
 
 def _rod_kernel(state: UnitVector, frame: Frame, weight: str):
-    ray, w = canonicalize(state), rod.WEIGHTS[weight]
-    return lambda u: rod.fold_paths(
-        rod.outcomes_from_uniforms(ray, frame, w, u[0], u[1])
-    )
+    th = rod.thresholds(canonicalize(state), frame, rod.WEIGHTS[weight])
+    return lambda u: rod.fold_paths(rod.outcomes_from_uniforms(th, u1=u[0], u2=u[1]))
 
 
 def _rod_analytic(state: UnitVector, frame: Frame, weight: str):

@@ -193,36 +193,13 @@ def rod_analytic(
     return OutcomeDistribution(LABELS, tuple(probs)), dict(zip(_PATHS, path_probs))
 
 
-def outcomes_from_uniforms(
-    p: Ray, e: Frame, w: BreakWeight, u1: np.ndarray, u2: np.ndarray
-) -> np.ndarray:
-    """Vectorized trial kernel: how many trials follow each of the six break paths.
-
-    Returns int64 counts in ``_PATHS`` order, (first, second) broken =
-    (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1); outcome k is the sum of
-    the two paths that leave axis k standing. Trial i reads ``u1[i]`` for
-    its stage-1 choice and ``u2[i]`` for its stage-2 choice, both by
-    cumulative sums; a ValueError is raised if their lengths differ. The
-    thresholds are ``_stage1`` of the ray's direction cosines and
-    ``_stage2`` of the in-plane cosines that follow from them, the rule
-    ``rod_analytic`` tabulates. Ties on a boundary go to the lowest eligible
-    index, and zero-probability ties are never selected (so the outcome of
-    an eigenstate is deterministic and degenerate projections are
-    unreachable).
-
-    The sums and eligibility rules are folded into scalar thresholds once
-    per call, and each sub-block of trials is counted with boolean masks:
-    no per-trial index is written. A single trial's path is the one nonzero
-    count of a 1-trial call. The name is older than the counting contract;
-    it is kept because the benchmark's tracer (``bench/spans.py``) wraps
-    the kernel by this name and reads ``u1`` as its fourth argument.
-    """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if len(u1) != len(u2):
-        raise ValueError(
-            f"u1 and u2 must hold one draw per trial: got {len(u1)} and {len(u2)}"
-        )
+def thresholds(p: Ray, e: Frame, w: BreakWeight) -> tuple:
+    """The counting kernel's run constants ``(t0, t1, slots, r0, r1, r2)``:
+    ``_stage1`` of the ray's direction cosines and ``_stage2`` of the
+    in-plane cosines that follow (the rule ``rod_analytic`` tabulates) as
+    thresholds on the uniforms. Ties on a boundary go to the lowest eligible
+    index; zero-probability ties are never selected, so an eigenstate's
+    outcome is deterministic and degenerate projections are unreachable."""
     c = direction_cosines(p, e)
     s1 = _stage1(c, w)
     firsts = [i for i in (0, 1, 2) if s1[i] != 0.0]
@@ -244,6 +221,26 @@ def outcomes_from_uniforms(
         if pj != 0.0:
             thr[i] = pj if pk != 0.0 else 2.0
     r0, r1, r2 = (thr[f] for f in slots)
+    return t0, t1, slots, r0, r1, r2
+
+
+def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Vectorized trial kernel: how many trials follow each of the six break paths.
+
+    ``th`` is the ``thresholds`` of a ray, frame and weight, computed once
+    per run. Returns int64 counts in ``_PATHS`` order, (first, second)
+    broken = (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1); outcome k is
+    the sum of the two paths that leave axis k standing. Trial i reads
+    ``u1[i]`` for its stage-1 choice and ``u2[i]`` for its stage-2 choice;
+    a ValueError is raised if their lengths differ. Each sub-block of trials
+    is counted with boolean masks: no per-trial index is written. A single
+    trial's path is the one nonzero count of a 1-trial call.
+    """
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    if len(u1) != len(u2):
+        raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
+    t0, t1, slots, r0, r1, r2 = th
 
     # per slot: trials in it, and those of them that break retained[0]
     # second; sub-blocks keep the masks in cache
@@ -283,7 +280,7 @@ def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, BreakPa
     """
     u1 = rng.random()
     u2 = rng.random()
-    counts = outcomes_from_uniforms(p, e, w, np.array([u1]), np.array([u2]))
+    counts = outcomes_from_uniforms(thresholds(p, e, w), np.array([u1]), np.array([u2]))
     path = _PATHS[int(np.flatnonzero(counts)[0])]
     return LABELS[path.outcome], e.axes[path.outcome], path
 

@@ -28,13 +28,15 @@ def sphere_analytic(u: UnitVector, v: UnitVector) -> OutcomeDistribution:
 
 
 def outcome_indices(c: float, u1: np.ndarray) -> np.ndarray:
-    """Vectorized trial kernel: outcome index per uniform draw.
+    """Vectorized trial kernel: int64 counts (o1, o2) of the uniform draws.
 
-    ``u1`` holds draw 0 of each trial; the break point is b = 2*u1 - 1 and
-    the outcome is o1 (index 0) iff b < c, with the tie b == c going to o2.
+    ``c`` = u.v is the run constant. ``u1`` holds draw 0 of each trial; the
+    break point is b = 2*u1 - 1 and the outcome is o1 iff b < c, with the
+    tie b == c going to o2.
     """
-    b = 2.0 * np.asarray(u1) - 1.0
-    return (b >= c).astype(np.int64)
+    u1 = np.asarray(u1, dtype=float)
+    k = np.count_nonzero(2.0 * u1 - 1.0 >= c)
+    return np.array([len(u1) - k, k], dtype=np.int64)
 
 
 def sphere_sample(u: UnitVector, v: UnitVector, rng) -> tuple[str, UnitVector, float]:
@@ -44,5 +46,5 @@ def sphere_sample(u: UnitVector, v: UnitVector, rng) -> tuple[str, UnitVector, f
     [-1, 1]. ``rng`` needs a ``random()`` method yielding uniforms in [0, 1).
     """
     u1 = rng.random()
-    idx = int(outcome_indices(u.dot(v), np.array([u1]))[0])
+    idx = int(outcome_indices(u.dot(v), np.array([u1]))[1])  # o2 count = index
     return LABELS[idx], u if idx == 0 else -u, 2.0 * u1 - 1.0

@@ -7,6 +7,7 @@ from bornsim import disk
 from bornsim.disk import (
     DiskState,
     LABELS,
+    basis_dots,
     disk_analytic,
     disk_measure,
     hidden_from_uniforms,
@@ -96,12 +97,15 @@ class TestMeasurement:
         assert (new.p == q) == (label == "up")
 
     def test_kernel_outcomes_match_record_semantics(self):
-        # vectorized kernel and singleton calls agree bitwise
-        p, q = EZ.array, direction_at(1.1).array
+        # each trial's step in a growing batch's counts is its 1-trial call's
+        # counts, and both follow the per-trial decision
+        dots = basis_dots(EZ.array, direction_at(1.1).array)
         u = trial_uniforms(master_seed=5, start=0, stop=2_000, ndraws=2)
-        batch = up_indices(p, q, u[0], u[1])
-        singles = [int(up_indices(p, q, u[0][i : i + 1], u[1][i : i + 1])[0]) for i in range(2_000)]
-        assert np.array_equal(batch, np.array(singles))
+        singles = np.array([up_indices(dots, u[0][i : i + 1], u[1][i : i + 1]) for i in range(2_000)])
+        prefixes = np.array([up_indices(dots, u[0][:m], u[1][:m]) for m in range(2_001)])
+        assert np.array_equal(np.diff(prefixes, axis=0), singles)
+        assert np.array_equal(singles[:, 1], disk._down(dots, u[0], u[1]))
+        assert np.all(singles.sum(axis=1) == 1)
 
 
     def test_kernel_and_scalar_path_agree_on_outcomes(self):
@@ -120,7 +124,9 @@ class TestMeasurement:
         for _ in range(13):
             p, q = random_unit_vector(rng), random_unit_vector(rng)
             u1, u2 = rng.random(800), rng.random(800)
-            kernel = up_indices(p.array, q.array, u1, u2)
+            dots = basis_dots(p.array, q.array)
+            kernel = disk._down(dots, u1, u2)
+            assert np.array_equal(up_indices(dots, u1, u2), [800 - kernel.sum(), kernel.sum()])
             tq = hidden_from_uniforms(p.array, u1, u2) @ q.array
             for i in np.flatnonzero(np.abs(tq) > 1e-12):
                 s = initial_state(p, Draws(u1[i], u2[i]))
@@ -233,9 +239,11 @@ def test_filtered_kernel_decides_as_the_one_pass_reference():
         u1 = np.concatenate([u1c, np.repeat(edge, 200), gen.random(2_000)])
         u2 = np.concatenate([u2c, gen.random(400), gen.random(2_000)])
         want = _reference_up_indices(p, q, u1, u2)
-        got = up_indices(p, q, u1, u2)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want), (p, q)
+        dots = basis_dots(p, q)
+        assert np.array_equal(disk._down(dots, u1, u2), want), (p, q)
+        counts = up_indices(dots, u1, u2)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [len(want) - want.sum(), want.sum()], (p, q)
         float32_wrong += int(np.sum(_float32_pass_only(p, q, u1, u2) != want))
     # the crossings are close enough to the equator that float32 trig alone
     # gets some of them wrong, so the float64 pass is what this test checks
@@ -253,23 +261,31 @@ def test_filtered_kernel_matches_the_reference_across_block_edges(n):
     near_edge = (k % _BLOCK < 50) | (k % _BLOCK >= _BLOCK - 50)
     u1 = np.where(near_edge, u1c[pick], gen.random(n))
     u2 = np.where(near_edge, u2c[pick], gen.random(n))
-    got = up_indices(p, q, u1, u2)
-    assert got.shape == (n,)
-    assert np.array_equal(got, _reference_up_indices(p, q, u1, u2))
+    want = _reference_up_indices(p, q, u1, u2)
+    dots = basis_dots(p, q)
+    counts = up_indices(dots, u1, u2)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [n - want.sum(), want.sum()]
+    # every near-edge trial, through the blocked kernel: its step in the
+    # counts of a growing prefix
+    edge = np.flatnonzero(near_edge)
+    prefix = {m: up_indices(dots, u1[:m], u2[:m]) for m in {*edge, *(edge + 1)}}
+    for i in edge:
+        assert prefix[i + 1].tolist() == [prefix[i][0] + 1 - want[i], prefix[i][1] + want[i]], i
 
 
 def test_draws_of_different_lengths_are_rejected():
-    p, q = EZ.array, direction_at(1.0).array
+    dots = basis_dots(EZ.array, direction_at(1.0).array)
     u = np.full(5, 0.5)
     for u1, u2 in ((u, u[:1]), (u[:1], u), (u, np.full(7, 0.5))):
         with pytest.raises(ValueError, match="u1 and u2"):
-            up_indices(p, q, u1, u2)
+            up_indices(dots, u1, u2)
 
 
 def test_float32_trig_stays_inside_the_kernel_margin():
     """The float32 pass is safe while cos and sin of the azimuth rounded to
     float32 stay within 2**-20 of float64 cos and sin of the azimuth (see
-    ``disk.up_indices``). A platform whose float32 trig breaks this fails
+    ``disk._down``). A platform whose float32 trig breaks this fails
     here instead of moving counts."""
     gen = np.random.default_rng(20)
     two_pi = 2.0 * math.pi

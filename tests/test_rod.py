@@ -18,6 +18,7 @@ from bornsim.rod import (
     rod_sample,
     stage1_distribution,
     stage2_distribution,
+    thresholds,
 )
 from bornsim.stats import RunConfig, chi_square_gof, run_trials
 from bornsim.streams import _BLOCK, TrialStream, trial_uniforms
@@ -40,9 +41,10 @@ SYMMETRIC = canonicalize((SQ3, SQ3, SQ3))
 
 def _single_paths(p, e, w, u1, u2):
     """Each trial's ``_PATHS`` index, from the one nonzero count of a 1-trial call."""
+    th = thresholds(p, e, w)
     paths = []
     for i in range(len(u1)):
-        counts = outcomes_from_uniforms(p, e, w, u1[i : i + 1], u2[i : i + 1])
+        counts = outcomes_from_uniforms(th, u1[i : i + 1], u2[i : i + 1])
         (nonzero,) = np.flatnonzero(counts)
         assert counts[nonzero] == 1
         paths.append(nonzero)
@@ -53,7 +55,7 @@ def _rule_users(p, w):
     """Each public route through the rod rule, on ray ``p`` in the identity frame."""
     u = np.array([0.5])
     return (lambda: stage1_distribution(p, IDENT, w), lambda: rod_analytic(p, IDENT, w),
-            lambda: outcomes_from_uniforms(p, IDENT, w, u, u))
+            lambda: outcomes_from_uniforms(thresholds(p, IDENT, w), u, u))
 
 
 class TestStage1:
@@ -253,11 +255,12 @@ class TestSampler:
             (P_BENCH, identity_frame(), QUANTUM),
             (canonicalize((0.2, 0.9, np.sqrt(1 - 0.04 - 0.81))), identity_frame(), UNIFORM_VARIANT),
         ):
+            th = thresholds(ray, frame, w)
             singles = _single_paths(ray, frame, w, u[0], u[1])
-            batch = outcomes_from_uniforms(ray, frame, w, u[0], u[1])
+            batch = outcomes_from_uniforms(th, u[0], u[1])
             assert np.array_equal(batch, np.bincount(singles, minlength=6))
             for i in range(0, 5_000, 7):
-                before, after = (outcomes_from_uniforms(ray, frame, w, u[0][:m], u[1][:m])
+                before, after = (outcomes_from_uniforms(th, u[0][:m], u[1][:m])
                                  for m in (i, i + 1))
                 step = after - before
                 assert np.flatnonzero(step).tolist() == [singles[i]]
@@ -276,7 +279,7 @@ class TestSampler:
             assert path.outcome == 0
             assert path.first_broken != 0
             assert path.second_broken != 0
-        counts = outcomes_from_uniforms(ray, identity_frame(), QUANTUM, edges, u2)
+        counts = outcomes_from_uniforms(thresholds(ray, identity_frame(), QUANTUM), edges, u2)
         assert np.array_equal(counts, np.bincount(singles, minlength=6))
 
     def test_tie_on_boundary_goes_to_lowest_index(self):
@@ -382,7 +385,7 @@ def test_table_driven_kernel_matches_the_nested_where_reference():
         # the grid's six counts: path (first, second) is 2 * first, plus 1
         # when second is the higher of the two retained axes
         outcome, first, second = want
-        counts = outcomes_from_uniforms(ray, frame, w, u1, u2)
+        counts = outcomes_from_uniforms(thresholds(ray, frame, w), u1, u2)
         assert counts.dtype == np.int64
         want_paths = 2 * first + (second > outcome)
         assert np.array_equal(counts, np.bincount(want_paths, minlength=6)), (ray, w.tag)
@@ -392,9 +395,10 @@ def test_counts_equal_the_sum_of_one_trial_calls_at_sub_block_edges():
     u = trial_uniforms(master_seed=41, start=0, stop=_BLOCK + 1, ndraws=2)
     frame = random_frame(np.random.default_rng(41))
     w = UNIFORM_VARIANT
+    th = thresholds(P_BENCH, frame, w)
     singles = _single_paths(P_BENCH, frame, w, u[0], u[1])
     for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1):
-        counts = outcomes_from_uniforms(P_BENCH, frame, w, u[0][:n], u[1][:n])
+        counts = outcomes_from_uniforms(th, u[0][:n], u[1][:n])
         assert counts.dtype == np.int64 and counts.shape == (6,)
         assert np.array_equal(counts, np.bincount(singles[:n], minlength=6)), n
 
@@ -409,7 +413,7 @@ def test_path_counts_match_the_paper_path_identity():
     for frame in [IDENT] + [random_frame(gen) for _ in range(3)]:
         cos2 = (frame.matrix @ P_BENCH.array) ** 2
         for w in (QUANTUM, UNIFORM_VARIANT):
-            counts = outcomes_from_uniforms(P_BENCH, frame, w, u[0], u[1])
+            counts = outcomes_from_uniforms(thresholds(P_BENCH, frame, w), u[0], u[1])
             _, path_probs = rod_analytic(P_BENCH, frame, w)
             probs = np.array([path_probs[path] for path in _PATHS])
             assert counts.sum() == n
@@ -425,10 +429,11 @@ def test_path_counts_match_the_paper_path_identity():
 
 
 def test_draws_of_different_lengths_are_rejected():
+    th = thresholds(P_BENCH, IDENT, QUANTUM)
     u = np.full(5, 0.5)
     for u1, u2 in ((u, u[:1]), (u[:1], u), (u, np.full(7, 0.5))):
         with pytest.raises(ValueError, match="u1 and u2"):
-            outcomes_from_uniforms(P_BENCH, IDENT, QUANTUM, u1, u2)
+            outcomes_from_uniforms(th, u1, u2)
 
 
 class TestBreakPath:

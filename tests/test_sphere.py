@@ -50,21 +50,21 @@ class TestAnalytic:
 class TestSampler:
     def test_break_at_far_end_gives_o1(self):
         # u1 = 0 -> b = -1, below any particle with c > -1
-        idx = outcome_indices(c=-0.999, u1=np.array([0.0]))
-        assert int(idx[0]) == 0
+        counts = outcome_indices(c=-0.999, u1=np.array([0.0]))
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 0]
 
     def test_eigenstate_always_o1(self):
-        idx = outcome_indices(c=1.0, u1=np.random.default_rng(0).random(10_000))
-        assert np.all(idx == 0)
+        counts = outcome_indices(c=1.0, u1=np.random.default_rng(0).random(10_000))
+        assert counts.tolist() == [10_000, 0]
 
     def test_antipode_always_o2(self):
-        idx = outcome_indices(c=-1.0, u1=np.random.default_rng(0).random(10_000))
-        assert np.all(idx == 1)
+        counts = outcome_indices(c=-1.0, u1=np.random.default_rng(0).random(10_000))
+        assert counts.tolist() == [0, 10_000]
 
     def test_tie_break_goes_to_o2(self):
         b = 2.0 * 0.65 - 1.0
-        idx = outcome_indices(c=b, u1=np.array([0.65]))
-        assert int(idx[0]) == 1
+        counts = outcome_indices(c=b, u1=np.array([0.65]))
+        assert counts.tolist() == [0, 1]
 
     def test_sample_returns_collapsed_state_and_hidden(self):
         stream = TrialStream(99, 0)

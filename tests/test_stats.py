@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bornsim import stats, streams
+from bornsim import disk, rod, stats, streams
 
 from bornsim.geometry import identity_frame, unit_vector
 from bornsim.outcomes import OutcomeDistribution
@@ -216,6 +216,29 @@ class TestRunTrials:
         singles = np.array([kernel(u[:, i : i + 1]) for i in range(1000)])
         assert np.all(np.sort(singles, axis=1) == [0] * (len(m.labels) - 1) + [1])
         assert np.array_equal(counts, singles.sum(axis=0))
+
+    @pytest.mark.parametrize("model, measurement, module, constant", [
+        ("rod", identity_frame(), rod, "direction_cosines"),
+        ("ks", unit_vector(0.0, SQ2, -SQ2), disk, "tangent_basis"),
+    ])
+    def test_run_constants_are_computed_once_per_run(
+        self, monkeypatch, model, measurement, module, constant
+    ):
+        # four chunks on two workers and ten record replays share one
+        # evaluation of the machine's run constants
+        calls = []
+        original = getattr(module, constant)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, constant, counted)
+        cfg = RunConfig(model, P_BENCH, measurement, trials=3 * stats._CHUNK + 7,
+                        master_seed=11, workers=2)
+        emp, records = run_trials(cfg)
+        assert emp.total == cfg.trials and len(records) == stats._RECORDS
+        assert len(calls) == 1
 
 
 class TestChiSquare:
