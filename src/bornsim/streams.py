@@ -18,9 +18,30 @@ arithmetic wraps mod 2**64, which is the SplitMix64 arithmetic), so the
 working set stays in cache and no step allocates a temporary. Blocking
 changes only the order of the work: every draw is the same bits as the
 scalar stream's.
+
+``trial_uniforms`` runs a native body, ``_splitmix.c``, when it can: one
+C call per chunk fills the whole array, blocked the same way, and ctypes
+releases the GIL for the call, so the runner's worker threads draw in
+parallel. It is exact for the same reasons as the numpy path: the mixing is
+integer arithmetic mod 2**64, the 53-bit word converts to float64 exactly,
+and scaling by 2**-53 (a power of two) is exact; the library is built
+without -ffast-math. The first call compiles it with the system ``cc`` (or
+``gcc``) into ``$XDG_CACHE_HOME/bornsim`` (``~/.cache/bornsim``), under a
+name keyed by a hash of the source, the flags and the compiler path; later
+processes load the cached file. Without a compiler, or if the build or the
+load fails, the process uses the numpy fill, which stays as the reference
+the tests compare the native fill with.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import shutil
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -87,6 +108,21 @@ def trial_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.n
     """Uniform draws for trials [start, stop), shape (ndraws, stop - start).
 
     Row k holds draw k of each trial, bit-identical to the TrialStream path.
+    One native call fills the array when the C library is available, and
+    ``_numpy_uniforms`` otherwise.
+    """
+    fill = _native_fill()
+    if fill is None:
+        return _numpy_uniforms(master_seed, start, stop, ndraws)
+    n = stop - start
+    out = np.empty((ndraws, n), dtype=float)  # C-contiguous; rejects n < 0
+    fill(out.ctypes.data, master_seed & _MASK, (start + 1) * GOLDEN & _MASK, n, ndraws)
+    return out
+
+
+def _numpy_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.ndarray:
+    """The numpy body of ``trial_uniforms``: its fallback and its test oracle.
+
     The trials are filled in sub-blocks of ``_BLOCK``, reusing three uint64
     buffers (trial states, draw, mixer work space) and mixing in place, so no
     step allocates; each draw is written straight into its row of the result.
@@ -115,3 +151,88 @@ def trial_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.n
             # z < 2**53 now: int64 -> float64 converts it exactly, and faster
             np.multiply(zm.view(np.int64), _INV_2_53, out=out[k, a : a + m])
     return out
+
+
+_SOURCE = Path(__file__).with_name("_splitmix.c")
+_CFLAGS = ("-O3", "-shared", "-fPIC")
+_BUILD_TIMEOUT_S = 120
+_native_lock = threading.Lock()
+
+
+def _native_fill():
+    """The C ``trial_uniforms``, or None; built or loaded once per process."""
+    with _native_lock:
+        return _load_native()
+
+
+@functools.cache
+def _load_native():
+    # imported on first use, not with the module: ``analytic`` never draws
+    import subprocess
+
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None or os.name != "posix":
+        return None
+    try:
+        source = _SOURCE.read_bytes()
+        name = f"splitmix-{_build_key(source, cc)}.so"
+        directory = _cache_dir()
+        if directory is not None:
+            fill = _build_and_open(cc, source, directory / name)
+        else:
+            # a loaded library stays mapped after its file is removed
+            with tempfile.TemporaryDirectory(prefix="bornsim-") as private:
+                fill = _build_and_open(cc, source, Path(private) / name)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    fill.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
+                     ctypes.c_int64, ctypes.c_int64)
+    fill.restype = None
+    return fill
+
+
+def _build_key(source: bytes, cc: str) -> str:
+    """Hash of what the library is built from: source, flags, compiler and machine.
+
+    The machine is there for home directories shared between architectures.
+    """
+    import hashlib
+
+    parts = [source, " ".join(_CFLAGS).encode(), cc.encode(), os.uname().machine.encode()]
+    return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
+
+
+def _build_and_open(cc: str, source: bytes, lib: Path):
+    """The C function from ``lib``, compiled from ``source`` first if ``lib`` is missing."""
+    import subprocess
+
+    if not lib.exists():
+        # build under a temporary name, then rename: no reader sees half a file
+        fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".tmp")
+        os.close(fd)
+        try:
+            subprocess.run([cc, *_CFLAGS, "-x", "c", "-", "-o", tmp], input=source,
+                           capture_output=True, timeout=_BUILD_TIMEOUT_S, check=True)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return ctypes.CDLL(str(lib)).trial_uniforms
+
+
+def _cache_dir() -> Path | None:
+    """The per-user cache directory, or None if it is not ours alone to write."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(root) / "bornsim"
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return None
+    # another user could plant a library in a directory they can write
+    if st.st_uid != os.getuid() or st.st_mode & 0o022 or not os.access(path, os.W_OK):
+        return None
+    return path
+

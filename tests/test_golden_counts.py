@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bornsim import streams
 from bornsim.geometry import Frame, Ray, UnitVector, random_frame, random_unit_vector
 from bornsim.stats import RunConfig, run_trials
 
@@ -70,6 +71,17 @@ def test_counts_match_the_recorded_ones(run):
         got = _counts(_GOLDEN, run["model"], run["weight"], run["seed"], run["trials"],
                       int(workers))
         assert got == counts, f"workers={workers}"
+
+
+@pytest.mark.parametrize(
+    "run", _GOLDEN["runs"],
+    ids=lambda r: f"{r['model']}-{r['weight']}-seed{r['seed']}-N{r['trials']}",
+)
+def test_numpy_fallback_counts_match_the_recorded_ones(run, monkeypatch):
+    # the path a process without a C compiler takes; the test above runs the
+    # native fill wherever it loads
+    monkeypatch.setattr(streams, "_native_fill", lambda: None)
+    test_counts_match_the_recorded_ones(run)
 
 
 def test_grid_is_complete():

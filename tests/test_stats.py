@@ -31,6 +31,8 @@ class TestStreams:
     def test_scalar_and_vector_draws_are_bitwise_identical(self):
         for master in (0, 1, 12345, 2**63 + 11, -7):
             vec = trial_uniforms(master, start=0, stop=200, ndraws=4)
+            oracle = streams._numpy_uniforms(master, start=0, stop=200, ndraws=4)
+            assert np.array_equal(vec.view(np.uint64), oracle.view(np.uint64))
             for t in range(200):
                 stream = TrialStream(master, t)
                 for k in range(4):
@@ -42,20 +44,26 @@ class TestStreams:
         (2**64 - 1, 1, streams._BLOCK, 2),             # exactly one sub-block
         (101, 2**33, streams._BLOCK + 1, 1),           # one trial into a second
         (2**64 - 1, 2**64 - 3, 3, 2),                  # (t + 1) * GOLDEN wraps
+        (2**64 - 1, 2**64 - 5, 9, 2),                  # start wraps within the fill
+        *((12345, 4090, 4100, k) for k in range(5)),   # 0-4 draws, across a C block
     ])
     def test_blocked_fill_matches_the_scalar_stream_bitwise(self, master, start, n, ndraws):
+        # trial_uniforms (native where it loads), its numpy fallback, and the scalar stream
         vec = trial_uniforms(master, start, start + n, ndraws)
+        oracle = streams._numpy_uniforms(master, start, start + n, ndraws)
         ref = np.empty((ndraws, n))
         for i in range(n):
             stream = TrialStream(master, start + i)
             for k in range(ndraws):
                 ref[k, i] = stream.random()
-        assert vec.shape == ref.shape
+        assert vec.shape == oracle.shape == ref.shape
         assert np.array_equal(vec.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(oracle.view(np.uint64), ref.view(np.uint64))
 
-    @pytest.mark.parametrize("ndraws", [1, 2, 4])
+    @pytest.mark.parametrize("ndraws", [0, 1, 2, 3, 4])
     def test_empty_range_has_no_columns(self, ndraws):
         assert trial_uniforms(2**64 - 1, 7, 7, ndraws).shape == (ndraws, 0)
+        assert streams._numpy_uniforms(2**64 - 1, 7, 7, ndraws).shape == (ndraws, 0)
 
     def test_draws_are_uniform_enough(self):
         u = trial_uniforms(99, 0, 200_000, 2)
