@@ -24,10 +24,14 @@ def state_vector(components: Sequence[float]) -> UnitVector:
     return UnitVector(*normalize(v, "cannot normalize a zero vector").tolist())
 
 
+# one outcome per frame axis; the rod machine counts under the same labels
+LABELS = ("o1", "o2", "o3")
+
+
 def born_probabilities(psi: UnitVector, e: Frame) -> OutcomeDistribution:
     """P_i = <axis_i, psi>^2 over the three frame axes."""
     amps = e.matrix @ psi.array
-    return OutcomeDistribution(("o1", "o2", "o3"), tuple(float(a * a) for a in amps))
+    return OutcomeDistribution(LABELS, tuple(float(a * a) for a in amps))
 
 
 def gleason_measure(psi: UnitVector) -> Callable[[Ray, Frame], float]:

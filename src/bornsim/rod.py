@@ -39,9 +39,8 @@ from .geometry import (
     plane_ray,
 )
 from .outcomes import OutcomeDistribution
+from .quantum import LABELS
 from .streams import _BLOCK
-
-LABELS = ("o1", "o2", "o3")
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,18 @@ increment. Because no draw depends on any other trial, results are identical
 for any worker count or scheduling order, and the scalar and vectorized
 paths below produce bit-identical values.
 
-The vectorized path fills its output in sub-blocks of 2**16 trials. Every
-block reuses the same uint64 buffers and mixes them in place (uint64
-arithmetic wraps mod 2**64, which is the SplitMix64 arithmetic), so the
-working set stays in cache and no step allocates a temporary. Blocking
-changes only the order of the work: every draw is the same bits as the
-scalar stream's.
+The numpy fill computes the same formula on uint64 arrays (which wrap mod
+2**64, as SplitMix64 needs), one sub-block of ``_BLOCK`` trials at a time.
 
 ``trial_uniforms`` runs a native body, ``_splitmix.c``, when it can: one
-C call per chunk fills the whole array, blocked the same way, and ctypes
+C call per chunk fills the whole array, in 4096-trial blocks, and ctypes
 releases the GIL for the call, so the runner's worker threads draw in
 parallel. It is exact for the same reasons as the numpy path: the mixing is
 integer arithmetic mod 2**64, the 53-bit word converts to float64 exactly,
 and scaling by 2**-53 (a power of two) is exact; the library is built
 without -ffast-math. The first call compiles it with the system ``cc`` (or
 ``gcc``) into ``$XDG_CACHE_HOME/bornsim`` (``~/.cache/bornsim``), under a
-name keyed by a hash of the source, the flags and the compiler path; later
+name keyed by a hash of the source, flags, compiler path and machine; later
 processes load the cached file. Without a compiler, or if the build or the
 load fails, the process uses the numpy fill, which stays as the reference
 the tests compare the native fill with.
@@ -80,28 +76,19 @@ class TrialStream:
         return (z >> 11) * _INV_2_53
 
 
-# trials per sub-block of the counting kernels (here and in rod), so that
-# their buffers and temporaries stay in L2 cache
+# trials per sub-block of the numpy fill and of the rod, disk and sphere
+# kernels, so that their buffers and temporaries stay in L2 cache
 _BLOCK = 1 << 16
-_U_GOLDEN = np.uint64(GOLDEN)
-_U_M1 = np.uint64(_M1)
-_U_M2 = np.uint64(_M2)
-_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
-def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
-    """SplitMix64 finalizer on z in place (mod 2**64).
-
-    ``tmp`` is a work buffer of z's shape.
-    """
-    np.right_shift(z, _S30, out=tmp)
-    z ^= tmp
-    z *= _U_M1
-    np.right_shift(z, _S27, out=tmp)
-    z ^= tmp
-    z *= _U_M2
-    np.right_shift(z, _S31, out=tmp)
-    z ^= tmp
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` on a uint64 array, in place; returns ``z``."""
+    z ^= z >> 30
+    z *= _M1
+    z ^= z >> 27
+    z *= _M2
+    z ^= z >> 31
+    return z
 
 
 def trial_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.ndarray:
@@ -123,33 +110,22 @@ def trial_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.n
 def _numpy_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.ndarray:
     """The numpy body of ``trial_uniforms``: its fallback and its test oracle.
 
-    The trials are filled in sub-blocks of ``_BLOCK``, reusing three uint64
-    buffers (trial states, draw, mixer work space) and mixing in place, so no
-    step allocates; each draw is written straight into its row of the result.
+    The module formula, applied to one sub-block of ``_BLOCK`` trials at a time.
     """
     n = stop - start
     out = np.empty((ndraws, n), dtype=float)
-    size = min(n, _BLOCK)
+    seed = master_seed & _MASK
     # trial t = start + a + i of the block at a: (t + 1) * GOLDEN is
     # (start + a + 1) * GOLDEN + offsets[i] (mod 2**64)
-    offsets = np.arange(size, dtype=np.uint64)
-    offsets *= _U_GOLDEN
-    state, z, tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
-    seed = np.uint64(master_seed & _MASK)
-    steps = [np.uint64((k + 1) * GOLDEN & _MASK) for k in range(ndraws)]
+    offsets = np.arange(min(n, _BLOCK), dtype=np.uint64) * GOLDEN
     for a in range(0, n, _BLOCK):
         m = min(_BLOCK, n - a)
-        s, zm, tm = state[:m], z[:m], tmp[:m]
-        np.add(offsets[:m], np.uint64((start + a + 1) * GOLDEN & _MASK), out=s)
-        _mix64_inplace(s, tm)
-        s ^= seed
-        _mix64_inplace(s, tm)
-        for k, step in enumerate(steps):
-            np.add(s, step, out=zm)
-            _mix64_inplace(zm, tm)
-            zm >>= _S11
-            # z < 2**53 now: int64 -> float64 converts it exactly, and faster
-            np.multiply(zm.view(np.int64), _INV_2_53, out=out[k, a : a + m])
+        state = _mix64_array(_mix64_array(offsets[:m] + ((start + a + 1) * GOLDEN & _MASK)) ^ seed)
+        for k in range(ndraws):
+            # the draw's word is below 2**53: int64 -> float64 converts it
+            # exactly, and faster; no name keeps it alive into the next draw
+            np.multiply((_mix64_array(state + ((k + 1) * GOLDEN & _MASK)) >> 11).view(np.int64),
+                        _INV_2_53, out=out[k, a : a + m])
     return out
 
 

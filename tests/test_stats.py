@@ -45,6 +45,8 @@ class TestStreams:
         (101, 2**33, streams._BLOCK + 1, 1),           # one trial into a second
         (2**64 - 1, 2**64 - 3, 3, 2),                  # (t + 1) * GOLDEN wraps
         (2**64 - 1, 2**64 - 5, 9, 2),                  # start wraps within the fill
+        # the second block's base (start + _BLOCK + 1) * GOLDEN wraps to 0
+        (2**64 - 1, 2**64 - streams._BLOCK - 1, streams._BLOCK + 5, 2),
         *((12345, 4090, 4100, k) for k in range(5)),   # 0-4 draws, across a C block
     ])
     def test_blocked_fill_matches_the_scalar_stream_bitwise(self, master, start, n, ndraws):
