@@ -28,7 +28,6 @@ import numpy as np
 
 from .geometry import UnitVector, tangent_basis
 from .outcomes import OutcomeDistribution, cosine_split
-from .streams import _BLOCK
 
 LABELS = ("up", "down")
 
@@ -125,20 +124,17 @@ def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Vectorized trial kernel: int64 counts (up, down) of the (u1, u2) pairs.
 
     ``dots`` is the ``basis_dots`` of the state p and direction q, computed
-    once per run; each sub-block of ``_BLOCK`` trials is decided by ``_down``.
-    A ValueError is raised if ``u1`` and ``u2`` differ in length. The scalar
-    path (``sample_hidden`` then ``disk_measure``) materializes t first; its
-    t.q can differ in the last bits, so the two agree on the outcome of
-    every draw whose |t.q| is larger than that rounding.
+    once per run; every trial is decided by ``_down``. A ValueError is
+    raised if ``u1`` and ``u2`` differ in length. The scalar path
+    (``sample_hidden`` then ``disk_measure``) materializes t first; its t.q
+    can differ in the last bits, so the two agree on the outcome of every
+    draw whose |t.q| is larger than that rounding.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     if len(u1) != len(u2):
         raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
-    down = sum(
-        np.count_nonzero(_down(dots, u1[lo : lo + _BLOCK], u2[lo : lo + _BLOCK]))
-        for lo in range(0, len(u1), _BLOCK)
-    )
+    down = np.count_nonzero(_down(dots, u1, u2))
     return np.array([len(u1) - down, down], dtype=np.int64)
 
 

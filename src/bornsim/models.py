@@ -3,13 +3,13 @@
 The Monte Carlo runner and the CLI read these records and name no model
 themselves. A kernel closes over its machine's run constants
 (``rod.thresholds``, ``disk.basis_dots``, the sphere's c = u.v), computed
-once per run, and calls the machine's count step on each block of uniforms.
-The record functions reach both steps and ``rod.rod_analytic`` through
-their modules at call time, so a wrapper installed on a module attribute (a
-profiler or tracer) sees every call. The count steps keep names older than
-the counting contract and take the draws as ``u1=``/``u2=`` keywords,
-because the benchmark's tracer wraps them by name and finds ``u1`` by
-position or by that keyword.
+once per run, and calls the machine's count step on each block the runner
+passes it. The record functions reach both steps and ``rod.rod_analytic``
+through their modules at call time, so a wrapper installed on a module
+attribute (a profiler or tracer) sees every call. The count steps keep
+names older than the counting contract and take the draws as
+``u1=``/``u2=`` keywords, because the benchmark's tracer wraps them by name
+and finds ``u1`` by position or by that keyword.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ from .geometry import (
 )
 from .outcomes import OutcomeDistribution
 from .quantum import LABELS
-from .streams import _BLOCK
 
 
 @dataclass(frozen=True)
@@ -231,9 +230,9 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
     broken = (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1); outcome k is
     the sum of the two paths that leave axis k standing. Trial i reads
     ``u1[i]`` for its stage-1 choice and ``u2[i]`` for its stage-2 choice;
-    a ValueError is raised if their lengths differ. Each sub-block of trials
-    is counted with boolean masks: no per-trial index is written. A single
-    trial's path is the one nonzero count of a 1-trial call.
+    a ValueError is raised if their lengths differ. The trials are counted
+    with boolean masks: no per-trial index is written. A single trial's
+    path is the one nonzero count of a 1-trial call.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
@@ -241,19 +240,15 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
         raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
     t0, t1, slots, r0, r1, r2 = th
 
-    # per slot: trials in it, and those of them that break retained[0]
-    # second; sub-blocks keep the masks in cache
-    n0 = n2 = k0 = k1 = k2 = 0
-    for a in range(0, len(u1), _BLOCK):
-        x, y = u1[a : a + _BLOCK], u2[a : a + _BLOCK]
-        lo = x <= t0
-        hi = x > t1
-        n0 += np.count_nonzero(lo)
-        n2 += np.count_nonzero(hi)
-        k0 += np.count_nonzero(lo & (y <= r0))
-        k2 += np.count_nonzero(hi & (y <= r2))
-        # bool a > b is a and not b: pick in slot 1, neither slot 0 nor 2
-        k1 += np.count_nonzero((y <= r1) > (lo | hi))
+    # per slot: trials in it, and those of them that break retained[0] second
+    lo = u1 <= t0
+    hi = u1 > t1
+    n0 = np.count_nonzero(lo)
+    n2 = np.count_nonzero(hi)
+    k0 = np.count_nonzero(lo & (u2 <= r0))
+    k2 = np.count_nonzero(hi & (u2 <= r2))
+    # bool a > b is a and not b: pick in slot 1, neither slot 0 nor 2
+    k1 = np.count_nonzero((u2 <= r1) > (lo | hi))
     n1 = len(u1) - n0 - n2
 
     # slot s breaks slots[s] first, then retained[0] (path 2 * first) on a

@@ -18,7 +18,6 @@ import numpy as np
 
 from .geometry import UnitVector
 from .outcomes import OutcomeDistribution, cosine_split
-from .streams import _BLOCK
 
 LABELS = ("o1", "o2")
 
@@ -33,14 +32,10 @@ def outcome_indices(c: float, u1: np.ndarray) -> np.ndarray:
 
     ``c`` = u.v is the run constant. ``u1`` holds draw 0 of each trial; the
     break point is b = 2*u1 - 1 and the outcome is o1 iff b < c, with the
-    tie b == c going to o2. Sub-blocks of ``_BLOCK`` trials keep the
-    temporaries in cache.
+    tie b == c going to o2.
     """
     u1 = np.asarray(u1, dtype=float)
-    k = sum(
-        np.count_nonzero(2.0 * u1[lo : lo + _BLOCK] - 1.0 >= c)
-        for lo in range(0, len(u1), _BLOCK)
-    )
+    k = np.count_nonzero(2.0 * u1 - 1.0 >= c)
     return np.array([len(u1) - k, k], dtype=np.int64)
 
 

@@ -1,8 +1,9 @@
 """Monte Carlo trial runner and statistical verification.
 
-Trials are counted in chunks by the vectorized model kernels, which return
-each chunk's outcome counts. Every trial's randomness is derived from
-``(master_seed, trial index)`` by the counter-based streams in
+Trials are drawn in chunks, and the runner counts each chunk in
+``_BLOCK``-trial slices: it passes each slice to the vectorized model
+kernel and sums the outcome counts. Every trial's randomness is derived
+from ``(master_seed, trial index)`` by the counter-based streams in
 :mod:`bornsim.streams`. Counts are therefore a pure function of the run
 configuration: the same config gives bit-identical counts for any worker
 count, chunking, or scheduling order.
@@ -25,7 +26,7 @@ from . import rod
 from .geometry import Frame, UnitVector
 from .models import MODELS, Model
 from .outcomes import OutcomeDistribution, TrialRecord
-from .streams import trial_uniforms
+from .streams import _BLOCK, trial_uniforms
 
 # upper critical values chi2(dof, 1 - alpha); standard table constants
 CHI2_CRITICAL = {
@@ -114,12 +115,13 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
 
     Returns the aggregated outcome counts plus the ``(index, outcome)``
     TrialRecords of the first ``_RECORDS`` trials (all of them when there
-    are fewer), each replayed through its own stream. Trials are drawn and
-    counted in chunks of ``_CHUNK``: the model's kernel returns each
-    chunk's outcome counts, and worker k of ``threads`` sums chunks k,
-    k + threads, ... into its own counts. Chunk starts come from a lazy
-    range, so memory does not grow with ``cfg.trials``. Counts are
-    deterministic given ``cfg.master_seed`` regardless of ``cfg.workers``.
+    are fewer), each replayed through its own stream. Trials are drawn in
+    chunks of ``_CHUNK``, one ``trial_uniforms`` call each, and counted in
+    slices of ``_BLOCK`` trials by the model's kernel, whose temporaries
+    then stay in cache. Worker k of ``threads`` sums the counts of chunks
+    k, k + threads, ... Chunk starts come from a lazy range, so memory does
+    not grow with ``cfg.trials``. Counts are deterministic given
+    ``cfg.master_seed`` regardless of ``cfg.workers``.
     """
     model = _validate(cfg)
     kernel = model.kernel(cfg.state, cfg.measurement, cfg.weight)
@@ -129,8 +131,10 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
     def count_chunks(k: int) -> np.ndarray:
         counts = np.zeros(len(model.labels), dtype=np.int64)
         for a in range(k * _CHUNK, cfg.trials, threads * _CHUNK):
-            b = min(a + _CHUNK, cfg.trials)
-            counts += kernel(trial_uniforms(cfg.master_seed, a, b, model.draws))
+            u = trial_uniforms(cfg.master_seed, a, min(a + _CHUNK, cfg.trials), model.draws)
+            for lo in range(0, u.shape[1], _BLOCK):
+                counts += kernel(u[:, lo : lo + _BLOCK])
+            del u  # the next fill must not run while this chunk is alive
         return counts
 
     def record(t: int) -> TrialRecord:

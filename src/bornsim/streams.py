@@ -76,8 +76,8 @@ class TrialStream:
         return (z >> 11) * _INV_2_53
 
 
-# trials per sub-block of the numpy fill and of the rod, disk and sphere
-# kernels, so that their buffers and temporaries stay in L2 cache
+# trials per sub-block of the numpy fill, and per slice that ``run_trials``
+# passes a model kernel, so that their temporaries stay in L2 cache
 _BLOCK = 1 << 16
 
 

@@ -43,6 +43,9 @@ _STREAMS = "tests/test_stats.py::TestStreams::"
 # the row whose second block's base wraps to 0
 _WRAP_ROW = ("test_blocked_fill_matches_the_scalar_stream_bitwise"
              "[18446744073709551615-18446744073709486079-65541-2]")
+_ROD_ORACLE = "tests/test_rod.py::test_table_driven_kernel_matches_the_nested_where_reference"
+_BLOCK_WALK = ("tests/test_stats.py::TestRunTrials::"
+               "test_block_walk_counts_as_one_whole_array_kernel_call")
 
 MUTANTS = (
     Mutant(
@@ -79,15 +82,58 @@ MUTANTS = (
         "_MARGIN = 2.0**-12",
         "_MARGIN = 0.0",
         ("tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_reference",
-         "tests/test_disk.py::test_filtered_kernel_matches_the_reference_across_block_edges"
+         "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
          "[65536]"),
     ),
     Mutant(
-        "rod kernel: u1 == t1 counted in slot 2 (x >= t1)",
+        "rod kernel: u1 == t1 counted in slot 2 (u1 >= t1)",
         "src/bornsim/rod.py",
-        "hi = x > t1",
-        "hi = x >= t1",
-        ("tests/test_rod.py::test_table_driven_kernel_matches_the_nested_where_reference",),
+        "hi = u1 > t1",
+        "hi = u1 >= t1",
+        (_ROD_ORACLE,),
+    ),
+    Mutant(
+        "rod thresholds: a lone eligible stage-2 tie never picked (else -1.0)",
+        "src/bornsim/rod.py",
+        "thr[i] = pj if pk != 0.0 else 2.0",
+        "thr[i] = pj if pk != 0.0 else -1.0",
+        (_ROD_ORACLE,
+         "tests/test_rod.py::TestSampler::test_eigenstate_collapse_is_deterministic",
+         "tests/test_acceptance.py::test_criterion_10_repeatability_of_collapse"),
+    ),
+    Mutant(
+        "rod thresholds: ineligible tie 1 at t1 = -1.0, not t0",
+        "src/bornsim/rod.py",
+        "t1 = s1[0] + s1[1] if s1[1] != 0.0 else t0",
+        "t1 = s1[0] + s1[1] if s1[1] != 0.0 else -1.0",
+        (_ROD_ORACLE,
+         "tests/test_cli.py::TestSweep::test_random_frame_reaches_the_angle_zero_endpoint[rod-1]"),
+    ),
+    Mutant(
+        "ks kernel: azimuth read from draw 0 (u2=u[0])",
+        "src/bornsim/models.py",
+        "disk.up_indices(dots, u1=u[0], u2=u[1])",
+        "disk.up_indices(dots, u1=u[0], u2=u[0])",
+        ("tests/test_golden_counts.py::test_counts_match_the_recorded_ones[ks-quantum-seed0-N999]",
+         "tests/test_golden_counts.py::test_numpy_fallback_counts_match_the_recorded_ones"
+         "[ks-quantum-seed101-N262145]",
+         "tests/test_cli.py::TestSimulate::test_csv_bytes_are_reproducible"),
+    ),
+    Mutant(
+        "orthonormal_frame: Gram-Schmidt dot in Python arithmetic, not BLAS",
+        "src/bornsim/geometry.py",
+        "d = float(w @ b)",
+        "d = float(w[0] * b[0] + w[1] * b[1] + w[2] * b[2])",
+        ("tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
+         "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]"),
+    ),
+    Mutant(
+        "runner: each block slice one trial short",
+        "src/bornsim/stats.py",
+        "counts += kernel(u[:, lo : lo + _BLOCK])",
+        "counts += kernel(u[:, lo : lo + _BLOCK - 1])",
+        tuple(_BLOCK_WALK + case for case in ("[sphere2d-1-65536]", "[ks-2-327681]",
+                                              "[rod-1-65537]")),
     ),
 )
 

@@ -17,7 +17,7 @@ from bornsim.disk import (
 )
 from bornsim.geometry import random_unit_vector, tangent_basis, unit_vector, vector_angle
 from bornsim.stats import RunConfig, run_trials
-from bornsim.streams import _BLOCK, trial_uniforms
+from bornsim.streams import trial_uniforms
 
 from oracles import binomial_bound, disk_mean_cos_oracle, disk_up_oracle
 
@@ -250,27 +250,28 @@ def test_filtered_kernel_decides_as_the_one_pass_reference():
     assert float32_wrong > 0
 
 
-@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
-def test_filtered_kernel_matches_the_reference_across_block_edges(n):
+@pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537])
+def test_filtered_kernel_matches_the_reference_on_planted_crossings(n):
     gen = np.random.default_rng(n)
     p, q = random_unit_vector(gen).array, random_unit_vector(gen).array
     u1c, u2c = _crossing_uniforms(p, q, gen.random(200))
-    # crossings on both sides of every block edge, random trials between
+    # crossings on the first and last 50 trials and on about 65 others,
+    # random trials between
     k = np.arange(n)
     pick = gen.integers(0, len(u1c), n)
-    near_edge = (k % _BLOCK < 50) | (k % _BLOCK >= _BLOCK - 50)
-    u1 = np.where(near_edge, u1c[pick], gen.random(n))
-    u2 = np.where(near_edge, u2c[pick], gen.random(n))
+    planted = (k < 50) | (k >= n - 50) | (gen.random(n) < 1e-3)
+    u1 = np.where(planted, u1c[pick], gen.random(n))
+    u2 = np.where(planted, u2c[pick], gen.random(n))
     want = _reference_up_indices(p, q, u1, u2)
     dots = basis_dots(p, q)
     counts = up_indices(dots, u1, u2)
     assert counts.dtype == np.int64
     assert counts.tolist() == [n - want.sum(), want.sum()]
-    # every near-edge trial, through the blocked kernel: its step in the
-    # counts of a growing prefix
-    edge = np.flatnonzero(near_edge)
-    prefix = {m: up_indices(dots, u1[:m], u2[:m]) for m in {*edge, *(edge + 1)}}
-    for i in edge:
+    # every planted trial, through the kernel: its step in the counts of a
+    # growing prefix
+    at = np.flatnonzero(planted)
+    prefix = {m: up_indices(dots, u1[:m], u2[:m]) for m in {*at, *(at + 1)}}
+    for i in at:
         assert prefix[i + 1].tolist() == [prefix[i][0] + 1 - want[i], prefix[i][1] + want[i]], i
 
 

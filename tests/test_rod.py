@@ -21,7 +21,7 @@ from bornsim.rod import (
     thresholds,
 )
 from bornsim.stats import RunConfig, chi_square_gof, run_trials
-from bornsim.streams import _BLOCK, TrialStream, trial_uniforms
+from bornsim.streams import TrialStream, trial_uniforms
 
 from oracles import rod_tree_oracle, quantum_weight, variant_weight
 
@@ -391,13 +391,13 @@ def test_table_driven_kernel_matches_the_nested_where_reference():
         assert np.array_equal(counts, np.bincount(want_paths, minlength=6)), (ray, w.tag)
 
 
-def test_counts_equal_the_sum_of_one_trial_calls_at_sub_block_edges():
-    u = trial_uniforms(master_seed=41, start=0, stop=_BLOCK + 1, ndraws=2)
+def test_counts_equal_the_sum_of_one_trial_calls():
+    u = trial_uniforms(master_seed=41, start=0, stop=65_537, ndraws=2)
     frame = random_frame(np.random.default_rng(41))
     w = UNIFORM_VARIANT
     th = thresholds(P_BENCH, frame, w)
     singles = _single_paths(P_BENCH, frame, w, u[0], u[1])
-    for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+    for n in (0, 1, 65_535, 65_536, 65_537):
         counts = outcomes_from_uniforms(th, u[0][:n], u[1][:n])
         assert counts.dtype == np.int64 and counts.shape == (6,)
         assert np.array_equal(counts, np.bincount(singles[:n], minlength=6)), n

@@ -12,7 +12,7 @@ from bornsim.sphere import (
     sphere_sample,
 )
 from bornsim.stats import RunConfig, chi_square_gof, run_trials
-from bornsim.streams import _BLOCK, TrialStream, trial_uniforms
+from bornsim.streams import TrialStream, trial_uniforms
 
 from oracles import binomial_bound
 
@@ -66,12 +66,12 @@ class TestSampler:
         counts = outcome_indices(c=b, u1=np.array([0.65]))
         assert counts.tolist() == [0, 1]
 
-    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, (1 << 18) + 1])
-    def test_blocked_counts_equal_the_one_pass_formula(self, n):
+    @pytest.mark.parametrize("n", [65_535, 65_536, 65_537, (1 << 18) + 1])
+    def test_counts_equal_the_one_pass_formula(self, n):
         u1 = trial_uniforms(master_seed=n, start=0, stop=n, ndraws=1)[0]
-        # ties (b == c, counted as o2) on the trials either side of each block edge
-        edges = [k for a in range(_BLOCK, n, _BLOCK) for k in (a - 1, a)]
-        for c in [-1.0, -0.3, 0.0, 0.5, 1.0, *(2.0 * u1[k] - 1.0 for k in edges)]:
+        # ties (b == c, counted as o2) on the first, the last and six other trials
+        ties = [0, n - 1, *np.random.default_rng(n).integers(0, n, 6)]
+        for c in [-1.0, -0.3, 0.0, 0.5, 1.0, *(2.0 * u1[k] - 1.0 for k in ties)]:
             k = np.count_nonzero(2.0 * u1 - 1.0 >= c)
             assert outcome_indices(c, u1).tolist() == [n - k, k], c
 

@@ -7,7 +7,7 @@ import pytest
 
 from bornsim import disk, rod, stats, streams
 
-from bornsim.geometry import identity_frame, unit_vector
+from bornsim.geometry import identity_frame, random_frame, unit_vector
 from bornsim.outcomes import OutcomeDistribution
 from bornsim.rod import QUANTUM, rod_analytic
 from bornsim.geometry import canonicalize
@@ -226,6 +226,24 @@ class TestRunTrials:
         singles = np.array([kernel(u[:, i : i + 1]) for i in range(1000)])
         assert np.all(np.sort(singles, axis=1) == [0] * (len(m.labels) - 1) + [1])
         assert np.array_equal(counts, singles.sum(axis=0))
+
+    # one trial either side of the first block edge, then a run that crosses
+    # a chunk edge and ends in a partial block
+    @pytest.mark.parametrize("n", [streams._BLOCK - 1, streams._BLOCK, streams._BLOCK + 1,
+                                   stats._CHUNK + streams._BLOCK + 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model", ["sphere2d", "ks", "rod"])
+    def test_block_walk_counts_as_one_whole_array_kernel_call(self, model, workers, n):
+        if model == "rod":
+            measurement = random_frame(np.random.default_rng(n))
+            weight = rod.UNIFORM_VARIANT.tag
+        else:
+            measurement, weight = unit_vector(0.0, SQ2, -SQ2), QUANTUM.tag
+        m = MODELS[model]
+        want = m.kernel(P_BENCH, measurement, weight)(trial_uniforms(n, 0, n, m.draws))
+        cfg = RunConfig(model, P_BENCH, measurement, weight, trials=n, master_seed=n,
+                        workers=workers)
+        assert list(run_trials(cfg)[0].counts) == want.tolist()
 
     @pytest.mark.parametrize("model, measurement, module, constant", [
         ("rod", identity_frame(), rod, "direction_cosines"),
