@@ -130,10 +130,7 @@ def _custom_frame(vals: list[float]) -> Frame:
                 raise InputError(
                     f"frame rows {i} and {j} are not orthonormalizable within 1e-6"
                 )
-    try:
-        return orthonormal_frame(rows[0], rows[1], rows[2])
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return orthonormal_frame(rows[0], rows[1], rows[2])
 
 
 def _parse_frame(token: str, kind: type) -> FrameInput:
@@ -465,7 +462,7 @@ def cmd_framecheck(r: SimpleNamespace) -> int:
     if r.out is not None:
         rows = []
         for i, f in enumerate(frames):
-            total = sum(measure(ax, f) for ax in f.axes)
+            total = sum(measure(f, axis) for axis in range(3))
             rows.append([str(i), _fmt(total), _fmt(abs(total - 1.0))])
         _write_rows(r.out, ["frame_index", "sum", "deviation"], rows)
     return 0

@@ -1,8 +1,9 @@
 """Reference formalism for the real three-dimensional state space.
 
 Born probabilities over an orthonormal triad, rank-1 projective measures of
-the form psi -> <psi, x>^2, and a frame-additivity check: a measure on rays
-is additive over frames when the values on every orthonormal triad sum to 1.
+the form psi -> <psi, x>^2 as frame functions ``measure(frame, axis)``, and
+a frame-additivity check: a frame function is additive when the values of
+every frame's three axes sum to 1.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Frame, Ray, UnitVector, normalize
+from .geometry import Frame, UnitVector, normalize
 from .outcomes import OutcomeDistribution
 
 
@@ -34,15 +35,16 @@ def born_probabilities(psi: UnitVector, e: Frame) -> OutcomeDistribution:
     return OutcomeDistribution(LABELS, tuple(float(a * a) for a in amps))
 
 
-def gleason_measure(psi: UnitVector) -> Callable[[Ray, Frame], float]:
-    """The measure x -> <psi, x>^2 on the ray representative x, in any frame.
+def gleason_measure(psi: UnitVector) -> Callable[[Frame, int], float]:
+    """The frame function x -> <psi, x>^2 on the representative x of a frame's axis.
 
-    It ignores the frame: the value of a ray is the same in every context.
+    It reads only the axis's ray: the value of a ray is the same in every
+    frame that contains it.
     """
     v = psi.array
 
-    def measure(ray: Ray, frame: Frame) -> float:
-        a = float(ray.rep.array @ v)
+    def measure(frame: Frame, axis: int) -> float:
+        a = float(frame.matrix[axis] @ v)
         return min(a * a, 1.0)
 
     return measure
@@ -61,16 +63,16 @@ class FrameAdditivityReport:
 
 
 def frame_additivity_check(
-    measure: Callable[[Ray, Frame], float], frames: Sequence[Frame]
+    measure: Callable[[Frame, int], float], frames: Sequence[Frame]
 ) -> FrameAdditivityReport:
-    """Sum the measure over each frame's axes and report the max |sum - 1|.
+    """Sum the measure over each frame's three axes and report the max |sum - 1|.
 
-    ``measure`` takes (ray, frame) because contextual measures (e.g. the
-    uniform-variant rod marginals) assign a ray different values depending
-    on the frame it is embedded in; frame-independent measures just ignore
-    the second argument.
+    ``measure(frame, axis)`` is the value of axis ``axis`` (0, 1 or 2) of
+    ``frame``, as in a frame function (Gleason 1957). A contextual measure
+    (e.g. the uniform-variant rod marginals) gives the same ray different
+    values in different frames; a Gleason measure reads only the axis's ray.
     """
     worst = 0.0
     for f in frames:
-        worst = max(worst, abs(sum(measure(ax, f) for ax in f.axes) - 1.0))
+        worst = max(worst, abs(sum(measure(f, axis) for axis in range(3)) - 1.0))
     return FrameAdditivityReport(len(frames), worst)

@@ -192,34 +192,37 @@ def rod_analytic(
 
 
 def thresholds(p: Ray, e: Frame, w: BreakWeight) -> tuple:
-    """The counting kernel's run constants ``(t0, t1, slots, r0, r1, r2)``:
+    """The counting kernel's run constants ``(t0, t1, r0, r1, r2)``:
     ``_stage1`` of the ray's direction cosines and ``_stage2`` of the
     in-plane cosines that follow (the rule ``rod_analytic`` tabulates) as
-    thresholds on the uniforms. Ties on a boundary go to the lowest eligible
-    index; zero-probability ties are never selected, so an eigenstate's
-    outcome is deterministic and degenerate projections are unreachable."""
+    thresholds on the uniforms. Slot s of u1 breaks tie s first. Ties on a
+    boundary go to the lowest eligible index; zero-probability ties are
+    never selected, so an eigenstate's outcome is deterministic and
+    degenerate projections are unreachable."""
     c = direction_cosines(p, e)
     s1 = _stage1(c, w)
     firsts = [i for i in (0, 1, 2) if s1[i] != 0.0]
     cosines = [x for i in firsts for x in _cosines_from_ray(c, *OTHER_AXES[i])]
 
-    # Stage 1 as two thresholds on u1: break 0 if u1 <= t0 (slot 0), else 1
-    # if u1 <= t1 (slot 1), else the last eligible tie (slot 2). t0 = -1
-    # when tie 0 is ineligible, and t1 = t0 when tie 1 is, so that slot is
-    # never reached (t1 = -1 would send every u1 <= t0 to slot 1). t1 >= t0
-    # always, so slots 0 and 2 never overlap.
+    # Stage 1 as two thresholds on u1: break 0 if u1 <= t0, else 1 if
+    # u1 <= t1, else 2. t0 = -1 when tie 0 is ineligible. t1 = 2.0, which no
+    # uniform exceeds, when tie 2 is ineligible, so a sum s1[0] + s1[1] that
+    # rounds below 1 cannot reach it; else t1 = t0 when tie 1 is ineligible,
+    # so that slot is never reached (t1 = -1 would send every u1 <= t0 to
+    # tie 1). t1 >= t0 always, so slots 0 and 2 never overlap.
     t0 = s1[0] if s1[0] != 0.0 else -1.0
-    t1 = s1[0] + s1[1] if s1[1] != 0.0 else t0
-    slots = (0, 1, firsts[-1])
+    if s1[2] == 0.0:
+        t1 = 2.0
+    else:
+        t1 = s1[0] + s1[1] if s1[1] != 0.0 else t0
 
-    # Stage 2 per first break i: break retained[i][0] if u2 <= thr[i]
-    # (2.0 when it is the only eligible tie, -1 when it is ineligible).
-    thr = [-1.0, -1.0, -1.0]
-    for i, (pj, pk) in zip(firsts, _stage2_pairs(cosines, w)):
-        if pj != 0.0:
-            thr[i] = pj if pk != 0.0 else 2.0
-    r0, r1, r2 = (thr[f] for f in slots)
-    return t0, t1, slots, r0, r1, r2
+    # Stage 2 per first break i: break retained[i][0] if u2 <= r[i], -1 when
+    # it is ineligible. A lone eligible tie has pj = wj / (wj + 0.0) = 1.0
+    # exactly, which every uniform in [0, 1) is below.
+    r = [-1.0, -1.0, -1.0]
+    for i, (pj, _) in zip(firsts, _stage2_pairs(cosines, w)):
+        r[i] = pj if pj != 0.0 else -1.0
+    return t0, t1, *r
 
 
 def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -238,9 +241,10 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
     u2 = np.asarray(u2, dtype=float)
     if len(u1) != len(u2):
         raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
-    t0, t1, slots, r0, r1, r2 = th
+    t0, t1, r0, r1, r2 = th
 
-    # per slot: trials in it, and those of them that break retained[0] second
+    # n_s trials break tie s first; k_s of them then break retained[s][0]
+    # (path 2 * s), the other n_s - k_s retained[s][1] (path 2 * s + 1)
     lo = u1 <= t0
     hi = u1 > t1
     n0 = np.count_nonzero(lo)
@@ -250,14 +254,7 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
     # bool a > b is a and not b: pick in slot 1, neither slot 0 nor 2
     k1 = np.count_nonzero((u2 <= r1) > (lo | hi))
     n1 = len(u1) - n0 - n2
-
-    # slot s breaks slots[s] first, then retained[0] (path 2 * first) on a
-    # pick or retained[1] (path 2 * first + 1) otherwise
-    counts = np.zeros(6, dtype=np.int64)
-    for first, n, k in zip(slots, (n0, n1, n2), (k0, k1, k2)):
-        counts[2 * first] += k
-        counts[2 * first + 1] += n - k
-    return counts
+    return np.array((k0, n0 - k0, k1, n1 - k1, k2, n2 - k2), dtype=np.int64)
 
 
 def fold_paths(counts: np.ndarray) -> np.ndarray:
@@ -279,19 +276,15 @@ def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, BreakPa
     return LABELS[path.outcome], e.axes[path.outcome], path
 
 
-def marginal_measure(p: Ray, w: BreakWeight) -> Callable[[Ray, Frame], float]:
-    """Outcome probability of a given axis ray, in the context of its frame.
+def marginal_measure(p: Ray, w: BreakWeight) -> Callable[[Frame, int], float]:
+    """The rod's outcome probability of a frame's axis, as a frame function.
 
-    For the quantum weight this is a frame-independent function of the ray
-    (the Born value); for the uniform variant the same ray generally gets
-    different values in different frames.
+    For the quantum weight this is a frame-independent function of the
+    axis's ray (the Born value); for the uniform variant the same ray
+    generally gets different values in different frames.
     """
 
-    def measure(ray: Ray, frame: Frame) -> float:
-        dist, _ = rod_analytic(p, frame, w)
-        for i, ax in enumerate(frame.axes):
-            if abs(ax.rep.dot(ray.rep)) > 1.0 - 1e-9:
-                return dist.probs[i]
-        raise ValueError("ray is not an axis of the frame")
+    def measure(frame: Frame, axis: int) -> float:
+        return rod_analytic(p, frame, w)[0].probs[axis]
 
     return measure

@@ -44,6 +44,7 @@ _STREAMS = "tests/test_stats.py::TestStreams::"
 _WRAP_ROW = ("test_blocked_fill_matches_the_scalar_stream_bitwise"
              "[18446744073709551615-18446744073709486079-65541-2]")
 _ROD_ORACLE = "tests/test_rod.py::test_table_driven_kernel_matches_the_nested_where_reference"
+_FRAMECHECK_PIN = "tests/test_cli.py::TestFramecheck::test_out_bytes_are_pinned"
 _BLOCK_WALK = ("tests/test_stats.py::TestRunTrials::"
                "test_block_walk_counts_as_one_whole_array_kernel_call")
 
@@ -93,13 +94,19 @@ MUTANTS = (
         (_ROD_ORACLE,),
     ),
     Mutant(
-        "rod thresholds: a lone eligible stage-2 tie never picked (else -1.0)",
+        "rod thresholds: no tie-2 guard on t1, so a rounded u1 > t1 breaks ineligible tie 2",
         "src/bornsim/rod.py",
-        "thr[i] = pj if pk != 0.0 else 2.0",
-        "thr[i] = pj if pk != 0.0 else -1.0",
+        "    if s1[2] == 0.0:\n        t1 = 2.0\n",
+        "    if False:\n        t1 = 2.0\n",
+        (_ROD_ORACLE,),
+    ),
+    Mutant(
+        "rod thresholds: no pj != 0.0 guard, so u2 = 0.0 breaks an ineligible tie",
+        "src/bornsim/rod.py",
+        "r[i] = pj if pj != 0.0 else -1.0",
+        "r[i] = pj",
         (_ROD_ORACLE,
-         "tests/test_rod.py::TestSampler::test_eigenstate_collapse_is_deterministic",
-         "tests/test_acceptance.py::test_criterion_10_repeatability_of_collapse"),
+         "tests/test_rod.py::TestSampler::test_boundary_uniforms_never_select_zero_weight"),
     ),
     Mutant(
         "rod thresholds: ineligible tie 1 at t1 = -1.0, not t0",
@@ -126,6 +133,36 @@ MUTANTS = (
         "d = float(w[0] * b[0] + w[1] * b[1] + w[2] * b[2])",
         ("tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
          "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]"),
+    ),
+    Mutant(
+        "rod marginal: every axis reads outcome 0 (probs[0])",
+        "src/bornsim/rod.py",
+        "return rod_analytic(p, frame, w)[0].probs[axis]",
+        "return rod_analytic(p, frame, w)[0].probs[0]",
+        ("tests/test_quantum.py::TestFrameAdditivity::"
+         "test_quantum_rod_marginal_is_additive_and_equals_born",
+         _FRAMECHECK_PIN + "[rod-uniform-variant]",
+         "tests/test_cli.py::TestFramecheck::test_rod_variant_reports"),
+    ),
+    Mutant(
+        "rod analytic: second in-plane cosine taken against axis a (pv @ a)",
+        "src/bornsim/rod.py",
+        "min(abs(float(pv @ b)), 1.0)",
+        "min(abs(float(pv @ a)), 1.0)",
+        ("tests/test_golden_analytic.py::test_rod_tables_are_bit_identical[quantum]",
+         "tests/test_rod.py::TestStage2::test_in_plane_eigenstate_breaks_other_tie",
+         _FRAMECHECK_PIN + "[rod-uniform-variant]"),
+    ),
+    Mutant(
+        "config: every key of the file converted, not only the command's",
+        "src/bornsim/cli.py",
+        "    for name in names:\n        opt = OPTIONS[name]\n"
+        "        text = getattr(args, name)\n",
+        "    for name in dict.fromkeys((*names, *config)):\n        opt = OPTIONS[name]\n"
+        "        text = getattr(args, name, None)\n",
+        ("tests/test_cli.py::TestOptionSets::"
+         "test_analytic_ignores_config_values_and_seed_it_does_not_read",
+         "tests/test_cli.py::TestOptionSets::test_framecheck_ignores_a_config_workers_value"),
     ),
     Mutant(
         "runner: each block slice one trial short",

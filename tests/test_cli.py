@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import re
 import subprocess
@@ -196,6 +197,24 @@ class TestFramecheck:
         for r in rows:
             assert abs(float(r["sum"]) - 1.0) < 1e-12
 
+    # sha256 of the --out CSV for the benchmark's first frame seed; the rod
+    # rows go through rod_analytic, the gleason rows through one dot per axis
+    @pytest.mark.parametrize("measure, digest", [
+        (["rod", "--weight", "uniform-variant"],
+         "3e50a7885a220347e7a8ab477b7696c8b996e7f1eb10b1a5d25bd49a14765351"),
+        (["rod", "--weight", "quantum"],
+         "0d570b83ae42e2930010bd20c1440776c16414c30890c3ba8655a66d9bb1a20d"),
+        (["gleason"],
+         "d018f96279066764391f99466bb0f5230db0244f4ac5382e930e431aa5d0de46"),
+    ], ids=["rod-uniform-variant", "rod-quantum", "gleason"])
+    def test_out_bytes_are_pinned(self, measure, digest, tmp_path, capsys):
+        out = tmp_path / "fc.csv"
+        assert main(["framecheck", "--measure", *measure,
+                     "--state", "0.7071067811865476,0.5,0.5", "--trials", "150",
+                     "--seed", "301", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_negative_seed_flag_is_rejected_by_name(self, tmp_path, capsys):
         out = tmp_path / "kept.csv"
         out.write_bytes(b"frame_index,sum,deviation\n0,1,0\n")
@@ -346,6 +365,26 @@ class TestInputHandling:
         assert main(["simulate", "--model", "rod", "--state", BENCH,
                      "--trials", "2000", "--alpha", "0.2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analytic", "--model", "rod", "--state", "1,0,0", "--frame", "1,2,3,4"],
+         "frame needs 9 components, got 4"),
+        (["analytic", "--model", "rod", "--state", "1,0,0", "--frame", "random:abc"],
+         "bad frame token 'random:abc'"),
+        (["analytic", "--model", "sphere2d", "--state", "1,0,0", "--frame", "1,0,0,0"],
+         "direction needs 3 components (or a 9-component frame), got 4"),
+        (["simulate", "--model", "rod", "--state", BENCH, "--alpha", "abc"],
+         "alpha must be a number, got 'abc'"),
+    ])
+    def test_malformed_option_text_is_rejected_by_name(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_line_without_equals_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("model = rod\nstate 1,0,0\n")
+        assert main(["analytic", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
 
 
 class TestOptionSets:

@@ -209,6 +209,10 @@ class TestFrames:
             m = g.matrix
             assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
 
+    def test_rotate_about_an_axis_index_out_of_range_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^axis_index must be 0, 1 or 2, got 3$"):
+            rotate_frame_about_axis(identity_frame(), 3, 0.7)
+
 
 class TestRandomDirections:
     def test_seed_determinism(self):

@@ -153,6 +153,17 @@ class TestRunTrials:
                           trials=1, master_seed=1)
             )
 
+    def test_zero_workers_rejected(self):
+        cfg = RunConfig("rod", P_BENCH, identity_frame(), trials=1, master_seed=1, workers=0)
+        with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
+            run_trials(cfg)
+
+    def test_state_that_is_not_a_unit_vector_rejected(self):
+        cfg = RunConfig("rod", canonicalize(P_BENCH.array), identity_frame(), trials=1,
+                        master_seed=1)
+        with pytest.raises(ValueError, match=r"^state must be a UnitVector$"):
+            run_trials(cfg)
+
 
     def test_thread_pool_is_bounded_by_chunks_and_cores(self, monkeypatch):
         pools = []
