@@ -138,8 +138,8 @@ def _parse_frame(token: str, kind: type) -> FrameInput:
 
     A Frame's sweep plane is spanned by its axes 0 and 1. A direction is +x,
     a uniform random direction, or the first 3 of 3 or 9 reals as given (no
-    antipodal flip); its sweep partner is the second of 9 reals made
-    orthogonal to it, else its tangent basis.
+    antipodal flip); its sweep partner is the second of 9 reals, normalized and
+    made orthogonal to it, else (3 reals, a zero or parallel row) its tangent basis.
     """
     rng = vals = None
     if token.startswith("random:"):
@@ -167,13 +167,9 @@ def _parse_frame(token: str, kind: type) -> FrameInput:
     u = m.array
     w, _ = tangent_basis(u)
     if vals is not None and len(vals) == 9:
-        # scaled by a power of two (exact) so that its squares cannot overflow
-        _, e = math.frexp(max(map(abs, vals[3:6])))
-        second = np.ldexp(vals[3:6], -e)
-        w9 = second - (second @ u) * u
-        n = float(np.linalg.norm(w9))
-        if math.ldexp(n, e) > 1e-9:
-            w = w9 / n
+        with contextlib.suppress(ValueError):  # a zero or parallel row: keep w
+            second = normalize(vals[3:6], "zero second row")
+            w = normalize(second - (second @ u) * u, "second row parallel to the first")
     return FrameInput(frame_id, m, (u, w))
 
 
@@ -426,8 +422,7 @@ def cmd_sweep(r: SimpleNamespace) -> int:
 
     rows = []
     for i, angle in enumerate(angles):
-        v = np.cos(angle) * u + np.sin(angle) * w
-        state = UnitVector(*(v / float(np.linalg.norm(v))).tolist())
+        state = state_vector(np.cos(angle) * u + np.sin(angle) * w)
         analytic = _self_distribution(r, state).probs[0]
         emp, _ = run_trials(_run_config(r, state, trial_state(r.seed, i)))
         f0 = float(emp.frequencies[0])

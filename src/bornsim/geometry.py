@@ -3,6 +3,8 @@
 Unit vectors on the sphere, antipodally identified rays, ordered orthonormal
 frames, direction cosines and in-plane projections. Everything is pure:
 functions that need randomness take an explicit ``numpy.random.Generator``.
+``normalize`` is the one rule that turns raw reals into a unit vector; input
+that should already be unit goes through the near-unit ``_unit_components``.
 
 Tolerances used across the package:
 
@@ -38,6 +40,7 @@ digests), so a rewrite of this path must keep every rounding step:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -54,14 +57,14 @@ class DegenerateProjectionError(ValueError):
     """Projection target plane is orthogonal to the projected ray."""
 
 
-def _unit_components(vec, tol: float = NORM_TOL) -> tuple[float, float, float]:
+def _unit_components(vec) -> tuple[float, float, float]:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     c = v.ravel(order="K")  # contiguous, as np.linalg.norm makes it
     n = math.sqrt(c.dot(c))  # np.linalg.norm(v), without its overhead
-    if not math.isfinite(n) or abs(n - 1.0) > tol:
-        raise ValueError(f"vector norm {n} deviates from 1 by more than {tol}")
+    if not math.isfinite(n) or abs(n - 1.0) > NORM_TOL:
+        raise ValueError(f"vector norm {n} deviates from 1 by more than {NORM_TOL}")
     x, y, z = v.tolist()
     if abs(n - 1.0) <= 1e-14:
         # already unit to working precision; dividing would shift the last ulp
@@ -300,11 +303,8 @@ def rotate_frame_about_axis(e: Frame, axis_index: int, angle: float) -> Frame:
 def random_unit_vector(rng: np.random.Generator) -> UnitVector:
     """Uniform point on the sphere (normalized 3D Gaussian draw)."""
     while True:
-        g = rng.standard_normal(3)
-        n = float(np.linalg.norm(g))
-        if n > 1e-12:
-            g = g / n
-            return UnitVector(float(g[0]), float(g[1]), float(g[2]))
+        with contextlib.suppress(ValueError):  # a zero draw: draw again
+            return UnitVector(*normalize(rng.standard_normal(3), "zero draw").tolist())
 
 
 def random_frame(rng: np.random.Generator) -> Frame:

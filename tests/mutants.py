@@ -47,6 +47,10 @@ _ROD_ORACLE = "tests/test_rod.py::test_table_driven_kernel_matches_the_nested_wh
 _FRAMECHECK_PIN = "tests/test_cli.py::TestFramecheck::test_out_bytes_are_pinned"
 _BLOCK_WALK = ("tests/test_stats.py::TestRunTrials::"
                "test_block_walk_counts_as_one_whole_array_kernel_call")
+_PINNED = "tests/test_cli.py::test_simulate_counts_are_pinned"
+_PARTNER = ("tests/test_cli.py::TestInputHandling::"
+            "test_direction_sweep_partner_does_not_depend_on_the_row_scale")
+_GAP = "tests/test_rod.py::test_stage2_constants_agree_with_the_projected_ray_route"
 
 MUTANTS = (
     Mutant(
@@ -92,6 +96,25 @@ MUTANTS = (
         "hi = u1 > t1",
         "hi = u1 >= t1",
         (_ROD_ORACLE,),
+    ),
+    Mutant(
+        "rod kernel: slot-1 pick mask drops the slot-2 exclusion ((u2 <= r1) & ~lo)",
+        "src/bornsim/rod.py",
+        "(u2 <= r1) > (lo | hi)",
+        "(u2 <= r1) & ~lo",
+        (_ROD_ORACLE,
+         "tests/test_rod.py::test_counts_equal_the_sum_of_one_trial_calls",
+         _PINNED + "[rod-lone-tie-variant-numpy]"),
+    ),
+    Mutant(
+        "rod thresholds: in-plane cosine of axis k read from axis j (c[j] / norm)",
+        "src/bornsim/rod.py",
+        "min(c[k] / norm, 1.0)",
+        "min(c[j] / norm, 1.0)",
+        (_GAP + "[quantum]",
+         _GAP + "[uniform-variant]",
+         "tests/test_golden_counts.py::test_counts_match_the_recorded_ones"
+         "[rod-quantum-seed0-N999]"),
     ),
     Mutant(
         "rod thresholds: no tie-2 guard on t1, so a rounded u1 > t1 breaks ineligible tie 2",
@@ -154,6 +177,15 @@ MUTANTS = (
          _FRAMECHECK_PIN + "[rod-uniform-variant]"),
     ),
     Mutant(
+        "sweep partner: second row not made orthogonal to the direction",
+        "src/bornsim/cli.py",
+        "second - (second @ u) * u",
+        "second",
+        (_PARTNER + "[row1-1e-10]",
+         _PARTNER + "[row1-1]",
+         _PARTNER + "[row1-parallel]"),
+    ),
+    Mutant(
         "config: every key of the file converted, not only the command's",
         "src/bornsim/cli.py",
         "    for name in names:\n        opt = OPTIONS[name]\n"
@@ -171,6 +203,15 @@ MUTANTS = (
         "counts += kernel(u[:, lo : lo + _BLOCK - 1])",
         tuple(_BLOCK_WALK + case for case in ("[sphere2d-1-65536]", "[ks-2-327681]",
                                               "[rod-1-65537]")),
+    ),
+    Mutant(
+        "runner: every worker steps one chunk, not one per worker (stride _CHUNK)",
+        "src/bornsim/stats.py",
+        "threads * _CHUNK)",
+        "_CHUNK)",
+        ("tests/test_stats.py::TestRunTrials::test_worker_count_does_not_change_counts",
+         _BLOCK_WALK + "[rod-2-327681]",
+         _PINNED + "[rod-numpy]"),
     ),
 )
 

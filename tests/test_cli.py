@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from bornsim import rod
+from bornsim import rod, streams
 from bornsim.cli import main
 from bornsim.geometry import Frame, identity_frame, unit_vector
 from bornsim.models import MODELS
@@ -123,6 +123,44 @@ class TestSimulate:
         assert main(args + ["--workers", "8", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+# simulate --frame identity --seed 7 --workers 2: counts recorded from the
+# program. The first three runs cross block edges inside a chunk, a chunk
+# edge and a partial last block; the rod runs after them sit on the run
+# constants' sentinels: tie 2 ineligible (t1 = 2.0), and a lone eligible
+# stage-2 tie (r = 1.0) under both weights.
+PINNED_STATE = "0.7071067811865476,0.5,0.5"
+PINNED_COUNTS = [
+    pytest.param("rod", "quantum", PINNED_STATE, 300007,
+                 {"o1": 149763, "o2": 75134, "o3": 75110}, id="rod"),
+    pytest.param("ks", "quantum", PINNED_STATE, 200003,
+                 {"up": 170911, "down": 29092}, id="ks"),
+    pytest.param("sphere2d", "quantum", PINNED_STATE, 327683,
+                 {"o1": 279947, "o2": 47736}, id="sphere2d"),
+    pytest.param("rod", "quantum", "0,0,1", 300007,
+                 {"o1": 0, "o2": 0, "o3": 300007}, id="rod-tie2-ineligible"),
+    pytest.param("rod", "quantum", "0,0.6,0.8", 300007,
+                 {"o1": 0, "o2": 107746, "o3": 192261}, id="rod-lone-tie-quantum"),
+    pytest.param("rod", "uniform-variant", "0,0.6,0.8", 300007,
+                 {"o1": 0, "o2": 128206, "o3": 171801}, id="rod-lone-tie-variant"),
+]
+
+
+@pytest.mark.parametrize("fill", ["native", "numpy"])
+@pytest.mark.parametrize("model, weight, state, trials, counts", PINNED_COUNTS)
+def test_simulate_counts_are_pinned(fill, model, weight, state, trials, counts,
+                                    tmp_path, capsys, monkeypatch):
+    if fill == "numpy":
+        monkeypatch.setattr(streams, "_native_fill", lambda: None)
+    elif streams._native_fill() is None:
+        pytest.skip("the native fill did not load: no C compiler")
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--model", model, "--weight", weight, "--state", state,
+                 "--frame", "identity", "--trials", str(trials), "--seed", "7",
+                 "--workers", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {r["outcome"]: int(r["count"]) for r in read_csv(out)} == counts
 
 
 class TestSweep:
@@ -347,6 +385,28 @@ class TestInputHandling:
                              "--out", str(out)]) == 0
             results.append((capsys.readouterr(), out.read_bytes()))
         assert results[0] == results[1]
+
+    # sha256 of the stdout of `sweep --model ks --state 1,0,0 --steps 3
+    # --trials 2000 --seed 1`, recorded with --frame 1,0,0,1,1,0,0,0,1 and
+    # with --frame 1,0,0,0,0,1,0,0,1, whose partner is the tangent basis's
+    PARTNER = "fca8bb808ff694376bf09f77dd2074a7cc1af0045b709a9b16b9b8a3b6d7ebde"
+    FALLBACK = "63d30589f471e1696a16317f96355d3242d3d55c7eeea1d10958fd3159fbbeba"
+
+    @pytest.mark.parametrize("frame, digest", [
+        pytest.param("1,0,0,1e-10,1e-10,0,0,0,1", PARTNER, id="row1-1e-10"),
+        pytest.param("1,0,0,1,1,0,0,0,1", PARTNER, id="row1-1"),
+        pytest.param("1,0,0,1e300,1e300,0,0,0,1", PARTNER, id="row1-1e300"),
+        pytest.param("1,0,0,0,0,0,0,0,1", FALLBACK, id="row1-zero"),
+        pytest.param("1,0,0,2,0,0,0,0,1", FALLBACK, id="row1-parallel"),
+        pytest.param("1,0,0,0,0,1,0,0,1", FALLBACK, id="row1-tangent"),
+    ])
+    def test_direction_sweep_partner_does_not_depend_on_the_row_scale(
+        self, frame, digest, capsys
+    ):
+        assert main(["sweep", "--model", "ks", "--state", "1,0,0", "--frame", frame,
+                     "--steps", "3", "--trials", "2000", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_frame_reorthonormalized_within_tolerance(self, capsys):
         # slightly off-orthonormal input is accepted and cleaned up

@@ -232,6 +232,20 @@ class TestRandomDirections:
         # and norms are exactly unit
         assert np.allclose(np.linalg.norm(draws, axis=1), 1.0, atol=1e-12)
 
+    def test_draw_is_the_plain_quotient_and_a_zero_draw_is_redrawn(self):
+        gen, ref = np.random.default_rng(77), np.random.default_rng(77)
+        for _ in range(2000):
+            g = ref.standard_normal(3)
+            assert random_unit_vector(gen).array.tobytes() == (g / np.linalg.norm(g)).tobytes()
+
+        class Draws:
+            rows = iter([(0.0, 0.0, 0.0), (1e-13, 0.0, 0.0), (3.0, 4.0, 0.0)])
+
+            def standard_normal(self, size):
+                return np.array(next(self.rows))
+
+        assert random_unit_vector(Draws()).array.tolist() == [0.6, 0.8, 0.0]
+
 
 def _reference_tangent_basis(v):
     """tangent_basis as it was written with np.cross and np.linalg.norm."""

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bornsim.geometry import canonicalize, identity_frame, random_frame, random_unit_vector
+from bornsim.geometry import (
+    OTHER_AXES,
+    canonicalize,
+    identity_frame,
+    project_onto_plane,
+    random_frame,
+    random_unit_vector,
+)
 from bornsim.quantum import born_probabilities, state_vector
 from bornsim.rod import (
     BreakPath,
@@ -23,6 +30,7 @@ from bornsim.rod import (
 from bornsim.stats import RunConfig, chi_square_gof, run_trials
 from bornsim.streams import TrialStream, trial_uniforms
 
+from conftest import random_ray_frame_pairs
 from oracles import rod_tree_oracle, quantum_weight, variant_weight
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -426,6 +434,24 @@ def test_path_counts_match_the_paper_path_identity():
             if w is QUANTUM:
                 for path, prob in zip(_PATHS, probs):
                     assert abs(prob - cos2[path.outcome] / 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("w, bound", [(QUANTUM, 1e-14), (UNIFORM_VARIANT, 1e-11)],
+                         ids=["quantum", "uniform-variant"])
+def test_stage2_constants_agree_with_the_projected_ray_route(w, bound):
+    # thresholds takes the in-plane cosines from the ray's direction cosines,
+    # rod_analytic from the ray projected onto the plane; the two routes
+    # round differently, by at most ``bound`` on 2000 random (ray, frame) pairs
+    gaps = []
+    for v, e in random_ray_frame_pairs(seed=1957, n=2000):
+        p = canonicalize(v.array)
+        r = thresholds(p, e, w)[2:]
+        for i in range(3):
+            if r[i] != -1.0:  # tie i breaks first with nonzero probability
+                p_prime, _ = project_onto_plane(p, e, i)
+                gaps.append(abs(r[i] - stage2_distribution(p_prime, e, OTHER_AXES[i], w)[0]))
+    assert len(gaps) == 6000
+    assert max(gaps) <= bound
 
 
 def test_draws_of_different_lengths_are_rejected():
