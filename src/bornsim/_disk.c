@@ -1,0 +1,91 @@
+/* Native first pass of bornsim.disk.up_indices.
+ *
+ * For each trial i, t.q = st (cos(phi) aq + sin(phi) bq) + ct pq with
+ * st = sqrt(u1), ct = sqrt(1 - u1) and phi = 2 pi u2 (see disk._t_dot_q).
+ * The pass counts the trials with t.q < -margin as down and writes the
+ * indices of the trials with |t.q| <= margin to ``near``, for the float64
+ * formula to decide; every other trial is up.
+ *
+ * cos and sin are polynomials on a reduced azimuth: k = round(4 u2) and
+ * r = (4 u2 - k) pi/2, so phi = k pi/2 + r with |r| <= pi/4. 4 u2 - k is
+ * exact, and the Taylor polynomials of degree 9 (sin) and 10 (cos) are
+ * within r**11/11! < 1.8e-9 of sin r and cos r there, far inside the 2**-20
+ * per trig value that disk._down's margin argument allows. sqrt is correctly
+ * rounded and the rest is float64 arithmetic, so every trial outside the
+ * margin has the sign the float64 formula gives it. The quadrant logic
+ * needs u2 in [0, 1] and the square roots u1 in [0, 1]: any other value,
+ * NaN included, makes the call return -1, and the caller decides the whole
+ * call in numpy.
+ *
+ * Build with -fno-math-errno -fno-trapping-math (never -ffast-math, which
+ * may reassociate the rounding of k below): then the loop, the quadrant
+ * selects and the domain check vectorize. No static state: the function is
+ * called without the GIL from several threads at once.
+ */
+#include <math.h>
+#include <stdint.h>
+
+#define BLOCK 256
+#define HALF_PI 1.57079632679489661923
+
+/* cos(2 pi u2) and sin(2 pi u2) for u2 in [0, 1]; k is compared as a
+ * double, not cast to an int, so that every clone vectorizes the selects */
+static inline void trig(double u2, double *c, double *s)
+{
+    double x = 4.0 * u2;
+    double k = (x + 0x1.8p52) - 0x1.8p52;  /* nearest integer, 0 <= k <= 4 */
+    double r = (x - k) * HALF_PI;
+    double r2 = r * r;
+    double sr = r * (1.0 + r2 * (-1.0 / 6 + r2 * (1.0 / 120 + r2 * (-1.0 / 5040
+                + r2 * (1.0 / 362880)))));
+    double cr = 1.0 + r2 * (-1.0 / 2 + r2 * (1.0 / 24 + r2 * (-1.0 / 720
+                + r2 * (1.0 / 40320 + r2 * (-1.0 / 3628800)))));
+    /* phi = k pi/2 + r: k odd swaps cos and sin; cos(phi) < 0 for k = 1, 2
+     * and sin(phi) < 0 for k = 2, 3 */
+    int odd = k == 1.0 || k == 3.0;
+    double cp = odd ? sr : cr;
+    double sp = odd ? cr : sr;
+    *c = k > 0.5 && k < 2.5 ? -cp : cp;
+    *s = k > 1.5 && k < 3.5 ? -sp : sp;
+}
+
+/* One copy of the loop per x86-64 level, picked when the library loads;
+ * the clones are built with GCC only, other compilers build the plain loop. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
+int64_t disk_first_pass(const double *u1, const double *u2, int64_t n, double aq,
+                        double bq, double pq, double margin, int64_t *near,
+                        int64_t *down)
+{
+    double tq[BLOCK];
+    int64_t below = 0, m = 0;
+    for (int64_t a = 0; a < n; a += BLOCK) {
+        int64_t len = n - a < BLOCK ? n - a : BLOCK;
+        int64_t bad = 0, close = 0;
+        for (int64_t i = 0; i < len; i++) {
+            double x = u1[a + i], y = u2[a + i], c, s;
+            bad |= !(x >= 0.0 && x <= 1.0 && y >= 0.0 && y <= 1.0);
+            trig(y, &c, &s);
+            double t = sqrt(x) * (c * aq + s * bq) + sqrt(1.0 - x) * pq;
+            tq[i] = t;
+            below += t < -margin;
+            close += fabs(t) <= margin;
+        }
+        if (bad)
+            return -1;
+        if (close)
+            for (int64_t i = 0; i < len; i++)
+                if (fabs(tq[i]) <= margin)
+                    near[m++] = a + i;
+    }
+    *down = below;
+    return m;
+}
+
+/* The pass's cos(2 pi u2) and sin(2 pi u2), for the tests that bound their error */
+void disk_trig(const double *u2, int64_t n, double *c, double *s)
+{
+    for (int64_t i = 0; i < n; i++)
+        trig(u2[i], &c[i], &s[i]);
+}

@@ -13,26 +13,42 @@ q on up, -q on down, and the hidden point is reshaken at the new pole. The
 up probability reproduces cos^2(theta/2) for the angle theta between p and q.
 
 The counting kernel ``up_indices`` needs only the sign of t.q, so it filters
-(Shewchuk 1997, adaptive-precision geometric predicates): a pass with
-float32 trig decides every trial whose |t.q| is above ``_MARGIN``, and the
-float64 formula is evaluated again on the few trials inside it. Every
-trial's outcome equals the one-pass float64 formula's; see ``_down``.
+(Shewchuk 1997, adaptive-precision geometric predicates): a cheap first pass
+decides every trial whose |t.q| is above ``_MARGIN``, and the float64
+formula is evaluated again on the few trials inside it. The first pass is a
+C loop with polynomial trig, ``_disk.c``, where the library builds and loads
+(``native.Library``), and numpy with float32 trig otherwise; ``_down`` is
+the numpy body and the reference the tests compare the C pass with. Every
+trial's outcome equals the one-pass float64 formula's, on either path; see
+``_down``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .geometry import UnitVector, tangent_basis
+from .native import Library
 from .outcomes import OutcomeDistribution, cosine_split
 
 LABELS = ("up", "down")
 
-# |t.q| above which the float32 pass decides a trial (see ``_down``)
+# |t.q| above which the first pass decides a trial (see ``_down``)
 _MARGIN = 2.0**-12
+
+_double, _int64, _ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+_FIRST_PASS = Library(
+    "disk", Path(__file__).with_name("_disk.c"),
+    ("-O3", "-fno-math-errno", "-fno-trapping-math", "-shared", "-fPIC"),
+    {"disk_first_pass": (_int64, (_ptr, _ptr, _int64, _double, _double, _double, _double,
+                                  _ptr, _ptr)),
+     "disk_trig": (None, (_ptr, _int64, _ptr, _ptr))},
+)
 
 
 @dataclass(frozen=True)
@@ -102,16 +118,20 @@ def _down(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     float32 (about 20 times cheaper than float64 trig with numpy 2.4 on
     x86-64) and decides every trial whose |t.q| > ``_MARGIN``; the trials
     inside the margin, every exact tie among them, are gathered and decided
-    by the float64 formula.
+    by the float64 formula. ``_native_down`` does the same with the C pass.
 
     Why the margin is safe: both passes use the same float64 st, ct and
     dots, so they differ only in the bracket cos(phi) aq + sin(phi) bq, where
-    |aq| + |bq| <= sqrt(2). Rounding phi < 2 pi to float32 moves it by at
-    most 2**-22, and float32 trig adds a few float32 ulps, so each trig value
-    moves by at most 2**-20 (``tests/test_disk.py`` guards this); with the
-    float32 products and sum the bracket moves by less than 2**-19, and
-    st <= 1. A trial with |t.q| > 2**-12 in the first pass therefore has
-    the same sign, and is no tie, in float64.
+    |aq| + |bq| <= sqrt(2), and in the last bits of the float64 products and
+    sums. Each trig value of the first pass is within 2**-20 of float64 trig
+    (``tests/test_disk.py`` guards both passes): here, rounding phi < 2 pi
+    to float32 moves it by at most 2**-22, and float32 trig adds a few
+    float32 ulps; in ``_disk.c``, the degree-9 and degree-10 polynomials on
+    the quadrant-reduced azimuth are within 1.8e-9. So, with its products
+    and sum rounded (in float32 here), the first pass's bracket is less
+    than 2**-19 from the float64 one, and st <= 1. A
+    trial with |t.q| > 2**-12 in the first pass therefore has the same sign,
+    and is no tie, in float64.
     """
     tq = _t_dot_q(u1, u2, *dots, np.float32)
     near = np.flatnonzero(np.abs(tq) <= _MARGIN)
@@ -124,8 +144,9 @@ def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Vectorized trial kernel: int64 counts (up, down) of the (u1, u2) pairs.
 
     ``dots`` is the ``basis_dots`` of the state p and direction q, computed
-    once per run; every trial is decided by ``_down``. A ValueError is
-    raised if ``u1`` and ``u2`` differ in length. The scalar path
+    once per run; every trial is decided as ``_down`` decides it, by the C
+    pass (``_native_down``) where it applies and by ``_down`` otherwise. A
+    ValueError is raised if ``u1`` and ``u2`` differ in length. The scalar path
     (``sample_hidden`` then ``disk_measure``) materializes t first; its t.q
     can differ in the last bits, so the two agree on the outcome of every
     draw whose |t.q| is larger than that rounding.
@@ -134,8 +155,40 @@ def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     u2 = np.asarray(u2, dtype=float)
     if len(u1) != len(u2):
         raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
-    down = np.count_nonzero(_down(dots, u1, u2))
+    down = _native_down(dots, u1, u2)
+    if down is None:
+        down = np.count_nonzero(_down(dots, u1, u2))
     return np.array([len(u1) - down, down], dtype=np.int64)
+
+
+def _native_pass():
+    """The C first pass, or None; built or loaded once per process."""
+    lib = _FIRST_PASS.load()
+    return None if lib is None else lib.disk_first_pass
+
+
+def _native_down(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> int | None:
+    """The number of down trials, as ``_down`` decides them, by the C pass
+    and the float64 formula on the trials it leaves inside ``_MARGIN``.
+
+    None where the C pass does not apply: no library, draws that are not
+    contiguous 1-d arrays, or a draw outside [0, 1] (the C pass finds those
+    in its loop and returns -1).
+    """
+    first_pass = _native_pass()
+    if (first_pass is None or u1.ndim != 1 or u2.ndim != 1
+            or not (u1.flags.c_contiguous and u2.flags.c_contiguous)):
+        return None
+    near = np.empty(len(u1), dtype=np.int64)
+    down = ctypes.c_int64()
+    m = first_pass(u1.ctypes.data, u2.ctypes.data, len(u1), *dots, _MARGIN,
+                   near.ctypes.data, ctypes.byref(down))
+    if m < 0:
+        return None
+    if m == 0:
+        return down.value
+    near = near[:m]
+    return down.value + int(np.count_nonzero(_t_dot_q(u1[near], u2[near], *dots) <= 0.0))
 
 
 def sample_hidden(p: UnitVector, rng) -> UnitVector:

@@ -21,25 +21,20 @@ releases the GIL for the call, so the runner's worker threads draw in
 parallel. It is exact for the same reasons as the numpy path: the mixing is
 integer arithmetic mod 2**64, the 53-bit word converts to float64 exactly,
 and scaling by 2**-53 (a power of two) is exact; the library is built
-without -ffast-math. The first call compiles it with the system ``cc`` (or
-``gcc``) into ``$XDG_CACHE_HOME/bornsim`` (``~/.cache/bornsim``), under a
-name keyed by a hash of the source, flags, compiler path and machine; later
-processes load the cached file. Without a compiler, or if the build or the
-load fails, the process uses the numpy fill, which stays as the reference
-the tests compare the native fill with.
+without -ffast-math. ``native.Library`` builds it on the first call into a
+per-user cache; without a compiler, or if the build or the load fails, the
+process uses the numpy fill, which stays as the reference the tests compare
+the native fill with.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
-import os
-import shutil
-import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
+
+from .native import Library
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -129,86 +124,14 @@ def _numpy_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.
     return out
 
 
-_SOURCE = Path(__file__).with_name("_splitmix.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC")
-_BUILD_TIMEOUT_S = 120
-_native_lock = threading.Lock()
+_FILL = Library(
+    "splitmix", Path(__file__).with_name("_splitmix.c"), ("-O3", "-shared", "-fPIC"),
+    {"trial_uniforms": (None, (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
+                               ctypes.c_int64, ctypes.c_int64))},
+)
 
 
 def _native_fill():
     """The C ``trial_uniforms``, or None; built or loaded once per process."""
-    with _native_lock:
-        return _load_native()
-
-
-@functools.cache
-def _load_native():
-    # imported on first use, not with the module: ``analytic`` never draws
-    import subprocess
-
-    cc = shutil.which("cc") or shutil.which("gcc")
-    if cc is None or os.name != "posix":
-        return None
-    try:
-        source = _SOURCE.read_bytes()
-        name = f"splitmix-{_build_key(source, cc)}.so"
-        directory = _cache_dir()
-        if directory is not None:
-            fill = _build_and_open(cc, source, directory / name)
-        else:
-            # a loaded library stays mapped after its file is removed
-            with tempfile.TemporaryDirectory(prefix="bornsim-") as private:
-                fill = _build_and_open(cc, source, Path(private) / name)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    fill.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
-                     ctypes.c_int64, ctypes.c_int64)
-    fill.restype = None
-    return fill
-
-
-def _build_key(source: bytes, cc: str) -> str:
-    """Hash of what the library is built from: source, flags, compiler and machine.
-
-    The machine is there for home directories shared between architectures.
-    """
-    import hashlib
-
-    parts = [source, " ".join(_CFLAGS).encode(), cc.encode(), os.uname().machine.encode()]
-    return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
-
-
-def _build_and_open(cc: str, source: bytes, lib: Path):
-    """The C function from ``lib``, compiled from ``source`` first if ``lib`` is missing."""
-    import subprocess
-
-    if not lib.exists():
-        # build under a temporary name, then rename: no reader sees half a file
-        fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".tmp")
-        os.close(fd)
-        try:
-            subprocess.run([cc, *_CFLAGS, "-x", "c", "-", "-o", tmp], input=source,
-                           capture_output=True, timeout=_BUILD_TIMEOUT_S, check=True)
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return ctypes.CDLL(str(lib)).trial_uniforms
-
-
-def _cache_dir() -> Path | None:
-    """The per-user cache directory, or None if it is not ours alone to write."""
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    path = Path(root) / "bornsim"
-    try:
-        path.mkdir(mode=0o700, parents=True, exist_ok=True)
-        st = path.stat()
-    except OSError:
-        return None
-    # another user could plant a library in a directory they can write
-    if st.st_uid != os.getuid() or st.st_mode & 0o022 or not os.access(path, os.W_OK):
-        return None
-    return path
-
+    lib = _FILL.load()
+    return None if lib is None else lib.trial_uniforms

@@ -7,12 +7,12 @@ and the test ids that must fail with it. Run from anywhere:
 
 Every entry is applied to its own temporary copy of the repository, with
 ``PYTHONPATH`` pointing at the copy's ``src`` and ``XDG_CACHE_HOME`` at a
-temporary directory (so a mutated ``_splitmix.c`` is never built into the
-user's cache), and only its tests run there. The script exits 1 if an old
+temporary directory (so a mutated C file is never built into the user's
+cache), and only its tests run there. The script exits 1 if an old
 text is not found exactly once, if a mutant survives (one of its tests
 passes, is skipped or is not found), or if the control entry, a harmless
-edit, does not pass every test the mutants name. The native-fill mutant
-needs a C compiler. pytest does not collect this file: its name does not
+edit, does not pass every test the mutants name. The mutants of the C
+files need a C compiler. pytest does not collect this file: its name does not
 start with ``test_``.
 """
 
@@ -51,6 +51,8 @@ _PINNED = "tests/test_cli.py::test_simulate_counts_are_pinned"
 _PARTNER = ("tests/test_cli.py::TestInputHandling::"
             "test_direction_sweep_partner_does_not_depend_on_the_row_scale")
 _GAP = "tests/test_rod.py::test_stage2_constants_agree_with_the_projected_ray_route"
+_DECIDES = "tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_reference"
+_PLANTED = "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
 
 MUTANTS = (
     Mutant(
@@ -86,9 +88,24 @@ MUTANTS = (
         "src/bornsim/disk.py",
         "_MARGIN = 2.0**-12",
         "_MARGIN = 0.0",
-        ("tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_reference",
-         "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
-         "[65536]"),
+        (_DECIDES + "[native]", _DECIDES + "[numpy]",
+         _PLANTED + "[native-65536]", _PLANTED + "[numpy-65536]"),
+    ),
+    Mutant(
+        "disk C pass: decides the trials near the boundary itself (near test t == 0.0)",
+        "src/bornsim/_disk.c",
+        "below += t < -margin;\n            close += fabs(t) <= margin;",
+        "below += t < 0.0;\n            close += t == 0.0;",
+        (_DECIDES + "[native]", _PLANTED + "[native-1]", _PLANTED + "[native-65536]"),
+    ),
+    Mutant(
+        "disk C pass: cos(phi) not negated in quadrant 1 (k > 1.5)",
+        "src/bornsim/_disk.c",
+        "*c = k > 0.5 && k < 2.5 ? -cp : cp;",
+        "*c = k > 1.5 && k < 2.5 ? -cp : cp;",
+        ("tests/test_disk.py::test_c_trig_stays_inside_the_kernel_margin",
+         _DECIDES + "[native]",
+         _PINNED + "[ks-native]"),
     ),
     Mutant(
         "rod kernel: u1 == t1 counted in slot 2 (u1 >= t1)",

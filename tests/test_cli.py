@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from bornsim import rod, streams
+from bornsim import disk, rod, streams
 from bornsim.cli import main
 from bornsim.geometry import Frame, identity_frame, unit_vector
 from bornsim.models import MODELS
@@ -151,10 +151,12 @@ PINNED_COUNTS = [
 @pytest.mark.parametrize("model, weight, state, trials, counts", PINNED_COUNTS)
 def test_simulate_counts_are_pinned(fill, model, weight, state, trials, counts,
                                     tmp_path, capsys, monkeypatch):
+    # "numpy" switches off both C libraries, the fill and the disk pass
     if fill == "numpy":
         monkeypatch.setattr(streams, "_native_fill", lambda: None)
-    elif streams._native_fill() is None:
-        pytest.skip("the native fill did not load: no C compiler")
+        monkeypatch.setattr(disk, "_native_pass", lambda: None)
+    elif streams._native_fill() is None or disk._native_pass() is None:
+        pytest.skip("the C libraries did not load: no C compiler")
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--model", model, "--weight", weight, "--state", state,
                  "--frame", "identity", "--trials", str(trials), "--seed", "7",

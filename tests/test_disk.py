@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -22,6 +23,17 @@ from bornsim.streams import trial_uniforms
 from oracles import binomial_bound, disk_mean_cos_oracle, disk_up_oracle
 
 EZ = unit_vector(0.0, 0.0, 1.0)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def path(request, monkeypatch):
+    """The kernel's first pass: the C loop (skipped where its library does not
+    load) or the numpy float32 pass that a process without it runs."""
+    if request.param == "numpy":
+        monkeypatch.setattr(disk, "_native_pass", lambda: None)
+    elif disk._native_pass() is None:
+        pytest.skip("the disk library did not load: no C compiler")
+    return request.param
 
 
 def direction_at(theta: float) -> unit_vector:
@@ -184,10 +196,29 @@ def _reference_up_indices(p, q, u1, u2):
 
 
 def _float32_pass_only(p, q, u1, u2):
-    """What the kernel would decide with its float64 pass left out."""
+    """What the numpy kernel would decide with its float64 pass left out."""
     a, b = tangent_basis(p)
     tq = disk._t_dot_q(u1, u2, float(a @ q), float(b @ q), float(p @ q), np.float32)
     return (tq <= 0.0).astype(np.int64)
+
+
+def _c_pass_only(p, q, u1, u2):
+    """What the native kernel would decide with its float64 pass left out:
+    the C pass with no margin, one trial at a time (an exact 0 is down)."""
+    first_pass = disk._native_pass()
+    dots = basis_dots(p, q)
+    near, down = np.empty(1, dtype=np.int64), ctypes.c_int64()
+    out = np.empty(len(u1), dtype=np.int64)
+    for i in range(len(u1)):
+        m = first_pass(u1[i:].ctypes.data, u2[i:].ctypes.data, 1, *dots, 0.0,
+                       near.ctypes.data, ctypes.byref(down))
+        out[i] = down.value + m
+    return out
+
+
+def _one_trial_decisions(dots, u1, u2):
+    """Each trial's down (1) or up (0), through ``up_indices`` on one trial at a time."""
+    return np.array([up_indices(dots, u1[i : i + 1], u2[i : i + 1])[1] for i in range(len(u1))])
 
 
 def _crossing_uniforms(p, q, u1, grid=64, ulps=3):
@@ -230,9 +261,9 @@ def _decision_cases(gen):
     return cases
 
 
-def test_filtered_kernel_decides_as_the_one_pass_reference():
+def test_filtered_kernel_decides_as_the_one_pass_reference(path):
     gen = np.random.default_rng(1997)
-    float32_wrong = 0
+    first_pass_wrong = 0
     for p, q in _decision_cases(gen):
         edge = np.array([0.0, 1.0 - 2**-53])
         u1c, u2c = _crossing_uniforms(p, q, np.concatenate([edge, gen.random(30)]))
@@ -244,14 +275,18 @@ def test_filtered_kernel_decides_as_the_one_pass_reference():
         counts = up_indices(dots, u1, u2)
         assert counts.dtype == np.int64
         assert counts.tolist() == [len(want) - want.sum(), want.sum()], (p, q)
-        float32_wrong += int(np.sum(_float32_pass_only(p, q, u1, u2) != want))
-    # the crossings are close enough to the equator that float32 trig alone
+        # every crossing, through the kernel on its own
+        crossings = slice(0, len(u1c))
+        assert np.array_equal(_one_trial_decisions(dots, u1c, u2c), want[crossings]), (p, q)
+        first_pass_only = _c_pass_only if path == "native" else _float32_pass_only
+        first_pass_wrong += int(np.sum(first_pass_only(p, q, u1c, u2c) != want[crossings]))
+    # the crossings are close enough to the equator that the first pass alone
     # gets some of them wrong, so the float64 pass is what this test checks
-    assert float32_wrong > 0
+    assert first_pass_wrong > 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537])
-def test_filtered_kernel_matches_the_reference_on_planted_crossings(n):
+def test_filtered_kernel_matches_the_reference_on_planted_crossings(n, path):
     gen = np.random.default_rng(n)
     p, q = random_unit_vector(gen).array, random_unit_vector(gen).array
     u1c, u2c = _crossing_uniforms(p, q, gen.random(200))
@@ -281,6 +316,60 @@ def test_draws_of_different_lengths_are_rejected():
     for u1, u2 in ((u, u[:1]), (u[:1], u), (u, np.full(7, 0.5))):
         with pytest.raises(ValueError, match="u1 and u2"):
             up_indices(dots, u1, u2)
+
+
+def test_draws_outside_the_c_pass_domain_get_the_numpy_counts(path):
+    # the C pass's quadrant logic holds for u1, u2 in [0, 1]; other values,
+    # NaN and strided draws are counted by the numpy pass
+    gen = np.random.default_rng(4)
+    p, q = random_unit_vector(gen).array, random_unit_vector(gen).array
+    dots = basis_dots(p, q)
+    u = gen.random((2, 1_000))
+    cases = {"u1=1.0": (0, 1.0), "u2=1.0": (1, 1.0), "u2=0.0": (1, 0.0)}
+    outside = {"u2=1.5": (1, 1.5), "u2=-0.25": (1, -0.25), "u2=nan": (1, np.nan),
+               "u1=nan": (0, np.nan), "u1=-0.25": (0, -0.25), "u1=1.5": (0, 1.5)}
+    for name, (row, value) in {**cases, **outside}.items():
+        v = u.copy()
+        v[row, 700] = value  # past the C pass's first blocks
+        with np.errstate(invalid="ignore"):  # sqrt of a negative u1 or 1 - u1
+            down = np.count_nonzero(disk._down(dots, v[0], v[1]))
+            assert up_indices(dots, v[0], v[1]).tolist() == [1_000 - down, down], name
+        if path == "native":
+            m = disk._native_pass()(v[0].ctypes.data, v[1].ctypes.data, 1_000, *dots,
+                                    disk._MARGIN, np.empty(1_000, np.int64).ctypes.data,
+                                    ctypes.byref(ctypes.c_int64()))
+            assert (m == -1) == (name in outside), name
+    for u1, u2 in ((u[0, ::2], u[1, ::2]), (u.T.copy().T[0], u.T.copy().T[1]),
+                   (u[0, ::-1], u[1])):
+        down = np.count_nonzero(disk._down(dots, u1, u2))
+        assert up_indices(dots, u1, u2).tolist() == [len(u1) - down, down]
+        assert np.array_equal(_one_trial_decisions(dots, u1, u2), disk._down(dots, u1, u2))
+
+
+def test_c_trig_stays_inside_the_kernel_margin():
+    """The C pass is safe while its cos and sin of 2 pi u2 stay within 2**-20
+    of float64 cos and sin (see ``disk._down``); its polynomials are within
+    1.8e-9. Checked on a dense u2 grid, at the quadrant points k/4 and the
+    reduction's switch points (2k+1)/8, and on 8 floats either side of each."""
+    lib = disk._FIRST_PASS.load()
+    if lib is None:
+        pytest.skip("the disk library did not load: no C compiler")
+    gen = np.random.default_rng(21)
+    below = above = np.arange(9) / 8
+    near_switches = [below]
+    for _ in range(8):
+        below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+        near_switches += [below, above]
+    u2 = np.concatenate([np.arange(1 << 20) / (1 << 20), gen.random(1 << 20),
+                         *near_switches])
+    u2 = u2[(u2 >= 0.0) & (u2 <= 1.0)]
+    c, s = np.empty_like(u2), np.empty_like(u2)
+    lib.disk_trig(u2.ctypes.data, len(u2), c.ctypes.data, s.ctypes.data)
+    phi = 2.0 * math.pi * u2
+    for name, got, want in (("cos", c, np.cos(phi)), ("sin", s, np.sin(phi))):
+        err = float(np.abs(got - want).max())
+        assert err <= 1.8e-9, name
+        assert err <= 2.0**-20, name
 
 
 def test_float32_trig_stays_inside_the_kernel_margin():

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornsim import streams
+from bornsim import disk, streams
 from bornsim.geometry import Frame, Ray, UnitVector, random_frame, random_unit_vector
 from bornsim.stats import RunConfig, run_trials
 
@@ -79,8 +79,9 @@ def test_counts_match_the_recorded_ones(run):
 )
 def test_numpy_fallback_counts_match_the_recorded_ones(run, monkeypatch):
     # the path a process without a C compiler takes; the test above runs the
-    # native fill wherever it loads
+    # native fill and the native disk pass wherever they load
     monkeypatch.setattr(streams, "_native_fill", lambda: None)
+    monkeypatch.setattr(disk, "_native_pass", lambda: None)
     test_counts_match_the_recorded_ones(run)
 
 
