@@ -1,4 +1,73 @@
-/* Native first pass of bornsim.disk.up_indices.
+/* Native bodies of bornsim.streams.trial_uniforms and of the first pass of
+ * bornsim.disk.up_indices, built together into one library (bornsim.native).
+ *
+ * Build with -O3 -fno-math-errno -fno-trapping-math, never -ffast-math:
+ * the disk pass's loop, quadrant selects and domain check vectorize only
+ * without errno and traps, and -ffast-math may reassociate the rounding of
+ * k in trig() below. Neither flag changes the fill's integer arithmetic.
+ *
+ * Each exported loop has one copy per x86-64 level, picked when the library
+ * loads: AVX-512 has the 64-bit multiply and int64 -> double conversion as
+ * vector instructions, which -O3 alone cannot assume. The clones are built
+ * with GCC only; other compilers build the plain loops. No static state:
+ * the functions are called without the GIL from several threads at once.
+ */
+#include <math.h>
+#include <stdint.h>
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define CLONES
+#endif
+
+/* ---- The fill of bornsim.streams.trial_uniforms.
+ *
+ * Fills out[k * n + i] with draw k of trial start + i:
+ *
+ *     state(t)   = mix64(seed ^ mix64((t + 1) * GOLDEN))
+ *     draw(t, k) = mix64(state(t) + (k + 1) * GOLDEN) >> 11, times 2**-53
+ *
+ * ``base`` is (start + 1) * GOLDEN mod 2**64, so trial start + i starts from
+ * base + i * GOLDEN. Only uint64 arithmetic (which wraps mod 2**64, as
+ * SplitMix64 needs), an int64 -> double conversion of a value below 2**53
+ * (exact) and a multiply by a power of two (exact) touch the bits, so the
+ * values are those of the numpy and scalar paths on any compiler that keeps
+ * IEEE doubles.
+ *
+ * Trials go in blocks of FILL_BLOCK: the block's trial states stay in L1
+ * cache while each draw row is written contiguously.
+ */
+
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+#define FILL_BLOCK 4096
+
+static inline uint64_t mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+CLONES
+void trial_uniforms(double *out, uint64_t seed, uint64_t base, int64_t n, int64_t ndraws)
+{
+    uint64_t state[FILL_BLOCK];
+    for (int64_t a = 0; a < n; a += FILL_BLOCK) {
+        int64_t m = n - a < FILL_BLOCK ? n - a : FILL_BLOCK;
+        uint64_t first = base + (uint64_t)a * GOLDEN;
+        for (int64_t i = 0; i < m; i++)
+            state[i] = mix64(seed ^ mix64(first + (uint64_t)i * GOLDEN));
+        for (int64_t k = 0; k < ndraws; k++) {
+            uint64_t step = (uint64_t)(k + 1) * GOLDEN;
+            double *row = out + k * n + a;
+            for (int64_t i = 0; i < m; i++)
+                row[i] = (double)(int64_t)(mix64(state[i] + step) >> 11) * 0x1p-53;
+        }
+    }
+}
+
+/* ---- The first pass of bornsim.disk.up_indices.
  *
  * For each trial i, t.q = st (cos(phi) aq + sin(phi) bq) + ct pq with
  * st = sqrt(u1), ct = sqrt(1 - u1) and phi = 2 pi u2 (see disk._t_dot_q).
@@ -16,16 +85,9 @@
  * needs u2 in [0, 1] and the square roots u1 in [0, 1]: any other value,
  * NaN included, makes the call return -1, and the caller decides the whole
  * call in numpy.
- *
- * Build with -fno-math-errno -fno-trapping-math (never -ffast-math, which
- * may reassociate the rounding of k below): then the loop, the quadrant
- * selects and the domain check vectorize. No static state: the function is
- * called without the GIL from several threads at once.
  */
-#include <math.h>
-#include <stdint.h>
 
-#define BLOCK 256
+#define DISK_BLOCK 256
 #define HALF_PI 1.57079632679489661923
 
 /* cos(2 pi u2) and sin(2 pi u2) for u2 in [0, 1]; k is compared as a
@@ -49,19 +111,15 @@ static inline void trig(double u2, double *c, double *s)
     *s = k > 1.5 && k < 3.5 ? -sp : sp;
 }
 
-/* One copy of the loop per x86-64 level, picked when the library loads;
- * the clones are built with GCC only, other compilers build the plain loop. */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#endif
+CLONES
 int64_t disk_first_pass(const double *u1, const double *u2, int64_t n, double aq,
                         double bq, double pq, double margin, int64_t *near,
                         int64_t *down)
 {
-    double tq[BLOCK];
+    double tq[DISK_BLOCK];
     int64_t below = 0, m = 0;
-    for (int64_t a = 0; a < n; a += BLOCK) {
-        int64_t len = n - a < BLOCK ? n - a : BLOCK;
+    for (int64_t a = 0; a < n; a += DISK_BLOCK) {
+        int64_t len = n - a < DISK_BLOCK ? n - a : DISK_BLOCK;
         int64_t bad = 0, close = 0;
         for (int64_t i = 0; i < len; i++) {
             double x = u1[a + i], y = u2[a + i], c, s;

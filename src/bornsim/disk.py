@@ -16,9 +16,9 @@ The counting kernel ``up_indices`` needs only the sign of t.q, so it filters
 (Shewchuk 1997, adaptive-precision geometric predicates): a cheap first pass
 decides every trial whose |t.q| is above ``_MARGIN``, and the float64
 formula is evaluated again on the few trials inside it. The first pass is a
-C loop with polynomial trig, ``_disk.c``, where the library builds and loads
-(``native.Library``), and numpy with float32 trig otherwise; ``_down`` is
-the numpy body and the reference the tests compare the C pass with. Every
+C loop with polynomial trig, in ``_native.c``, where the package's C library
+(``native.LIBRARY``) loads, and numpy with float32 trig otherwise; ``_down``
+is the numpy body and the reference the tests compare the C pass with. Every
 trial's outcome equals the one-pass float64 formula's, on either path; see
 ``_down``.
 """
@@ -28,27 +28,17 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .geometry import UnitVector, tangent_basis
-from .native import Library
 from .outcomes import OutcomeDistribution, cosine_split
 
 LABELS = ("up", "down")
 
 # |t.q| above which the first pass decides a trial (see ``_down``)
 _MARGIN = 2.0**-12
-
-_double, _int64, _ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-_FIRST_PASS = Library(
-    "disk", Path(__file__).with_name("_disk.c"),
-    ("-O3", "-fno-math-errno", "-fno-trapping-math", "-shared", "-fPIC"),
-    {"disk_first_pass": (_int64, (_ptr, _ptr, _int64, _double, _double, _double, _double,
-                                  _ptr, _ptr)),
-     "disk_trig": (None, (_ptr, _int64, _ptr, _ptr))},
-)
 
 
 @dataclass(frozen=True)
@@ -126,7 +116,7 @@ def _down(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     sums. Each trig value of the first pass is within 2**-20 of float64 trig
     (``tests/test_disk.py`` guards both passes): here, rounding phi < 2 pi
     to float32 moves it by at most 2**-22, and float32 trig adds a few
-    float32 ulps; in ``_disk.c``, the degree-9 and degree-10 polynomials on
+    float32 ulps; in ``_native.c``, the degree-9 and degree-10 polynomials on
     the quadrant-reduced azimuth are within 1.8e-9. So, with its products
     and sum rounded (in float32 here), the first pass's bracket is less
     than 2**-19 from the float64 one, and st <= 1. A
@@ -161,12 +151,6 @@ def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.array([len(u1) - down, down], dtype=np.int64)
 
 
-def _native_pass():
-    """The C first pass, or None; built or loaded once per process."""
-    lib = _FIRST_PASS.load()
-    return None if lib is None else lib.disk_first_pass
-
-
 def _native_down(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> int | None:
     """The number of down trials, as ``_down`` decides them, by the C pass
     and the float64 formula on the trials it leaves inside ``_MARGIN``.
@@ -175,14 +159,14 @@ def _native_down(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> int | None:
     contiguous 1-d arrays, or a draw outside [0, 1] (the C pass finds those
     in its loop and returns -1).
     """
-    first_pass = _native_pass()
-    if (first_pass is None or u1.ndim != 1 or u2.ndim != 1
+    lib = native.LIBRARY.load()
+    if (lib is None or u1.ndim != 1 or u2.ndim != 1
             or not (u1.flags.c_contiguous and u2.flags.c_contiguous)):
         return None
     near = np.empty(len(u1), dtype=np.int64)
     down = ctypes.c_int64()
-    m = first_pass(u1.ctypes.data, u2.ctypes.data, len(u1), *dots, _MARGIN,
-                   near.ctypes.data, ctypes.byref(down))
+    m = lib.disk_first_pass(u1.ctypes.data, u2.ctypes.data, len(u1), *dots, _MARGIN,
+                            near.ctypes.data, ctypes.byref(down))
     if m < 0:
         return None
     if m == 0:

@@ -1,15 +1,19 @@
-"""C helpers built on first use and loaded with ctypes.
+"""The package's C library, built on first use and loaded with ctypes.
 
-A ``Library`` names a C source file of the package, the flags it is built
-with and the functions it exports. Its first ``load()`` in a process
-compiles the source with the system ``cc`` (or ``gcc``) into
-``$XDG_CACHE_HOME/bornsim`` (``~/.cache/bornsim``), under a name keyed by a
-hash of the source, flags, compiler path and machine; later processes load
-the cached file. If that directory is not ours alone to write, the library
-is built in a private temporary directory instead. Without a compiler, or if
-the build or the load fails, ``load()`` returns None and the caller runs its
-numpy body, which stays as the reference the tests compare the C function
-with. Nothing is built or loaded at import: ``analytic`` never draws.
+``_native.c`` holds the native bodies of ``streams.trial_uniforms`` (the
+SplitMix64 fill) and of the first pass of ``disk.up_indices``; ``LIBRARY``
+is its one ``Library``, and the only one in the package. Its first
+``load()`` in a process compiles the source with the system ``cc`` (or
+``gcc``) into ``$XDG_CACHE_HOME/bornsim`` (``~/.cache/bornsim``), under a
+name keyed by a hash of the source, flags, compiler path and machine; later
+processes load the cached file. If that directory is not ours alone to
+write, the library is built in a private temporary directory instead.
+Without a compiler, or if the build or the load fails, ``load()`` returns
+None and both callers run their numpy bodies, which stay as the references
+the tests compare the C functions with: a process is either native or
+numpy, never half of each. The callers look ``LIBRARY`` up on every call,
+so a test can swap in another one. Nothing is built or loaded at import:
+``analytic`` never draws.
 """
 
 from __future__ import annotations
@@ -115,3 +119,14 @@ def _cache_dir() -> Path | None:
     if st.st_uid != os.getuid() or st.st_mode & 0o022 or not os.access(path, os.W_OK):
         return None
     return path
+
+
+_double, _int64, _ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+LIBRARY = Library(
+    "native", Path(__file__).with_name("_native.c"),
+    ("-O3", "-fno-math-errno", "-fno-trapping-math", "-shared", "-fPIC"),
+    {"trial_uniforms": (None, (_ptr, ctypes.c_uint64, ctypes.c_uint64, _int64, _int64)),
+     "disk_first_pass": (_int64, (_ptr, _ptr, _int64, _double, _double, _double, _double,
+                                  _ptr, _ptr)),
+     "disk_trig": (None, (_ptr, _int64, _ptr, _ptr))},
+)

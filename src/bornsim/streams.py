@@ -15,26 +15,22 @@ paths below produce bit-identical values.
 The numpy fill computes the same formula on uint64 arrays (which wrap mod
 2**64, as SplitMix64 needs), one sub-block of ``_BLOCK`` trials at a time.
 
-``trial_uniforms`` runs a native body, ``_splitmix.c``, when it can: one
-C call per chunk fills the whole array, in 4096-trial blocks, and ctypes
-releases the GIL for the call, so the runner's worker threads draw in
-parallel. It is exact for the same reasons as the numpy path: the mixing is
-integer arithmetic mod 2**64, the 53-bit word converts to float64 exactly,
-and scaling by 2**-53 (a power of two) is exact; the library is built
-without -ffast-math. ``native.Library`` builds it on the first call into a
-per-user cache; without a compiler, or if the build or the load fails, the
-process uses the numpy fill, which stays as the reference the tests compare
-the native fill with.
+``trial_uniforms`` runs a native body, in ``_native.c``, when the
+package's C library (``native.LIBRARY``) loads: one C call per chunk fills
+the whole array, in 4096-trial blocks, and ctypes releases the GIL for the
+call, so the runner's worker threads draw in parallel. It is exact for the
+same reasons as the numpy path: the mixing is integer arithmetic mod 2**64,
+the 53-bit word converts to float64 exactly, and scaling by 2**-53 (a power
+of two) is exact; the library is built without -ffast-math. Where the
+library does not load, the process uses the numpy fill, which stays as the
+reference the tests compare the native fill with.
 """
 
 from __future__ import annotations
 
-import ctypes
-from pathlib import Path
-
 import numpy as np
 
-from .native import Library
+from . import native
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -93,12 +89,13 @@ def trial_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.n
     One native call fills the array when the C library is available, and
     ``_numpy_uniforms`` otherwise.
     """
-    fill = _native_fill()
-    if fill is None:
+    lib = native.LIBRARY.load()
+    if lib is None:
         return _numpy_uniforms(master_seed, start, stop, ndraws)
     n = stop - start
     out = np.empty((ndraws, n), dtype=float)  # C-contiguous; rejects n < 0
-    fill(out.ctypes.data, master_seed & _MASK, (start + 1) * GOLDEN & _MASK, n, ndraws)
+    lib.trial_uniforms(out.ctypes.data, master_seed & _MASK, (start + 1) * GOLDEN & _MASK, n,
+                       ndraws)
     return out
 
 
@@ -122,16 +119,3 @@ def _numpy_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.
             np.multiply((_mix64_array(state + ((k + 1) * GOLDEN & _MASK)) >> 11).view(np.int64),
                         _INV_2_53, out=out[k, a : a + m])
     return out
-
-
-_FILL = Library(
-    "splitmix", Path(__file__).with_name("_splitmix.c"), ("-O3", "-shared", "-fPIC"),
-    {"trial_uniforms": (None, (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
-                               ctypes.c_int64, ctypes.c_int64))},
-)
-
-
-def _native_fill():
-    """The C ``trial_uniforms``, or None; built or loaded once per process."""
-    lib = _FILL.load()
-    return None if lib is None else lib.trial_uniforms

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from bornsim import native
 from bornsim.geometry import random_frame, random_unit_vector
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def numpy_only(monkeypatch):
+    """The process as it runs where the C library does not load: the numpy
+    fill and the numpy first pass of the disk kernel."""
+    monkeypatch.setattr(native.LIBRARY, "load", lambda: None)
 
 
 def random_ray_frame_pairs(seed: int, n: int):

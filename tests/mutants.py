@@ -12,7 +12,7 @@ cache), and only its tests run there. The script exits 1 if an old
 text is not found exactly once, if a mutant survives (one of its tests
 passes, is skipped or is not found), or if the control entry, a harmless
 edit, does not pass every test the mutants name. The mutants of the C
-files need a C compiler. pytest does not collect this file: its name does not
+file need a C compiler. pytest does not collect this file: its name does not
 start with ``test_``.
 """
 
@@ -75,7 +75,7 @@ MUTANTS = (
     ),
     Mutant(
         "native fill: block offset a + 1",
-        "src/bornsim/_splitmix.c",
+        "src/bornsim/_native.c",
         "uint64_t first = base + (uint64_t)a * GOLDEN;",
         "uint64_t first = base + (uint64_t)(a + 1) * GOLDEN;",
         (_STREAMS + "test_scalar_and_vector_draws_are_bitwise_identical",
@@ -93,19 +93,21 @@ MUTANTS = (
     ),
     Mutant(
         "disk C pass: decides the trials near the boundary itself (near test t == 0.0)",
-        "src/bornsim/_disk.c",
+        "src/bornsim/_native.c",
         "below += t < -margin;\n            close += fabs(t) <= margin;",
         "below += t < 0.0;\n            close += t == 0.0;",
         (_DECIDES + "[native]", _PLANTED + "[native-1]", _PLANTED + "[native-65536]"),
     ),
     Mutant(
         "disk C pass: cos(phi) not negated in quadrant 1 (k > 1.5)",
-        "src/bornsim/_disk.c",
+        "src/bornsim/_native.c",
         "*c = k > 0.5 && k < 2.5 ? -cp : cp;",
         "*c = k > 1.5 && k < 2.5 ? -cp : cp;",
         ("tests/test_disk.py::test_c_trig_stays_inside_the_kernel_margin",
          _DECIDES + "[native]",
-         _PINNED + "[ks-native]"),
+         _PINNED + "[ks-native]",
+         _PINNED + "[ks-far-native]",
+         _PINNED + "[ks-far-in-plane-native]"),
     ),
     Mutant(
         "rod kernel: u1 == t1 counted in slot 2 (u1 >= t1)",

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from bornsim import disk, rod, streams
+from bornsim import native, rod
 from bornsim.cli import main
 from bornsim.geometry import Frame, identity_frame, unit_vector
 from bornsim.models import MODELS
@@ -129,7 +129,9 @@ class TestSimulate:
 # program. The first three runs cross block edges inside a chunk, a chunk
 # edge and a partial last block; the rod runs after them sit on the run
 # constants' sentinels: tie 2 ineligible (t1 = 2.0), and a lone eligible
-# stage-2 tie (r = 1.0) under both weights.
+# stage-2 tie (r = 1.0) under both weights. The last two ks runs measure
+# along +x a state far from it (p.q < 0), where the sign of t.q depends on
+# the sign of cos(phi) in every quadrant of the azimuth.
 PINNED_STATE = "0.7071067811865476,0.5,0.5"
 PINNED_COUNTS = [
     pytest.param("rod", "quantum", PINNED_STATE, 300007,
@@ -144,21 +146,23 @@ PINNED_COUNTS = [
                  {"o1": 0, "o2": 107746, "o3": 192261}, id="rod-lone-tie-quantum"),
     pytest.param("rod", "uniform-variant", "0,0.6,0.8", 300007,
                  {"o1": 0, "o2": 128206, "o3": 171801}, id="rod-lone-tie-variant"),
+    pytest.param("ks", "quantum", "-0.7071067811865476,0.5,0.5", 200003,
+                 {"up": 29310, "down": 170693}, id="ks-far"),
+    pytest.param("ks", "quantum", "-0.28,-0.96,0", 200003,
+                 {"up": 71949, "down": 128054}, id="ks-far-in-plane"),
 ]
 
 
 @pytest.mark.parametrize("fill", ["native", "numpy"])
 @pytest.mark.parametrize("model, weight, state, trials, counts", PINNED_COUNTS)
 def test_simulate_counts_are_pinned(fill, model, weight, state, trials, counts,
-                                    tmp_path, capsys, monkeypatch):
-    # "numpy" switches off both C libraries, the fill and the disk pass
+                                    tmp_path, capsys, request):
     if fill == "numpy":
-        monkeypatch.setattr(streams, "_native_fill", lambda: None)
-        monkeypatch.setattr(disk, "_native_pass", lambda: None)
-    elif streams._native_fill() is None or disk._native_pass() is None:
-        pytest.skip("the C libraries did not load: no C compiler")
+        request.getfixturevalue("numpy_only")
+    elif native.LIBRARY.load() is None:
+        pytest.skip("the C library did not load: no C compiler")
     out = tmp_path / "sim.csv"
-    assert main(["simulate", "--model", model, "--weight", weight, "--state", state,
+    assert main(["simulate", "--model", model, "--weight", weight, f"--state={state}",
                  "--frame", "identity", "--trials", str(trials), "--seed", "7",
                  "--workers", "2", "--out", str(out)]) == 0
     capsys.readouterr()

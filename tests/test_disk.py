@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bornsim import disk
+from bornsim import disk, native
 from bornsim.disk import (
     DiskState,
     LABELS,
@@ -26,13 +26,13 @@ EZ = unit_vector(0.0, 0.0, 1.0)
 
 
 @pytest.fixture(params=["native", "numpy"])
-def path(request, monkeypatch):
-    """The kernel's first pass: the C loop (skipped where its library does not
-    load) or the numpy float32 pass that a process without it runs."""
+def path(request):
+    """The kernel's first pass: the C loop (skipped where the C library does
+    not load) or the numpy float32 pass that a process without it runs."""
     if request.param == "numpy":
-        monkeypatch.setattr(disk, "_native_pass", lambda: None)
-    elif disk._native_pass() is None:
-        pytest.skip("the disk library did not load: no C compiler")
+        request.getfixturevalue("numpy_only")
+    elif native.LIBRARY.load() is None:
+        pytest.skip("the C library did not load: no C compiler")
     return request.param
 
 
@@ -205,7 +205,7 @@ def _float32_pass_only(p, q, u1, u2):
 def _c_pass_only(p, q, u1, u2):
     """What the native kernel would decide with its float64 pass left out:
     the C pass with no margin, one trial at a time (an exact 0 is down)."""
-    first_pass = disk._native_pass()
+    first_pass = native.LIBRARY.load().disk_first_pass
     dots = basis_dots(p, q)
     near, down = np.empty(1, dtype=np.int64), ctypes.c_int64()
     out = np.empty(len(u1), dtype=np.int64)
@@ -335,9 +335,9 @@ def test_draws_outside_the_c_pass_domain_get_the_numpy_counts(path):
             down = np.count_nonzero(disk._down(dots, v[0], v[1]))
             assert up_indices(dots, v[0], v[1]).tolist() == [1_000 - down, down], name
         if path == "native":
-            m = disk._native_pass()(v[0].ctypes.data, v[1].ctypes.data, 1_000, *dots,
-                                    disk._MARGIN, np.empty(1_000, np.int64).ctypes.data,
-                                    ctypes.byref(ctypes.c_int64()))
+            first_pass = native.LIBRARY.load().disk_first_pass
+            m = first_pass(v[0].ctypes.data, v[1].ctypes.data, 1_000, *dots, disk._MARGIN,
+                           np.empty(1_000, np.int64).ctypes.data, ctypes.byref(ctypes.c_int64()))
             assert (m == -1) == (name in outside), name
     for u1, u2 in ((u[0, ::2], u[1, ::2]), (u.T.copy().T[0], u.T.copy().T[1]),
                    (u[0, ::-1], u[1])):
@@ -351,9 +351,9 @@ def test_c_trig_stays_inside_the_kernel_margin():
     of float64 cos and sin (see ``disk._down``); its polynomials are within
     1.8e-9. Checked on a dense u2 grid, at the quadrant points k/4 and the
     reduction's switch points (2k+1)/8, and on 8 floats either side of each."""
-    lib = disk._FIRST_PASS.load()
+    lib = native.LIBRARY.load()
     if lib is None:
-        pytest.skip("the disk library did not load: no C compiler")
+        pytest.skip("the C library did not load: no C compiler")
     gen = np.random.default_rng(21)
     below = above = np.arange(9) / 8
     near_switches = [below]

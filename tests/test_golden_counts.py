@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornsim import disk, streams
 from bornsim.geometry import Frame, Ray, UnitVector, random_frame, random_unit_vector
 from bornsim.stats import RunConfig, run_trials
 
@@ -77,11 +76,9 @@ def test_counts_match_the_recorded_ones(run):
     "run", _GOLDEN["runs"],
     ids=lambda r: f"{r['model']}-{r['weight']}-seed{r['seed']}-N{r['trials']}",
 )
-def test_numpy_fallback_counts_match_the_recorded_ones(run, monkeypatch):
+def test_numpy_fallback_counts_match_the_recorded_ones(run, numpy_only):
     # the path a process without a C compiler takes; the test above runs the
-    # native fill and the native disk pass wherever they load
-    monkeypatch.setattr(streams, "_native_fill", lambda: None)
-    monkeypatch.setattr(disk, "_native_pass", lambda: None)
+    # C library wherever it loads
     test_counts_match_the_recorded_ones(run)
 
 

@@ -1,12 +1,12 @@
-"""The C libraries against their numpy oracles, and the loader that builds them.
+"""The C library against its numpy oracles, and the loader that builds it.
 
-Each library (the fill of ``streams.trial_uniforms``, ``_splitmix.c``, and
-the first pass of ``disk.up_indices``, ``_disk.c``) is built on its first
-use in a process, into a per-user cache; any failure leaves the process on
-the numpy body. These tests check that both fills give the same bits, that
-the CLI prints the same bytes on both paths, and that each build is done
-once, keyed by its source and never loaded from a directory another user
-can write.
+The package's one C library, ``native.LIBRARY`` (``_native.c``), holds the
+fill of ``streams.trial_uniforms`` and the first pass of
+``disk.up_indices``. It is built on its first use in a process, into a
+per-user cache; any failure leaves the process on both numpy bodies. These
+tests check that both fills give the same bits, that the CLI prints the same
+bytes on both paths, and that the build is done once, keyed by its source
+and never loaded from a directory another user can write.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornsim import disk, streams
+from bornsim import disk, native, streams
 from bornsim.streams import _BLOCK, TrialStream, trial_uniforms
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -52,22 +52,17 @@ def _fill_results(seed=7, n=3 * _BLOCK):
 
 def _disk_results(seed=7, n=3 * _BLOCK):
     """(what the library path gives, what the numpy body gives) for disk counts;
-    the draws come from the numpy fill, so that only the disk library is used."""
+    the draws come from the numpy fill, so that only the disk pass runs in C."""
     u = streams._numpy_uniforms(seed, 0, n, 2)
     dots = disk.basis_dots(np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.8, -0.6]))
     down = np.count_nonzero(disk._down(dots, u[0], u[1]))
     return disk.up_indices(dots, u[0], u[1]), np.array([n - down, down])
 
 
-# per library: its module, the name it is bound to there, the function that
-# returns its C function (or None), the results to compare, and an edit of
-# its source that gives wrong results
-LIBRARIES = {
-    "splitmix": (streams, "_FILL", "_native_fill", _fill_results,
-                 ("base + (uint64_t)a * GOLDEN", "base + (uint64_t)(a + 1) * GOLDEN")),
-    "disk": (disk, "_FIRST_PASS", "_native_pass", _disk_results,
-             ("*s = k > 1.5 && k < 3.5 ? -sp : sp;", "*s = sp;")),
-}
+# edits of _native.c that give wrong results: the fill's block offset, and
+# the disk pass's sign of sin
+MUTATIONS = (("base + (uint64_t)a * GOLDEN", "base + (uint64_t)(a + 1) * GOLDEN"),
+             ("*s = k > 1.5 && k < 3.5 ? -sp : sp;", "*s = sp;"))
 
 
 def _same(got, want) -> bool:
@@ -77,29 +72,24 @@ def _same(got, want) -> bool:
     return np.array_equal(got, want)
 
 
+def _both_same() -> bool:
+    """The fill and the disk pass give what their numpy bodies give."""
+    return _same(*_fill_results()) and _same(*_disk_results())
+
+
 @pytest.fixture
 def cold_cache(tmp_path, monkeypatch):
-    """An empty cache directory, and libraries this process has not loaded yet."""
+    """An empty cache directory, and a library this process has not loaded yet."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    # fresh copies; the loaded libraries come back when the test ends
-    for module, attr, *_ in LIBRARIES.values():
-        monkeypatch.setattr(module, attr, dataclasses.replace(getattr(module, attr)))
+    # a fresh copy; the loaded library comes back when the test ends
+    monkeypatch.setattr(native, "LIBRARY", dataclasses.replace(native.LIBRARY))
     return tmp_path / "bornsim"
 
 
-@pytest.fixture(params=list(LIBRARIES))
-def library(request):
-    """One library's entry of ``LIBRARIES``; skips where it does not load."""
-    module, attr, function, results, mutation = LIBRARIES[request.param]
-    if getattr(module, function)() is None:
-        pytest.skip(f"the {request.param} library did not load: no C compiler")
-    return request.param, module, attr, results, mutation
-
-
 @pytest.fixture
-def native():
-    if streams._native_fill() is None:
-        pytest.skip("the native fill did not load: no C compiler")
+def loads():
+    if native.LIBRARY.load() is None:
+        pytest.skip("the C library did not load: no C compiler")
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,8 +112,7 @@ def test_native_fill_matches_the_numpy_fill_bitwise(seed, start, n, ndraws):
 
 def test_no_compiler_gives_the_numpy_bytes(cold_cache, monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name: None)
-    assert streams._native_fill() is None
-    assert disk._native_pass() is None
+    assert native.LIBRARY.load() is None
     got = trial_uniforms(2**64 - 1, 2**32 + 5, 2**32 + 5 + _BLOCK + 3, 2)
     want = streams._numpy_uniforms(2**64 - 1, 2**32 + 5, 2**32 + 5 + _BLOCK + 3, 2)
     assert np.array_equal(_bits(got), _bits(want))
@@ -131,8 +120,7 @@ def test_no_compiler_gives_the_numpy_bytes(cold_cache, monkeypatch):
     assert not cold_cache.exists()
 
 
-def test_two_threads_on_a_cold_cache_build_once(library, cold_cache, monkeypatch):
-    name, _, _, results, _ = library
+def test_two_threads_on_a_cold_cache_build_once(loads, cold_cache, monkeypatch):
     builds = []
     run = subprocess.run
 
@@ -145,11 +133,13 @@ def test_two_threads_on_a_cold_cache_build_once(library, cold_cache, monkeypatch
     barrier = threading.Barrier(2)
     got = [None, None]
 
-    def first_call(k):
+    # one thread's first call is a fill, the other's a disk pass
+    def first_call(k, results):
         barrier.wait(timeout=10)
         got[k] = results()[0]
 
-    threads = [threading.Thread(target=first_call, args=(k,)) for k in range(2)]
+    threads = [threading.Thread(target=first_call, args=(k, results))
+               for k, results in enumerate((_fill_results, _disk_results))]
     for t in threads:
         t.start()
     for t in threads:
@@ -157,45 +147,45 @@ def test_two_threads_on_a_cold_cache_build_once(library, cold_cache, monkeypatch
         assert not t.is_alive()
     assert len(builds) == 1
     # one library, and no temporary left
-    assert [p.name.split("-")[0] + p.suffix for p in cold_cache.iterdir()] == [name + ".so"]
-    want = results()[1]
-    for result in got:
-        assert _same(result, want)
+    assert [p.name.split("-")[0] + p.suffix for p in cold_cache.iterdir()] == ["native.so"]
+    for result, results in zip(got, (_fill_results, _disk_results)):
+        assert _same(result, results()[1])
 
 
 def test_a_library_built_from_other_source_is_never_loaded(
-    library, cold_cache, tmp_path, monkeypatch
+    loads, cold_cache, tmp_path, monkeypatch
 ):
-    name, module, attr, results, (old, new) = library
-    source = getattr(module, attr).source
-    wrong = source.read_text().replace(old, new)
-    assert wrong != source.read_text()
+    source = native.LIBRARY.source
+    wrong = source.read_text()
+    for old, new in MUTATIONS:
+        assert wrong.count(old) == 1
+        wrong = wrong.replace(old, new)
     mutant = tmp_path / "mutant.c"
     mutant.write_text(wrong)
-    monkeypatch.setattr(module, attr, dataclasses.replace(getattr(module, attr), source=mutant))
-    assert not _same(*results())
+    monkeypatch.setattr(native, "LIBRARY", dataclasses.replace(native.LIBRARY, source=mutant))
+    assert not _same(*_fill_results())
+    assert not _same(*_disk_results())
 
-    monkeypatch.setattr(module, attr,
-                        dataclasses.replace(getattr(module, attr), source=tmp_path / "none.c"))
-    assert getattr(module, attr).load() is None  # a missing source falls back, too
-    assert _same(*results())
+    monkeypatch.setattr(native, "LIBRARY",
+                        dataclasses.replace(native.LIBRARY, source=tmp_path / "none.c"))
+    assert native.LIBRARY.load() is None  # a missing source falls back, too
+    assert _both_same()
 
-    monkeypatch.setattr(module, attr, dataclasses.replace(getattr(module, attr), source=source))
-    assert _same(*results())
-    assert getattr(module, attr).load() is not None
-    assert len(list(cold_cache.glob(f"{name}-*.so"))) == 2
+    monkeypatch.setattr(native, "LIBRARY", dataclasses.replace(native.LIBRARY, source=source))
+    assert _both_same()
+    assert native.LIBRARY.load() is not None
+    assert len(list(cold_cache.glob("native-*.so"))) == 2
 
 
-def test_a_cache_directory_others_can_write_is_not_used(library, cold_cache):
-    _, module, attr, results, _ = library
-    lib = getattr(module, attr)
+def test_a_cache_directory_others_can_write_is_not_used(loads, cold_cache):
+    lib = native.LIBRARY
     cold_cache.mkdir(mode=0o700)
     cold_cache.chmod(0o777)
     # a library planted under the name the loader would look for
     cc = shutil.which("cc") or shutil.which("gcc")
     planted = cold_cache / lib.file_name(lib.source.read_bytes(), cc)
     planted.write_bytes(b"not a library")
-    assert _same(*results())
+    assert _both_same()
     assert lib.load() is not None  # built in a private directory
     assert planted.read_bytes() == b"not a library"
     assert [p.name for p in cold_cache.iterdir()] == [planted.name]
@@ -210,7 +200,7 @@ def _cli(args, env, cwd):
     return out
 
 
-def test_simulate_prints_the_same_bytes_on_both_paths(native, tmp_path):
+def test_simulate_prints_the_same_bytes_on_both_paths(loads, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "BORNSIM_SEED"}
     env["PYTHONPATH"] = str(SRC)
     (tmp_path / "empty").mkdir()
@@ -223,5 +213,4 @@ def test_simulate_prints_the_same_bytes_on_both_paths(native, tmp_path):
         assert got == _cli(argv, numpy_env, tmp_path), args
         assert got[0] == code and b"count=" in got[1] + got[2], args
     assert not (tmp_path / "a" / "bornsim").exists()
-    for name in LIBRARIES:
-        assert list((tmp_path / "b" / "bornsim").glob(f"{name}-*.so")), name
+    assert list((tmp_path / "b" / "bornsim").glob("native-*.so"))
