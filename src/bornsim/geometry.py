@@ -36,6 +36,11 @@ digests), so a rewrite of this path must keep every rounding step:
   ``float`` round trips round the same on Python floats as in numpy, so
   they may move between the two. So may a two-term sum; the three-term
   ``sum`` of the rod's stage-1 weights stays numpy's.
+* ``canonicalize`` of a vector that was just divided by its own norm
+  changes no magnitude: that norm is within 1e-14 of 1, so
+  ``_unit_components`` returns the components as they are, and the sign
+  flip is exact. So a |cosine| taken with ``plane_ray``'s vector has the
+  same bits as one taken with the ``Ray`` that ``project_onto_plane`` makes.
 """
 
 from __future__ import annotations
@@ -225,10 +230,11 @@ def direction_cosines(p: Ray, e: Frame) -> tuple[float, float, float]:
 def project_onto_plane(p: Ray, e: Frame, dropped_axis: int) -> tuple[Ray, float]:
     """Project a ray onto the plane of the two frame axes other than ``dropped_axis``.
 
-    Returns ``(p', norm)`` where ``p'`` is the normalized in-plane ray and
-    ``norm`` is the length of the unnormalized projection, i.e. the sine of
-    the angle between ``p`` and the dropped axis. The retained-axis cosines
-    of ``p'`` equal the original cosines divided by ``norm``.
+    Returns ``(p', norm)`` where ``p'`` is the normalized in-plane ray (the
+    canonical ``Ray`` through ``plane_ray``'s unit vector) and ``norm`` is
+    the length of the unnormalized projection, i.e. the sine of the angle
+    between ``p`` and the dropped axis. The retained-axis cosines of ``p'``
+    equal the original cosines divided by ``norm``.
 
     Raises DegenerateProjectionError when ``p`` coincides with the dropped
     axis (projection norm below 1e-12).
@@ -237,13 +243,16 @@ def project_onto_plane(p: Ray, e: Frame, dropped_axis: int) -> tuple[Ray, float]
         raise ValueError(f"dropped_axis must be 0, 1 or 2, got {dropped_axis}")
     j, k = OTHER_AXES[dropped_axis]
     m, pv = e.matrix, p.array
-    return plane_ray(float(pv @ m[j]), float(pv @ m[k]), m[j].tolist(), m[k].tolist())
+    v, norm = plane_ray(float(pv @ m[j]), float(pv @ m[k]), m[j].tolist(), m[k].tolist())
+    return canonicalize(v), norm
 
 
-def plane_ray(ca: float, cb: float, a: list[float], b: list[float]) -> tuple[Ray, float]:
-    """``project_onto_plane``'s result from the ray's dots ``ca`` and ``cb`` with
-    the retained axes, whose components are ``a`` and ``b``. A caller that
-    projects one ray onto several planes takes each dot once."""
+def plane_ray(ca: float, cb: float, a: list[float], b: list[float]) -> tuple[np.ndarray, float]:
+    """The unit in-plane vector and the projection norm, from the ray's dots
+    ``ca`` and ``cb`` with the retained axes, whose components are ``a`` and
+    ``b``. The vector is not canonicalized: ``project_onto_plane`` makes it a
+    ``Ray``, and a caller that only takes |cosines| with it needs no sign. A
+    caller that projects one ray onto several planes takes each dot once."""
     norm = math.hypot(ca, cb)
     if norm < DEGENERATE_EPS:
         raise DegenerateProjectionError(
@@ -255,7 +264,7 @@ def plane_ray(ca: float, cb: float, a: list[float], b: list[float]) -> tuple[Ray
     z = (ca * a2 + cb * b2) / norm
     v = np.array((x, y, z))
     n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
-    return canonicalize((x / n, y / n, z / n)), norm
+    return np.array((x / n, y / n, z / n)), norm
 
 
 def tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,9 +30,10 @@ LABELS = ("o1", "o2", "o3")
 
 
 def born_probabilities(psi: UnitVector, e: Frame) -> OutcomeDistribution:
-    """P_i = <axis_i, psi>^2 over the three frame axes."""
-    amps = e.matrix @ psi.array
-    return OutcomeDistribution(LABELS, tuple(float(a * a) for a in amps))
+    """P_i = <axis_i, psi>^2 over the three frame axes: ``gleason_measure``
+    of each axis, so the rule is written once."""
+    measure = gleason_measure(psi)
+    return OutcomeDistribution(LABELS, tuple(measure(e, i) for i in range(3)))
 
 
 def gleason_measure(psi: UnitVector) -> Callable[[Frame, int], float]:

@@ -20,6 +20,11 @@ k contributes cos^2(theta_k)/2. With the uniform-variant weight
 w(theta) = sin(theta) (ties break uniformly along their length) the
 probabilities depend on the intermediate plane and no longer match any
 state-vector rule.
+
+The stage probabilities are computed in one place, ``_tree``:
+``rod_analytic`` tabulates them, and ``thresholds`` turns the same floats
+into the counting kernel's run constants, so the kernel's thresholds are
+exactly the table's stage probabilities.
 """
 
 from __future__ import annotations
@@ -150,15 +155,14 @@ def stage2_distribution(
     return np.array(_stage2_pairs(cos, w)[0])
 
 
-def rod_analytic(
+def _tree(
     p: Ray, e: Frame, w: BreakWeight
-) -> tuple[OutcomeDistribution, dict[BreakPath, float]]:
-    """Exact outcome distribution and the six break-order path probabilities.
-
-    Outcome k sums the two paths that leave axis k standing. Orders whose
-    stage-1 weight is zero carry probability zero (they are never sampled,
-    so the degenerate projection behind them is never taken).
-    """
+) -> tuple[list[float], dict[int, tuple[float, float]]]:
+    """The rule's stage probabilities, the one route both ``rod_analytic``
+    and ``thresholds`` read: ``_stage1`` of the ray's direction cosines, and
+    for each first break i with nonzero weight, ``_stage2`` of the retained
+    axes ``OTHER_AXES[i]``, from their |cosines| with the ray projected into
+    their plane."""
     c = direction_cosines(p, e)
     s1 = _stage1(c, w)
     m = e.matrix
@@ -174,16 +178,29 @@ def rod_analytic(
         firsts.append(first)
         j, k = OTHER_AXES[first]
         try:
-            p_prime, _ = plane_ray(dots[j], dots[k], rows[j], rows[k])
+            in_plane, _ = plane_ray(dots[j], dots[k], rows[j], rows[k])
         except DegenerateProjectionError:
             # p lies within 1e-12 of axis `first`, whose stage-1 weight is
             # rounding noise; the in-plane cosines still follow from p's own.
             cosines += _cosines_from_ray(c, j, k)
         else:
-            cosines += _in_plane_cosines(p_prime.array, axes[j], axes[k])
+            cosines += _in_plane_cosines(in_plane, axes[j], axes[k])
+    return s1, dict(zip(firsts, _stage2_pairs(cosines, w)))
+
+
+def rod_analytic(
+    p: Ray, e: Frame, w: BreakWeight
+) -> tuple[OutcomeDistribution, dict[BreakPath, float]]:
+    """Exact outcome distribution and the six break-order path probabilities.
+
+    Outcome k sums the two paths that leave axis k standing. Orders whose
+    stage-1 weight is zero carry probability zero (they are never sampled,
+    so the degenerate projection behind them is never taken).
+    """
+    s1, s2 = _tree(p, e, w)
     probs = [0.0, 0.0, 0.0]
     path_probs = [0.0] * 6
-    for first, pair in zip(firsts, _stage2_pairs(cosines, w)):
+    for first, pair in s2.items():
         for i, pr2 in enumerate(pair, start=2 * first):
             pr = s1[first] * pr2
             path_probs[i] = pr
@@ -192,17 +209,14 @@ def rod_analytic(
 
 
 def thresholds(p: Ray, e: Frame, w: BreakWeight) -> tuple:
-    """The counting kernel's run constants ``(t0, t1, r0, r1, r2)``:
-    ``_stage1`` of the ray's direction cosines and ``_stage2`` of the
-    in-plane cosines that follow (the rule ``rod_analytic`` tabulates) as
-    thresholds on the uniforms. Slot s of u1 breaks tie s first. Ties on a
-    boundary go to the lowest eligible index; zero-probability ties are
-    never selected, so an eigenstate's outcome is deterministic and
-    degenerate projections are unreachable."""
-    c = direction_cosines(p, e)
-    s1 = _stage1(c, w)
-    firsts = [i for i in (0, 1, 2) if s1[i] != 0.0]
-    cosines = [x for i in firsts for x in _cosines_from_ray(c, *OTHER_AXES[i])]
+    """The counting kernel's run constants ``(t0, t1, r0, r1, r2)``: the
+    stage probabilities that ``rod_analytic`` tabulates (``_tree``) as
+    thresholds on the uniforms, so each threshold is exactly a stage
+    probability of the table (t1 a sum of two). Slot s of u1 breaks tie s
+    first. Ties on a boundary go to the lowest eligible index;
+    zero-probability ties are never selected, so an eigenstate's outcome is
+    deterministic."""
+    s1, s2 = _tree(p, e, w)
 
     # Stage 1 as two thresholds on u1: break 0 if u1 <= t0, else 1 if
     # u1 <= t1, else 2. t0 = -1 when tie 0 is ineligible. t1 = 2.0, which no
@@ -220,7 +234,7 @@ def thresholds(p: Ray, e: Frame, w: BreakWeight) -> tuple:
     # it is ineligible. A lone eligible tie has pj = wj / (wj + 0.0) = 1.0
     # exactly, which every uniform in [0, 1) is below.
     r = [-1.0, -1.0, -1.0]
-    for i, (pj, _) in zip(firsts, _stage2_pairs(cosines, w)):
+    for i, (pj, _) in s2.items():
         r[i] = pj if pj != 0.0 else -1.0
     return t0, t1, *r
 

@@ -51,6 +51,7 @@ _PINNED = "tests/test_cli.py::test_simulate_counts_are_pinned"
 _PARTNER = ("tests/test_cli.py::TestInputHandling::"
             "test_direction_sweep_partner_does_not_depend_on_the_row_scale")
 _GAP = "tests/test_rod.py::test_stage2_constants_agree_with_the_projected_ray_route"
+_ROD_TABLES = "tests/test_golden_analytic.py::test_rod_tables_are_bit_identical"
 _DECIDES = "tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_reference"
 _PLANTED = "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
 
@@ -126,14 +127,29 @@ MUTANTS = (
          _PINNED + "[rod-lone-tie-variant-numpy]"),
     ),
     Mutant(
-        "rod thresholds: in-plane cosine of axis k read from axis j (c[j] / norm)",
+        "rod tree, degenerate fallback: in-plane cosine of axis k read from axis j (c[j] / norm)",
         "src/bornsim/rod.py",
         "min(c[k] / norm, 1.0)",
         "min(c[j] / norm, 1.0)",
+        (_ROD_TABLES + "[quantum]", _ROD_TABLES + "[uniform-variant]"),
+    ),
+    Mutant(
+        "rod tree: every first break takes the in-plane cosines from the ray's own",
+        "src/bornsim/rod.py",
+        "cosines += _in_plane_cosines(in_plane, axes[j], axes[k])",
+        "cosines += _cosines_from_ray(c, j, k)",
         (_GAP + "[quantum]",
          _GAP + "[uniform-variant]",
-         "tests/test_golden_counts.py::test_counts_match_the_recorded_ones"
-         "[rod-quantum-seed0-N999]"),
+         _ROD_TABLES + "[quantum]",
+         _ROD_ORACLE,
+         _FRAMECHECK_PIN + "[rod-uniform-variant]"),
+    ),
+    Mutant(
+        "Born rule: one matrix-vector product, not the Gleason measure of each axis",
+        "src/bornsim/quantum.py",
+        "tuple(measure(e, i) for i in range(3))",
+        "tuple(float(a * a) for a in e.matrix @ psi.array)",
+        ("tests/test_quantum.py::TestBorn::test_equals_the_gleason_measure_bitwise",),
     ),
     Mutant(
         "rod thresholds: no tie-2 guard on t1, so a rounded u1 > t1 breaks ineligible tie 2",

@@ -22,6 +22,8 @@ from bornsim.quantum import (
 )
 from bornsim.rod import QUANTUM, UNIFORM_VARIANT, marginal_measure
 
+from conftest import random_ray_frame_pairs
+
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
 PSI_BENCH = state_vector((SQ2, 0.5, 0.5))
@@ -59,6 +61,14 @@ class TestBorn:
                 state_vector(random_unit_vector(rng).array), random_frame(rng)
             )
             assert abs(sum(d.probs) - 1.0) < 1e-12
+
+    def test_equals_the_gleason_measure_bitwise(self):
+        # the Born rule is the Gleason measure of each axis, to the last bit
+        for v, frame in random_ray_frame_pairs(seed=1957, n=2000):
+            psi = state_vector(v.array)
+            measure = gleason_measure(psi)
+            probs = born_probabilities(psi, frame).probs
+            assert probs == tuple(measure(frame, i) for i in range(3))
 
 
 class TestStateVector:

@@ -5,6 +5,7 @@ import pytest
 
 from bornsim.geometry import (
     OTHER_AXES,
+    DegenerateProjectionError,
     canonicalize,
     identity_frame,
     project_onto_plane,
@@ -304,7 +305,9 @@ _RETAINED = ((1, 2), (0, 2), (0, 1))
 
 def _reference_constants(p, e, w):
     """Stage-1 cumulative sums and per-first-break stage-2 constants, as the
-    nested-np.where kernel computed them."""
+    nested-np.where kernel computed them, with the stage-2 cosines of the ray
+    projected onto the plane (from the ray's own cosines when that projection
+    is degenerate)."""
     c = np.minimum(np.abs(e.matrix @ p.array), 1.0)
     w1 = np.asarray(w.fn(np.arccos(c)), dtype=float)
     s1 = w1 / float(w1.sum())
@@ -316,8 +319,15 @@ def _reference_constants(p, e, w):
         if not elig[i]:
             continue
         j, k = _RETAINED[i]
-        norm = math.hypot(c[j], c[k])
-        cos = np.array([min(c[j] / norm, 1.0), min(c[k] / norm, 1.0)])
+        try:
+            p_prime, _ = project_onto_plane(p, e, i)
+        except DegenerateProjectionError:
+            norm = math.hypot(c[j], c[k])
+            cos = np.array([min(c[j] / norm, 1.0), min(c[k] / norm, 1.0)])
+        else:
+            m = e.matrix
+            cos = np.array([min(abs(float(p_prime.array @ m[j])), 1.0),
+                            min(abs(float(p_prime.array @ m[k])), 1.0)])
         w2 = np.asarray(w.fn(np.arccos(cos)), dtype=float)
         prob_j[i] = w2[0] / float(w2.sum())
         elig_j[i] = w2[0] > 0.0
@@ -436,12 +446,11 @@ def test_path_counts_match_the_paper_path_identity():
                     assert abs(prob - cos2[path.outcome] / 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("w, bound", [(QUANTUM, 1e-14), (UNIFORM_VARIANT, 1e-11)],
-                         ids=["quantum", "uniform-variant"])
-def test_stage2_constants_agree_with_the_projected_ray_route(w, bound):
-    # thresholds takes the in-plane cosines from the ray's direction cosines,
-    # rod_analytic from the ray projected onto the plane; the two routes
-    # round differently, by at most ``bound`` on 2000 random (ray, frame) pairs
+@pytest.mark.parametrize("w", [QUANTUM, UNIFORM_VARIANT], ids=["quantum", "uniform-variant"])
+def test_stage2_constants_agree_with_the_projected_ray_route(w):
+    # thresholds reads rod_analytic's stage tree, whose stage-2 cosines come
+    # from the ray projected onto the plane: each constant is, bit for bit,
+    # the stage-2 probability of the projected ray, on 2000 (ray, frame) pairs
     gaps = []
     for v, e in random_ray_frame_pairs(seed=1957, n=2000):
         p = canonicalize(v.array)
@@ -451,7 +460,7 @@ def test_stage2_constants_agree_with_the_projected_ray_route(w, bound):
                 p_prime, _ = project_onto_plane(p, e, i)
                 gaps.append(abs(r[i] - stage2_distribution(p_prime, e, OTHER_AXES[i], w)[0]))
     assert len(gaps) == 6000
-    assert max(gaps) <= bound
+    assert max(gaps) == 0.0
 
 
 def test_draws_of_different_lengths_are_rejected():
