@@ -2,7 +2,7 @@
  * bornsim.disk.up_indices, built together into one library (bornsim.native).
  *
  * Build with -O3 -fno-math-errno -fno-trapping-math, never -ffast-math:
- * the disk pass's loop, quadrant selects and domain check vectorize only
+ * the disk pass's loop, quadrant selects and domain select vectorize only
  * without errno and traps, and -ffast-math may reassociate the rounding of
  * k in trig() below. Neither flag changes the fill's integer arithmetic.
  *
@@ -79,12 +79,12 @@ void trial_uniforms(double *out, uint64_t seed, uint64_t base, int64_t n, int64_
  * r = (4 u2 - k) pi/2, so phi = k pi/2 + r with |r| <= pi/4. 4 u2 - k is
  * exact, and the Taylor polynomials of degree 9 (sin) and 10 (cos) are
  * within r**11/11! < 1.8e-9 of sin r and cos r there, far inside the 2**-20
- * per trig value that disk._down's margin argument allows. sqrt is correctly
- * rounded and the rest is float64 arithmetic, so every trial outside the
- * margin has the sign the float64 formula gives it. The quadrant logic
- * needs u2 in [0, 1] and the square roots u1 in [0, 1]: any other value,
- * NaN included, makes the call return -1, and the caller decides the whole
- * call in numpy.
+ * per trig value that disk._first_pass's margin argument allows. sqrt is
+ * correctly rounded and the rest is float64 arithmetic, so every trial
+ * outside the margin has the sign the float64 formula gives it. The
+ * quadrant logic needs u2 in [0, 1] and the square roots u1 in [0, 1]: a
+ * trial with any other value, NaN included, gets t.q = 0 by a select, so
+ * that the float64 formula decides it too.
  */
 
 #define DISK_BLOCK 256
@@ -120,18 +120,17 @@ int64_t disk_first_pass(const double *u1, const double *u2, int64_t n, double aq
     int64_t below = 0, m = 0;
     for (int64_t a = 0; a < n; a += DISK_BLOCK) {
         int64_t len = n - a < DISK_BLOCK ? n - a : DISK_BLOCK;
-        int64_t bad = 0, close = 0;
+        int64_t close = 0;
         for (int64_t i = 0; i < len; i++) {
             double x = u1[a + i], y = u2[a + i], c, s;
-            bad |= !(x >= 0.0 && x <= 1.0 && y >= 0.0 && y <= 1.0);
             trig(y, &c, &s);
             double t = sqrt(x) * (c * aq + s * bq) + sqrt(1.0 - x) * pq;
+            if (!(x >= 0.0 && x <= 1.0 && y >= 0.0 && y <= 1.0))
+                t = 0.0;
             tq[i] = t;
             below += t < -margin;
             close += fabs(t) <= margin;
         }
-        if (bad)
-            return -1;
         if (close)
             for (int64_t i = 0; i < len; i++)
                 if (fabs(tq[i]) <= margin)

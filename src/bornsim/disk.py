@@ -15,12 +15,12 @@ up probability reproduces cos^2(theta/2) for the angle theta between p and q.
 The counting kernel ``up_indices`` needs only the sign of t.q, so it filters
 (Shewchuk 1997, adaptive-precision geometric predicates): a cheap first pass
 decides every trial whose |t.q| is above ``_MARGIN``, and the float64
-formula is evaluated again on the few trials inside it. The first pass is a
-C loop with polynomial trig, in ``_native.c``, where the package's C library
-(``native.LIBRARY``) loads, and numpy with float32 trig otherwise; ``_down``
-is the numpy body and the reference the tests compare the C pass with. Every
-trial's outcome equals the one-pass float64 formula's, on either path; see
-``_down``.
+formula is evaluated again on the few trials inside it. The first pass
+(``_first_pass``) is a C loop with polynomial trig, in ``_native.c``, in a
+process where the package's C library (``native.LIBRARY``) loads, and numpy
+with float32 trig in one where it does not; ``up_indices`` holds the one
+float64 recheck. Every trial's outcome equals the one-pass float64
+formula's, on either path; see ``_first_pass``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .outcomes import OutcomeDistribution, cosine_split
 
 LABELS = ("up", "down")
 
-# |t.q| above which the first pass decides a trial (see ``_down``)
+# |t.q| above which the first pass decides a trial (see ``_first_pass``)
 _MARGIN = 2.0**-12
 
 
@@ -100,79 +100,66 @@ def basis_dots(p: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
     return float(a @ q), float(b @ q), float(p @ q)
 
 
-def _down(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Per (u1, u2) pair, True iff the trial is down: exactly where the
-    float64 formula ``_t_dot_q(u1, u2, *dots) <= 0`` holds, ties included.
+def _first_pass(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> tuple[int, np.ndarray]:
+    """(down, near) for contiguous 1-d draws: the number of trials with
+    t.q < -``_MARGIN``, and the indices of the trials with |t.q| <= ``_MARGIN``,
+    every exact tie among them, for the float64 formula to decide. Every
+    other trial is up.
 
-    A first pass takes the cosine and sine of the azimuth rounded to
-    float32 (about 20 times cheaper than float64 trig with numpy 2.4 on
-    x86-64) and decides every trial whose |t.q| > ``_MARGIN``; the trials
-    inside the margin, every exact tie among them, are gathered and decided
-    by the float64 formula. ``_native_down`` does the same with the C pass.
+    The C pass runs where ``native.LIBRARY.load()`` returns a library, and
+    the numpy pass otherwise. The numpy pass takes the cosine and sine of the
+    azimuth rounded to float32 (about 20 times cheaper than float64 trig
+    with numpy 2.4 on x86-64). The C pass sends a trial whose draws are NaN
+    or outside [0, 1], where its quadrant logic does not hold, to ``near``.
 
     Why the margin is safe: both passes use the same float64 st, ct and
-    dots, so they differ only in the bracket cos(phi) aq + sin(phi) bq, where
-    |aq| + |bq| <= sqrt(2), and in the last bits of the float64 products and
-    sums. Each trig value of the first pass is within 2**-20 of float64 trig
-    (``tests/test_disk.py`` guards both passes): here, rounding phi < 2 pi
-    to float32 moves it by at most 2**-22, and float32 trig adds a few
-    float32 ulps; in ``_native.c``, the degree-9 and degree-10 polynomials on
-    the quadrant-reduced azimuth are within 1.8e-9. So, with its products
-    and sum rounded (in float32 here), the first pass's bracket is less
-    than 2**-19 from the float64 one, and st <= 1. A
-    trial with |t.q| > 2**-12 in the first pass therefore has the same sign,
-    and is no tie, in float64.
+    dots as the float64 formula, so they differ from it only in the bracket
+    cos(phi) aq + sin(phi) bq, where |aq| + |bq| <= sqrt(2), and in the last
+    bits of the float64 products and sums. Each trig value of a first pass is
+    within 2**-20 of float64 trig (``tests/test_disk.py`` guards both
+    passes): in numpy, rounding phi < 2 pi to float32 moves it by at most
+    2**-22, and float32 trig adds a few float32 ulps; in ``_native.c``, the
+    degree-9 and degree-10 polynomials on the quadrant-reduced azimuth are
+    within 1.8e-9. So, with its products and sum rounded (in float32 in
+    numpy), the first pass's bracket is less than 2**-19 from the float64
+    one, and st <= 1. A trial with |t.q| > 2**-12 in the first pass
+    therefore has the same sign, and is no tie, in float64.
     """
-    tq = _t_dot_q(u1, u2, *dots, np.float32)
-    near = np.flatnonzero(np.abs(tq) <= _MARGIN)
-    if near.size:
-        tq[near] = _t_dot_q(u1[near], u2[near], *dots)
-    return tq <= 0.0
+    lib = native.LIBRARY.load()
+    if lib is None:
+        tq = _t_dot_q(u1, u2, *dots, np.float32)
+        return int(np.count_nonzero(tq < -_MARGIN)), np.flatnonzero(np.abs(tq) <= _MARGIN)
+    near = np.empty(len(u1), dtype=np.int64)
+    down = ctypes.c_int64()
+    m = lib.disk_first_pass(u1.ctypes.data, u2.ctypes.data, len(u1), *dots, _MARGIN,
+                            near.ctypes.data, ctypes.byref(down))
+    return down.value, near[:m]
 
 
 def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Vectorized trial kernel: int64 counts (up, down) of the (u1, u2) pairs.
 
     ``dots`` is the ``basis_dots`` of the state p and direction q, computed
-    once per run; every trial is decided as ``_down`` decides it, by the C
-    pass (``_native_down``) where it applies and by ``_down`` otherwise. A
-    ValueError is raised if ``u1`` and ``u2`` differ in length. The scalar path
-    (``sample_hidden`` then ``disk_measure``) materializes t first; its t.q
-    can differ in the last bits, so the two agree on the outcome of every
-    draw whose |t.q| is larger than that rounding.
+    once per run. A trial is down exactly where the float64 formula
+    ``_t_dot_q(u1, u2, *dots) <= 0`` holds, ties included: ``_first_pass``
+    decides the trials outside ``_MARGIN`` and the formula the rest. Strided
+    draws are copied first. A ValueError is raised unless ``u1`` and ``u2``
+    are 1-d and of one length. The scalar path (``sample_hidden`` then
+    ``disk_measure``) materializes t first; its t.q can differ in the last
+    bits, so the two agree on the outcome of every draw whose |t.q| is
+    larger than that rounding.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
+    if u1.ndim != 1 or u2.ndim != 1:
+        raise ValueError(f"u1 and u2 must be 1-d, not of shapes {u1.shape} and {u2.shape}")
     if len(u1) != len(u2):
         raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
-    down = _native_down(dots, u1, u2)
-    if down is None:
-        down = np.count_nonzero(_down(dots, u1, u2))
+    u1, u2 = np.ascontiguousarray(u1), np.ascontiguousarray(u2)
+    down, near = _first_pass(dots, u1, u2)
+    if near.size:
+        down += int(np.count_nonzero(_t_dot_q(u1[near], u2[near], *dots) <= 0.0))
     return np.array([len(u1) - down, down], dtype=np.int64)
-
-
-def _native_down(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> int | None:
-    """The number of down trials, as ``_down`` decides them, by the C pass
-    and the float64 formula on the trials it leaves inside ``_MARGIN``.
-
-    None where the C pass does not apply: no library, draws that are not
-    contiguous 1-d arrays, or a draw outside [0, 1] (the C pass finds those
-    in its loop and returns -1).
-    """
-    lib = native.LIBRARY.load()
-    if (lib is None or u1.ndim != 1 or u2.ndim != 1
-            or not (u1.flags.c_contiguous and u2.flags.c_contiguous)):
-        return None
-    near = np.empty(len(u1), dtype=np.int64)
-    down = ctypes.c_int64()
-    m = lib.disk_first_pass(u1.ctypes.data, u2.ctypes.data, len(u1), *dots, _MARGIN,
-                            near.ctypes.data, ctypes.byref(down))
-    if m < 0:
-        return None
-    if m == 0:
-        return down.value
-    near = near[:m]
-    return down.value + int(np.count_nonzero(_t_dot_q(u1[near], u2[near], *dots) <= 0.0))
 
 
 def sample_hidden(p: UnitVector, rng) -> UnitVector:

@@ -9,8 +9,8 @@ name keyed by a hash of the source, flags, compiler path and machine; later
 processes load the cached file. If that directory is not ours alone to
 write, the library is built in a private temporary directory instead.
 Without a compiler, or if the build or the load fails, ``load()`` returns
-None and both callers run their numpy bodies, which stay as the references
-the tests compare the C functions with: a process is either native or
+None and both callers run their numpy bodies. A call takes its path from
+``load()`` alone, whatever its input, so a process is either native or
 numpy, never half of each. The callers look ``LIBRARY`` up on every call,
 so a test can swap in another one. Nothing is built or loaded at import:
 ``analytic`` never draws.

@@ -247,12 +247,14 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
     broken = (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1); outcome k is
     the sum of the two paths that leave axis k standing. Trial i reads
     ``u1[i]`` for its stage-1 choice and ``u2[i]`` for its stage-2 choice;
-    a ValueError is raised if their lengths differ. The trials are counted
-    with boolean masks: no per-trial index is written. A single trial's
-    path is the one nonzero count of a 1-trial call.
+    a ValueError is raised unless both are 1-d and of one length. The
+    trials are counted with boolean masks: no per-trial index is written. A
+    single trial's path is the one nonzero count of a 1-trial call.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
+    if u1.ndim != 1 or u2.ndim != 1:
+        raise ValueError(f"u1 and u2 must be 1-d, not of shapes {u1.shape} and {u2.shape}")
     if len(u1) != len(u2):
         raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
     t0, t1, r0, r1, r2 = th

@@ -32,9 +32,11 @@ def outcome_indices(c: float, u1: np.ndarray) -> np.ndarray:
 
     ``c`` = u.v is the run constant. ``u1`` holds draw 0 of each trial; the
     break point is b = 2*u1 - 1 and the outcome is o1 iff b < c, with the
-    tie b == c going to o2.
+    tie b == c going to o2. A ValueError is raised unless ``u1`` is 1-d.
     """
     u1 = np.asarray(u1, dtype=float)
+    if u1.ndim != 1:
+        raise ValueError(f"u1 must be 1-d, not of shape {u1.shape}")
     k = np.count_nonzero(2.0 * u1 - 1.0 >= c)
     return np.array([len(u1) - k, k], dtype=np.int64)
 

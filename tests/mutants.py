@@ -54,6 +54,7 @@ _GAP = "tests/test_rod.py::test_stage2_constants_agree_with_the_projected_ray_ro
 _ROD_TABLES = "tests/test_golden_analytic.py::test_rod_tables_are_bit_identical"
 _DECIDES = "tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_reference"
 _PLANTED = "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
+_DOMAIN = "tests/test_disk.py::test_out_of_domain_and_strided_draws_get_the_float64_counts"
 
 MUTANTS = (
     Mutant(
@@ -109,6 +110,14 @@ MUTANTS = (
          _PINNED + "[ks-native]",
          _PINNED + "[ks-far-native]",
          _PINNED + "[ks-far-in-plane-native]"),
+    ),
+    Mutant(
+        "disk C pass: out-of-domain lanes not sent to the float64 formula",
+        "src/bornsim/_native.c",
+        "            if (!(x >= 0.0 && x <= 1.0 && y >= 0.0 && y <= 1.0))\n"
+        "                t = 0.0;\n",
+        "",
+        (_DOMAIN + "[native]",),
     ),
     Mutant(
         "rod kernel: u1 == t1 counted in slot 2 (u1 >= t1)",

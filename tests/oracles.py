@@ -1,14 +1,17 @@
 """Independent oracles used to derive and guard expected test values.
 
 Nothing here goes through the library's model code paths: the disk-model
-oracle integrates the hidden-point density directly, and the rod oracle
-re-evaluates the six break orders from raw vectors.
+oracles integrate the hidden-point density directly or take t.q in one
+float64 pass, and the rod oracle re-evaluates the six break orders from raw
+vectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import integrate
+
+from bornsim.geometry import tangent_basis
 
 
 def disk_up_oracle(alpha: float) -> float:
@@ -53,6 +56,23 @@ def disk_mean_cos_oracle() -> float:
         np.pi / 2,
     )
     return float(val)
+
+
+def disk_down_oracle(p, q, u1, u2) -> np.ndarray:
+    """Per (u1, u2) pair, 1 if the disk trial is down and 0 if up: the
+    counting kernel before it filtered, one float64 pass over every trial
+    (t.q <= 0 is down; NaN is up)."""
+    a, b = tangent_basis(p)
+    aq = float(a @ q)
+    bq = float(b @ q)
+    pq = float(p @ q)
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    st = np.sqrt(u1)
+    ct = np.sqrt(1.0 - u1)
+    phi = 2.0 * np.pi * u2
+    tq = st * (np.cos(phi) * aq + np.sin(phi) * bq) + ct * pq
+    return (tq <= 0.0).astype(np.int64)
 
 
 def rod_tree_oracle(p, axes, weight) -> tuple[np.ndarray, dict]:

@@ -20,7 +20,7 @@ from bornsim.geometry import random_unit_vector, tangent_basis, unit_vector, vec
 from bornsim.stats import RunConfig, run_trials
 from bornsim.streams import trial_uniforms
 
-from oracles import binomial_bound, disk_mean_cos_oracle, disk_up_oracle
+from oracles import binomial_bound, disk_down_oracle, disk_mean_cos_oracle, disk_up_oracle
 
 EZ = unit_vector(0.0, 0.0, 1.0)
 
@@ -110,13 +110,14 @@ class TestMeasurement:
 
     def test_kernel_outcomes_match_record_semantics(self):
         # each trial's step in a growing batch's counts is its 1-trial call's
-        # counts, and both follow the per-trial decision
-        dots = basis_dots(EZ.array, direction_at(1.1).array)
+        # counts, and both follow the one-pass float64 decision
+        q = direction_at(1.1).array
+        dots = basis_dots(EZ.array, q)
         u = trial_uniforms(master_seed=5, start=0, stop=2_000, ndraws=2)
         singles = np.array([up_indices(dots, u[0][i : i + 1], u[1][i : i + 1]) for i in range(2_000)])
         prefixes = np.array([up_indices(dots, u[0][:m], u[1][:m]) for m in range(2_001)])
         assert np.array_equal(np.diff(prefixes, axis=0), singles)
-        assert np.array_equal(singles[:, 1], disk._down(dots, u[0], u[1]))
+        assert np.array_equal(singles[:, 1], disk_down_oracle(EZ.array, q, u[0], u[1]))
         assert np.all(singles.sum(axis=1) == 1)
 
 
@@ -137,7 +138,8 @@ class TestMeasurement:
             p, q = random_unit_vector(rng), random_unit_vector(rng)
             u1, u2 = rng.random(800), rng.random(800)
             dots = basis_dots(p.array, q.array)
-            kernel = disk._down(dots, u1, u2)
+            kernel = _one_trial_decisions(dots, u1, u2)
+            assert np.array_equal(kernel, disk_down_oracle(p.array, q.array, u1, u2))
             assert np.array_equal(up_indices(dots, u1, u2), [800 - kernel.sum(), kernel.sum()])
             tq = hidden_from_uniforms(p.array, u1, u2) @ q.array
             for i in np.flatnonzero(np.abs(tq) > 1e-12):
@@ -180,21 +182,6 @@ class TestBornAgreement:
             assert first == second
 
 
-def _reference_up_indices(p, q, u1, u2):
-    """The kernel before it filtered: one float64 pass over every trial."""
-    a, b = tangent_basis(p)
-    aq = float(a @ q)
-    bq = float(b @ q)
-    pq = float(p @ q)
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    st = np.sqrt(u1)
-    ct = np.sqrt(1.0 - u1)
-    phi = 2.0 * math.pi * u2
-    tq = st * (np.cos(phi) * aq + np.sin(phi) * bq) + ct * pq
-    return (tq <= 0.0).astype(np.int64)
-
-
 def _float32_pass_only(p, q, u1, u2):
     """What the numpy kernel would decide with its float64 pass left out."""
     a, b = tangent_basis(p)
@@ -227,7 +214,7 @@ def _crossing_uniforms(p, q, u1, grid=64, ulps=3):
     kernel to two adjacent floats, then ``ulps`` more floats on either side."""
     u1 = np.repeat(u1, grid)
     u2 = np.tile(np.arange(grid) / grid, len(u1) // grid)
-    down = _reference_up_indices(p, q, u1, u2)
+    down = disk_down_oracle(p, q, u1, u2)
     flips = np.flatnonzero((down[:-1] != down[1:]) & (u1[:-1] == u1[1:]))
     x, lo, hi = u1[flips], u2[flips], u2[flips + 1]
     lo_down = down[flips]
@@ -236,7 +223,7 @@ def _crossing_uniforms(p, q, u1, grid=64, ulps=3):
         open_ = (mid > lo) & (mid < hi)
         if not open_.any():
             break
-        same = _reference_up_indices(p, q, x, mid) == lo_down
+        same = disk_down_oracle(p, q, x, mid) == lo_down
         lo = np.where(open_ & same, mid, lo)
         hi = np.where(open_ & ~same, mid, hi)
     assert np.array_equal(np.nextafter(lo, 1.0), hi)
@@ -269,15 +256,14 @@ def test_filtered_kernel_decides_as_the_one_pass_reference(path):
         u1c, u2c = _crossing_uniforms(p, q, np.concatenate([edge, gen.random(30)]))
         u1 = np.concatenate([u1c, np.repeat(edge, 200), gen.random(2_000)])
         u2 = np.concatenate([u2c, gen.random(400), gen.random(2_000)])
-        want = _reference_up_indices(p, q, u1, u2)
+        want = disk_down_oracle(p, q, u1, u2)
         dots = basis_dots(p, q)
-        assert np.array_equal(disk._down(dots, u1, u2), want), (p, q)
         counts = up_indices(dots, u1, u2)
         assert counts.dtype == np.int64
         assert counts.tolist() == [len(want) - want.sum(), want.sum()], (p, q)
-        # every crossing, through the kernel on its own
+        # every trial, the crossings first, through the kernel on its own
+        assert np.array_equal(_one_trial_decisions(dots, u1, u2), want), (p, q)
         crossings = slice(0, len(u1c))
-        assert np.array_equal(_one_trial_decisions(dots, u1c, u2c), want[crossings]), (p, q)
         first_pass_only = _c_pass_only if path == "native" else _float32_pass_only
         first_pass_wrong += int(np.sum(first_pass_only(p, q, u1c, u2c) != want[crossings]))
     # the crossings are close enough to the equator that the first pass alone
@@ -297,7 +283,7 @@ def test_filtered_kernel_matches_the_reference_on_planted_crossings(n, path):
     planted = (k < 50) | (k >= n - 50) | (gen.random(n) < 1e-3)
     u1 = np.where(planted, u1c[pick], gen.random(n))
     u2 = np.where(planted, u2c[pick], gen.random(n))
-    want = _reference_up_indices(p, q, u1, u2)
+    want = disk_down_oracle(p, q, u1, u2)
     dots = basis_dots(p, q)
     counts = up_indices(dots, u1, u2)
     assert counts.dtype == np.int64
@@ -318,9 +304,10 @@ def test_draws_of_different_lengths_are_rejected():
             up_indices(dots, u1, u2)
 
 
-def test_draws_outside_the_c_pass_domain_get_the_numpy_counts(path):
-    # the C pass's quadrant logic holds for u1, u2 in [0, 1]; other values,
-    # NaN and strided draws are counted by the numpy pass
+def test_out_of_domain_and_strided_draws_get_the_float64_counts(path):
+    # the C pass's quadrant logic holds for u1, u2 in [0, 1]; it leaves a
+    # trial with any other value, NaN included, to the float64 formula, and
+    # strided draws are copied before either pass
     gen = np.random.default_rng(4)
     p, q = random_unit_vector(gen).array, random_unit_vector(gen).array
     dots = basis_dots(p, q)
@@ -332,25 +319,29 @@ def test_draws_outside_the_c_pass_domain_get_the_numpy_counts(path):
         v = u.copy()
         v[row, 700] = value  # past the C pass's first blocks
         with np.errstate(invalid="ignore"):  # sqrt of a negative u1 or 1 - u1
-            down = np.count_nonzero(disk._down(dots, v[0], v[1]))
+            down = int(disk_down_oracle(p, q, v[0], v[1]).sum())
             assert up_indices(dots, v[0], v[1]).tolist() == [1_000 - down, down], name
         if path == "native":
-            first_pass = native.LIBRARY.load().disk_first_pass
-            m = first_pass(v[0].ctypes.data, v[1].ctypes.data, 1_000, *dots, disk._MARGIN,
-                           np.empty(1_000, np.int64).ctypes.data, ctypes.byref(ctypes.c_int64()))
-            assert (m == -1) == (name in outside), name
+            near = np.empty(1_000, np.int64)
+            m = native.LIBRARY.load().disk_first_pass(
+                v[0].ctypes.data, v[1].ctypes.data, 1_000, *dots, disk._MARGIN,
+                near.ctypes.data, ctypes.byref(ctypes.c_int64()))
+            assert m >= 0, name
+            if name in outside:
+                assert 700 in near[:m], name
     for u1, u2 in ((u[0, ::2], u[1, ::2]), (u.T.copy().T[0], u.T.copy().T[1]),
                    (u[0, ::-1], u[1])):
-        down = np.count_nonzero(disk._down(dots, u1, u2))
-        assert up_indices(dots, u1, u2).tolist() == [len(u1) - down, down]
-        assert np.array_equal(_one_trial_decisions(dots, u1, u2), disk._down(dots, u1, u2))
+        want = disk_down_oracle(p, q, u1, u2)
+        assert up_indices(dots, u1, u2).tolist() == [len(u1) - want.sum(), want.sum()]
+        assert np.array_equal(_one_trial_decisions(dots, u1, u2), want)
 
 
 def test_c_trig_stays_inside_the_kernel_margin():
     """The C pass is safe while its cos and sin of 2 pi u2 stay within 2**-20
-    of float64 cos and sin (see ``disk._down``); its polynomials are within
-    1.8e-9. Checked on a dense u2 grid, at the quadrant points k/4 and the
-    reduction's switch points (2k+1)/8, and on 8 floats either side of each."""
+    of float64 cos and sin (see ``disk._first_pass``); its polynomials are
+    within 1.8e-9. Checked on a dense u2 grid, at the quadrant points k/4 and
+    the reduction's switch points (2k+1)/8, and on 8 floats either side of
+    each."""
     lib = native.LIBRARY.load()
     if lib is None:
         pytest.skip("the C library did not load: no C compiler")
@@ -375,7 +366,7 @@ def test_c_trig_stays_inside_the_kernel_margin():
 def test_float32_trig_stays_inside_the_kernel_margin():
     """The float32 pass is safe while cos and sin of the azimuth rounded to
     float32 stay within 2**-20 of float64 cos and sin of the azimuth (see
-    ``disk._down``). A platform whose float32 trig breaks this fails
+    ``disk._first_pass``). A platform whose float32 trig breaks this fails
     here instead of moving counts."""
     gen = np.random.default_rng(20)
     two_pi = 2.0 * math.pi

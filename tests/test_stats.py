@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bornsim import disk, rod, stats, streams
+from bornsim import disk, rod, sphere, stats, streams
 
 from bornsim.geometry import identity_frame, random_frame, unit_vector
 from bornsim.outcomes import OutcomeDistribution
@@ -237,6 +237,20 @@ class TestRunTrials:
         singles = np.array([kernel(u[:, i : i + 1]) for i in range(1000)])
         assert np.all(np.sort(singles, axis=1) == [0] * (len(m.labels) - 1) + [1])
         assert np.array_equal(counts, singles.sum(axis=0))
+
+    @pytest.mark.parametrize("step", [
+        lambda u: sphere.outcome_indices(0.1, u),
+        lambda u: disk.up_indices(disk.basis_dots(P_BENCH.array, EX.array), u, u),
+        lambda u: rod.outcomes_from_uniforms(
+            rod.thresholds(canonicalize(P_BENCH), identity_frame(), QUANTUM), u, u),
+    ], ids=["sphere", "disk", "rod"])
+    def test_count_steps_reject_draws_that_are_not_1d(self, step):
+        # a count step takes the number of trials from the first axis, so a
+        # (2, 3) block would count 6 trials out of 2 and return a negative count
+        for u in (np.full((2, 3), 0.9), np.full((1, 1), 0.9), np.float64(0.9), 0.9):
+            with pytest.raises(ValueError, match="1-d"):
+                step(u)
+        assert step(np.full(3, 0.9)).sum() == 3
 
     # one trial either side of the first block edge, then a run that crosses
     # a chunk edge and ends in a partial block

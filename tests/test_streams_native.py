@@ -4,9 +4,10 @@ The package's one C library, ``native.LIBRARY`` (``_native.c``), holds the
 fill of ``streams.trial_uniforms`` and the first pass of
 ``disk.up_indices``. It is built on its first use in a process, into a
 per-user cache; any failure leaves the process on both numpy bodies. These
-tests check that both fills give the same bits, that the CLI prints the same
-bytes on both paths, and that the build is done once, keyed by its source
-and never loaded from a directory another user can write.
+tests check that both fills give the same bits, that the disk counts are the
+one-pass float64 formula's, that the CLI prints the same bytes on both
+paths, and that the build is done once, keyed by its source and never
+loaded from a directory another user can write.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from hypothesis import strategies as st
 
 from bornsim import disk, native, streams
 from bornsim.streams import _BLOCK, TrialStream, trial_uniforms
+
+from oracles import disk_down_oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 STATE = "0.7071067811865476,0.5,0.5"
@@ -51,12 +54,13 @@ def _fill_results(seed=7, n=3 * _BLOCK):
 
 
 def _disk_results(seed=7, n=3 * _BLOCK):
-    """(what the library path gives, what the numpy body gives) for disk counts;
-    the draws come from the numpy fill, so that only the disk pass runs in C."""
+    """(what the library path gives, what the one-pass float64 formula gives)
+    for disk counts; the draws come from the numpy fill, so that only the disk
+    pass runs in C."""
     u = streams._numpy_uniforms(seed, 0, n, 2)
-    dots = disk.basis_dots(np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.8, -0.6]))
-    down = np.count_nonzero(disk._down(dots, u[0], u[1]))
-    return disk.up_indices(dots, u[0], u[1]), np.array([n - down, down])
+    p, q = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.8, -0.6])
+    down = int(disk_down_oracle(p, q, u[0], u[1]).sum())
+    return disk.up_indices(disk.basis_dots(p, q), u[0], u[1]), np.array([n - down, down])
 
 
 # edits of _native.c that give wrong results: the fill's block offset, and
@@ -73,7 +77,7 @@ def _same(got, want) -> bool:
 
 
 def _both_same() -> bool:
-    """The fill and the disk pass give what their numpy bodies give."""
+    """The fill gives its numpy body's bits, and the disk counts are the float64 formula's."""
     return _same(*_fill_results()) and _same(*_disk_results())
 
 
