@@ -16,7 +16,6 @@ chi-square verification; and :mod:`bornsim.cli` the ``bornsim`` command.
 """
 
 from .geometry import (
-    DegenerateProjectionError,
     Frame,
     Ray,
     UnitVector,
@@ -24,7 +23,6 @@ from .geometry import (
     direction_cosines,
     identity_frame,
     orthonormal_frame,
-    project_onto_plane,
     random_frame,
     random_unit_vector,
     rotate_frame_about_axis,
@@ -44,8 +42,6 @@ from .rod import (
     BreakWeight,
     rod_analytic,
     rod_sample,
-    stage1_distribution,
-    stage2_distribution,
 )
 from .quantum import (
     born_probabilities,
@@ -68,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BreakPath",
     "BreakWeight",
-    "DegenerateProjectionError",
     "DiskState",
     "EmpiricalDistribution",
     "Frame",
@@ -92,7 +87,6 @@ __all__ = [
     "identity_frame",
     "initial_state",
     "orthonormal_frame",
-    "project_onto_plane",
     "random_frame",
     "random_unit_vector",
     "rod_analytic",
@@ -102,8 +96,6 @@ __all__ = [
     "sample_hidden",
     "sphere_analytic",
     "sphere_sample",
-    "stage1_distribution",
-    "stage2_distribution",
     "state_vector",
     "trial_uniforms",
     "unit_vector",

@@ -416,12 +416,23 @@ def cmd_simulate(r: SimpleNamespace) -> int:
     return 0 if gof.passed else 3
 
 
+def _sweep_angles(steps: int) -> Iterator[float]:
+    """``np.linspace(0, pi/2, steps)``, bit for bit, one angle at a time:
+    point i is at ``i * step`` and the last one exactly at pi/2, so no angle
+    is computed before its point runs."""
+    try:
+        step = (math.pi / 2) / (steps - 1)
+    except OverflowError:  # steps - 1 has no float value
+        raise InputError("steps is too large to space the sweep angles") from None
+    for i in range(steps - 1):
+        yield i * step
+    yield math.pi / 2
+
+
 def cmd_sweep(r: SimpleNamespace) -> int:
     u, w = r.frame.sweep
-    angles = np.linspace(0.0, np.pi / 2, r.steps)
-
     rows = []
-    for i, angle in enumerate(angles):
+    for i, angle in enumerate(_sweep_angles(r.steps)):
         state = state_vector(np.cos(angle) * u + np.sin(angle) * w)
         analytic = _self_distribution(r, state).probs[0]
         emp, _ = run_trials(_run_config(r, state, trial_state(r.seed, i)))

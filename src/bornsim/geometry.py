@@ -1,8 +1,8 @@
 """Small fixed-dimension vector geometry shared by all measurement models.
 
 Unit vectors on the sphere, antipodally identified rays, ordered orthonormal
-frames, direction cosines and in-plane projections. Everything is pure:
-functions that need randomness take an explicit ``numpy.random.Generator``.
+frames and direction cosines. Everything is pure: functions that need
+randomness take an explicit ``numpy.random.Generator``.
 ``normalize`` is the one rule that turns raw reals into a unit vector; input
 that should already be unit goes through the near-unit ``_unit_components``.
 
@@ -36,11 +36,6 @@ digests), so a rewrite of this path must keep every rounding step:
   ``float`` round trips round the same on Python floats as in numpy, so
   they may move between the two. So may a two-term sum; the three-term
   ``sum`` of the rod's stage-1 weights stays numpy's.
-* ``canonicalize`` of a vector that was just divided by its own norm
-  changes no magnitude: that norm is within 1e-14 of 1, so
-  ``_unit_components`` returns the components as they are, and the sign
-  flip is exact. So a |cosine| taken with ``plane_ray``'s vector has the
-  same bits as one taken with the ``Ray`` that ``project_onto_plane`` makes.
 """
 
 from __future__ import annotations
@@ -56,10 +51,6 @@ COMPONENT_EPS = 1e-12  # components at or below this count as zero for sign rule
 ORTHO_TOL = 1e-10      # pairwise |cos| bound for frame axes
 DEGENERATE_EPS = 1e-12
 OTHER_AXES = ((1, 2), (0, 2), (0, 1))  # the two axes other than axis i, ascending
-
-
-class DegenerateProjectionError(ValueError):
-    """Projection target plane is orthogonal to the projected ray."""
 
 
 def _unit_components(vec) -> tuple[float, float, float]:
@@ -225,46 +216,6 @@ def direction_cosines(p: Ray, e: Frame) -> tuple[float, float, float]:
     """
     x, y, z = (e.matrix @ p.array).tolist()
     return min(abs(x), 1.0), min(abs(y), 1.0), min(abs(z), 1.0)
-
-
-def project_onto_plane(p: Ray, e: Frame, dropped_axis: int) -> tuple[Ray, float]:
-    """Project a ray onto the plane of the two frame axes other than ``dropped_axis``.
-
-    Returns ``(p', norm)`` where ``p'`` is the normalized in-plane ray (the
-    canonical ``Ray`` through ``plane_ray``'s unit vector) and ``norm`` is
-    the length of the unnormalized projection, i.e. the sine of the angle
-    between ``p`` and the dropped axis. The retained-axis cosines of ``p'``
-    equal the original cosines divided by ``norm``.
-
-    Raises DegenerateProjectionError when ``p`` coincides with the dropped
-    axis (projection norm below 1e-12).
-    """
-    if dropped_axis not in (0, 1, 2):
-        raise ValueError(f"dropped_axis must be 0, 1 or 2, got {dropped_axis}")
-    j, k = OTHER_AXES[dropped_axis]
-    m, pv = e.matrix, p.array
-    v, norm = plane_ray(float(pv @ m[j]), float(pv @ m[k]), m[j].tolist(), m[k].tolist())
-    return canonicalize(v), norm
-
-
-def plane_ray(ca: float, cb: float, a: list[float], b: list[float]) -> tuple[np.ndarray, float]:
-    """The unit in-plane vector and the projection norm, from the ray's dots
-    ``ca`` and ``cb`` with the retained axes, whose components are ``a`` and
-    ``b``. The vector is not canonicalized: ``project_onto_plane`` makes it a
-    ``Ray``, and a caller that only takes |cosines| with it needs no sign. A
-    caller that projects one ray onto several planes takes each dot once."""
-    norm = math.hypot(ca, cb)
-    if norm < DEGENERATE_EPS:
-        raise DegenerateProjectionError(
-            "degenerate projection: ray coincides with the dropped axis"
-        )
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    x = (ca * a0 + cb * b0) / norm
-    y = (ca * a1 + cb * b1) / norm
-    z = (ca * a2 + cb * b2) / norm
-    v = np.array((x, y, z))
-    n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
-    return np.array((x / n, y / n, z / n)), norm
 
 
 def tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,10 +21,10 @@ w(theta) = sin(theta) (ties break uniformly along their length) the
 probabilities depend on the intermediate plane and no longer match any
 state-vector rule.
 
-The stage probabilities are computed in one place, ``_tree``:
-``rod_analytic`` tabulates them, and ``thresholds`` turns the same floats
-into the counting kernel's run constants, so the kernel's thresholds are
-exactly the table's stage probabilities.
+The stage probabilities are computed in one place, ``_tree``, the rod's
+only stage API: ``rod_analytic`` tabulates them, and ``thresholds`` turns
+the same floats into the counting kernel's run constants, so the kernel's
+thresholds are exactly the table's stage probabilities.
 """
 
 from __future__ import annotations
@@ -35,14 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    OTHER_AXES,
-    DegenerateProjectionError,
-    Frame,
-    Ray,
-    direction_cosines,
-    plane_ray,
-)
+from .geometry import DEGENERATE_EPS, OTHER_AXES, Frame, Ray, direction_cosines
 from .outcomes import OutcomeDistribution
 from .quantum import LABELS
 
@@ -104,18 +97,20 @@ def _stage1(c, w: BreakWeight) -> list[float]:
     return [w0 / total, w1 / total, w2 / total]
 
 
-def stage1_distribution(p: Ray, e: Frame, w: BreakWeight) -> np.ndarray:
-    """Probability that each of the three ties breaks first.
-
-    Weights w(theta_i), normalized by their sum (exactly 2 for the quantum
-    weight). Raises ValueError on a negative weight, or if all three weights
-    vanish, which would need a state collinear with every axis.
-    """
-    return np.array(_stage1(direction_cosines(p, e), w))
-
-
-def _in_plane_cosines(pv: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
-    """|cos| of the angles between the in-plane ray ``pv`` and the retained axes a, b."""
+def _in_plane_cosines(
+    ca: float, cb: float, norm: float, a: np.ndarray, b: np.ndarray, a_xyz, b_xyz
+) -> list[float]:
+    """|cos| of the angles between the retained axes ``a``, ``b`` (components
+    ``a_xyz``, ``b_xyz``) and the ray projected into their plane, from the
+    ray's dots ``ca``, ``cb`` with them and the projection's length
+    ``norm = hypot(ca, cb)``."""
+    (a0, a1, a2), (b0, b1, b2) = a_xyz, b_xyz
+    x = (ca * a0 + cb * b0) / norm
+    y = (ca * a1 + cb * b1) / norm
+    z = (ca * a2 + cb * b2) / norm
+    v = np.array((x, y, z))
+    n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
+    pv = np.array((x / n, y / n, z / n))
     return [min(abs(float(pv @ a)), 1.0), min(abs(float(pv @ b)), 1.0)]
 
 
@@ -142,19 +137,6 @@ def _stage2_pairs(cosines: list[float], w: BreakWeight) -> list[tuple[float, flo
     return [_stage2(ws[n], ws[n + 1]) for n in range(0, len(ws), 2)]
 
 
-def stage2_distribution(
-    p_prime: Ray, e: Frame, retained: tuple[int, int], w: BreakWeight
-) -> np.ndarray:
-    """Probability that each retained tie breaks second, given the in-plane ray.
-
-    Weights w(theta'_j) over the two retained axes, normalized (exactly 1
-    for the quantum weight, since the two angles are complementary).
-    """
-    m = e.matrix
-    cos = _in_plane_cosines(p_prime.array, m[retained[0]], m[retained[1]])
-    return np.array(_stage2_pairs(cos, w)[0])
-
-
 def _tree(
     p: Ray, e: Frame, w: BreakWeight
 ) -> tuple[list[float], dict[int, tuple[float, float]]]:
@@ -177,14 +159,15 @@ def _tree(
             continue
         firsts.append(first)
         j, k = OTHER_AXES[first]
-        try:
-            in_plane, _ = plane_ray(dots[j], dots[k], rows[j], rows[k])
-        except DegenerateProjectionError:
+        norm = math.hypot(dots[j], dots[k])
+        if norm < DEGENERATE_EPS:
             # p lies within 1e-12 of axis `first`, whose stage-1 weight is
             # rounding noise; the in-plane cosines still follow from p's own.
             cosines += _cosines_from_ray(c, j, k)
         else:
-            cosines += _in_plane_cosines(in_plane, axes[j], axes[k])
+            cosines += _in_plane_cosines(
+                dots[j], dots[k], norm, axes[j], axes[k], rows[j], rows[k]
+            )
     return s1, dict(zip(firsts, _stage2_pairs(cosines, w)))
 
 

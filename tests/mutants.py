@@ -50,8 +50,9 @@ _BLOCK_WALK = ("tests/test_stats.py::TestRunTrials::"
 _PINNED = "tests/test_cli.py::test_simulate_counts_are_pinned"
 _PARTNER = ("tests/test_cli.py::TestInputHandling::"
             "test_direction_sweep_partner_does_not_depend_on_the_row_scale")
-_GAP = "tests/test_rod.py::test_stage2_constants_agree_with_the_projected_ray_route"
 _ROD_TABLES = "tests/test_golden_analytic.py::test_rod_tables_are_bit_identical"
+_STAGES = "tests/test_golden_analytic.py::test_stages_and_cosines_are_bit_identical"
+_ANGLES = "tests/test_cli.py::TestSweep::test_angles_are_linspace_bit_for_bit"
 _DECIDES = "tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_reference"
 _PLANTED = "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
 _DOMAIN = "tests/test_disk.py::test_out_of_domain_and_strided_draws_get_the_float64_counts"
@@ -145,13 +146,18 @@ MUTANTS = (
     Mutant(
         "rod tree: every first break takes the in-plane cosines from the ray's own",
         "src/bornsim/rod.py",
-        "cosines += _in_plane_cosines(in_plane, axes[j], axes[k])",
+        "cosines += _in_plane_cosines(\n                dots[j], dots[k], norm, axes[j], axes[k], rows[j], rows[k]\n            )",
         "cosines += _cosines_from_ray(c, j, k)",
-        (_GAP + "[quantum]",
-         _GAP + "[uniform-variant]",
-         _ROD_TABLES + "[quantum]",
-         _ROD_ORACLE,
+        (_ROD_TABLES + "[quantum]",
+         _STAGES,
          _FRAMECHECK_PIN + "[rod-uniform-variant]"),
+    ),
+    Mutant(
+        "rod tree: no degenerate fallback, a ray on the first-broken axis is projected",
+        "src/bornsim/rod.py",
+        "if norm < DEGENERATE_EPS:",
+        "if norm < 0.0:",
+        (_STAGES, _ROD_TABLES + "[quantum]", _ROD_TABLES + "[uniform-variant]"),
     ),
     Mutant(
         "Born rule: one matrix-vector product, not the Gleason measure of each axis",
@@ -228,6 +234,13 @@ MUTANTS = (
         (_PARTNER + "[row1-1e-10]",
          _PARTNER + "[row1-1]",
          _PARTNER + "[row1-parallel]"),
+    ),
+    Mutant(
+        "sweep angles: the last point at (steps - 1) * step, not pi/2",
+        "src/bornsim/cli.py",
+        "    for i in range(steps - 1):\n        yield i * step\n    yield math.pi / 2\n",
+        "    for i in range(steps):\n        yield i * step\n",
+        (_ANGLES + "[26]", _ANGLES + "[201]"),
     ),
     Mutant(
         "config: every key of the file converted, not only the command's",

@@ -6,10 +6,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from bornsim import native, rod
-from bornsim.cli import main
+from bornsim import cli, native, rod
+from bornsim.cli import InputError, _sweep_angles, main
 from bornsim.geometry import Frame, identity_frame, unit_vector
 from bornsim.models import MODELS
 from bornsim.stats import RunConfig, run_trials
@@ -174,6 +175,28 @@ class TestSweep:
         assert main(["sweep", "--model", "rod", "--state", "1,0,0",
                      "--steps", "1"]) == 2
         assert "steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [2, 3, 9, 26, 33, 65, 201, 12345])
+    def test_angles_are_linspace_bit_for_bit(self, steps):
+        # at 26 and 201 steps, (steps - 1) * step rounds off pi/2, so the
+        # last point must be pi/2 itself, as linspace sets it
+        want = np.linspace(0.0, np.pi / 2, steps).tolist()
+        assert list(_sweep_angles(steps)) == want
+
+    def test_a_huge_step_count_stores_no_angles(self, monkeypatch, capsys):
+        # no array of 10**18 angles can be made, so the first point must run
+        # before any angle but its own is computed
+        def first_point(config):
+            raise InputError("first point ran")
+
+        monkeypatch.setattr(cli, "run_trials", first_point)
+        assert main(["sweep", "--model", "sphere2d", "--state", "1,0,0",
+                     "--trials", "10", "--steps", str(10**18)]) == 2
+        assert "first point ran" in capsys.readouterr().err
+        # a count with no float value is input the sweep cannot space
+        assert main(["sweep", "--model", "sphere2d", "--state", "1,0,0",
+                     "--trials", "10", "--steps", str(2**1024 + 1)]) == 2
+        assert "error: steps is too large" in capsys.readouterr().err
 
     def test_rod_quantum_sweep_tracks_cosine_squared(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornsim.geometry import (
-    DegenerateProjectionError,
     Frame,
     canonicalize,
     direction_cosines,
     identity_frame,
     normalize,
     orthonormal_frame,
-    project_onto_plane,
     random_frame,
     random_unit_vector,
     rotate_frame_about_axis,
@@ -104,56 +102,6 @@ class TestDirectionCosines:
             c = np.array(direction_cosines(canonicalize(v.array), frame))
             assert abs(float(np.sum(c**2)) - 1.0) < 1e-12
             assert abs(float(np.sum(1.0 - c**2)) - 2.0) < 1e-12
-
-
-class TestProjectOntoPlane:
-    def test_drop_first_axis(self):
-        p_prime, norm = project_onto_plane(canonicalize((SQ2, 0.5, 0.5)), identity_frame(), 0)
-        assert norm == pytest.approx(SQ2, abs=1e-15)
-        assert p_prime.rep.x == 0.0
-        assert p_prime.rep.y == pytest.approx(SQ2, abs=1e-15)
-        assert p_prime.rep.z == pytest.approx(SQ2, abs=1e-15)
-
-    def test_ray_already_in_plane(self):
-        p_prime, norm = project_onto_plane(canonicalize((1.0, 0.0, 0.0)), identity_frame(), 1)
-        assert norm == pytest.approx(1.0, abs=1e-15)
-        assert p_prime == canonicalize((1.0, 0.0, 0.0))
-
-    def test_symmetric_drop_third(self):
-        p_prime, norm = project_onto_plane(canonicalize((SQ3, SQ3, SQ3)), identity_frame(), 2)
-        assert norm == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
-        assert p_prime.rep.x == pytest.approx(SQ2, abs=1e-15)
-        assert p_prime.rep.y == pytest.approx(SQ2, abs=1e-15)
-
-    def test_degenerate_projection_raises(self):
-        with pytest.raises(DegenerateProjectionError):
-            project_onto_plane(canonicalize((1.0, 0.0, 0.0)), identity_frame(), 0)
-
-    def test_postconditions_on_random_pairs(self):
-        from conftest import random_ray_frame_pairs
-
-        for v, frame in random_ray_frame_pairs(seed=7, n=500):
-            ray = canonicalize(v.array)
-            c = direction_cosines(ray, frame)
-            for dropped in range(3):
-                if c[dropped] > 1.0 - 1e-9:
-                    continue
-                p_prime, norm = project_onto_plane(ray, frame, dropped)
-                m = frame.matrix
-                # orthogonal to the dropped axis
-                assert abs(float(p_prime.array @ m[dropped])) < 1e-12
-                # norm is the sine of the dropped angle
-                assert abs(norm**2 + c[dropped] ** 2 - 1.0) < 1e-12
-                # retained cosines scale by 1/norm
-                keep = [k for k in range(3) if k != dropped]
-                for k in keep:
-                    expected = c[k] / norm
-                    got = abs(float(p_prime.array @ m[k]))
-                    assert abs(got - expected) < 1e-12
-
-    def test_bad_axis_index(self):
-        with pytest.raises(ValueError):
-            project_onto_plane(canonicalize((1.0, 0.0, 0.0)), identity_frame(), 3)
 
 
 class TestFrames:

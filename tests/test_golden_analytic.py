@@ -2,7 +2,8 @@
 
 Every float is stored as ``float.hex``, so a changed rounding step anywhere
 in ``geometry`` (normalize, canonicalize, Gram-Schmidt, random frames,
-projections) or in ``rod.rod_analytic`` shows up as a mismatch in the last
+direction cosines) or in the rod's stage tree (``rod._tree``) and the
+``rod_analytic`` table built from it shows up as a mismatch in the last
 bit. Error messages are pinned as text. Inputs are stored too, so each
 section rebuilds its inputs without calling the code another section pins.
 
@@ -16,13 +17,15 @@ is meant to alter them:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bornsim.geometry import (
-    DegenerateProjectionError,
+    DEGENERATE_EPS,
+    OTHER_AXES,
     Frame,
     Ray,
     UnitVector,
@@ -30,11 +33,10 @@ from bornsim.geometry import (
     direction_cosines,
     identity_frame,
     orthonormal_frame,
-    project_onto_plane,
     random_frame,
     random_unit_vector,
 )
-from bornsim.rod import WEIGHTS, rod_analytic, stage1_distribution
+from bornsim.rod import WEIGHTS, _tree, rod_analytic
 
 GOLDEN = Path(__file__).parent / "data" / "golden_analytic.json"
 
@@ -101,15 +103,17 @@ def _rod(case: dict, frames: list[list[str]]) -> dict:
     }
 
 
-def _projections(case: dict, frames: list[list[str]]) -> dict:
+def _stages(case: dict, frames: list[list[str]]) -> dict:
+    """The stage tree's raw floats: the stage-1 probabilities, and the
+    stage-2 pair of each first break with nonzero weight; with the quantum
+    weight, the direction cosines too."""
     ray, frame = _ray(case["state"]), _frame(frames[case["frame"]])
-    out = {"cosines": _hex(direction_cosines(ray, frame)), "planes": []}
-    for dropped in range(3):
-        got = _outcome(project_onto_plane, ray, frame, dropped)
-        if "value" in got:
-            p, norm = got["value"]
-            got["value"] = _hex((p.rep.x, p.rep.y, p.rep.z, norm))
-        out["planes"].append(got)
+    s1, s2 = _tree(ray, frame, WEIGHTS[case["weight"]])
+    out = {}
+    if case["weight"] == "quantum":  # the cosines do not depend on the weight
+        out["cosines"] = _hex(direction_cosines(ray, frame))
+    out["stages"] = {"s1": _hex(s1),
+                     "s2": [[first, *_hex(pair)] for first, pair in s2.items()]}
     return out
 
 
@@ -205,8 +209,7 @@ def _record() -> dict:
         case.update(_canonical(case))
     for case in golden["rod_analytic"]:
         case.update(_rod(case, rod_frames))
-        if case["weight"] == "quantum":
-            case.update(_projections(case, rod_frames))
+        case.update(_stages(case, rod_frames))
     return golden
 
 
@@ -247,13 +250,13 @@ def test_rod_tables_are_bit_identical(weight):
         assert got == {k: case[k] for k in got}, f"{weight} case {i}"
 
 
-def test_projections_and_cosines_are_bit_identical():
+def test_stages_and_cosines_are_bit_identical():
     frames = _GOLDEN["rod_frames"]
-    cases = [c for c in _GOLDEN["rod_analytic"] if "planes" in c]
+    cases = _GOLDEN["rod_analytic"]
     assert cases
     for i, case in enumerate(cases):
-        got = _projections(case, frames)
-        assert got == {k: case[k] for k in got}, f"case {i}"
+        got = _stages(case, frames)
+        assert got == {k: case[k] for k in got}, f"{case['weight']} case {i}"
 
 
 def test_every_branch_is_pinned():
@@ -272,16 +275,14 @@ def test_every_branch_is_pinned():
     frames = _GOLDEN["rod_frames"]
     zero_weight = fallback = 0
     for case in _GOLDEN["rod_analytic"]:
-        ray, frame = _ray(case["state"]), _frame(frames[case["frame"]])
-        s1 = stage1_distribution(ray, frame, WEIGHTS[case["weight"]])
-        for first in range(3):
-            if s1[first] == 0.0:
+        m, pv = _frame(frames[case["frame"]]).matrix, _ray(case["state"]).array
+        for first, s1 in enumerate(_floats(case["stages"]["s1"])):
+            if s1 == 0.0:
                 zero_weight += 1
                 continue
-            try:
-                project_onto_plane(ray, frame, first)
-            except DegenerateProjectionError:
-                fallback += 1
+            # the ray within 1e-12 of axis `first`: no plane to project onto
+            j, k = OTHER_AXES[first]
+            fallback += math.hypot(float(pv @ m[j]), float(pv @ m[k])) < DEGENERATE_EPS
     assert zero_weight > 0 and fallback > 0
 
 

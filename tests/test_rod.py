@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bornsim.geometry import (
-    OTHER_AXES,
-    DegenerateProjectionError,
-    canonicalize,
-    identity_frame,
-    project_onto_plane,
-    random_frame,
-    random_unit_vector,
-)
+from bornsim.geometry import canonicalize, identity_frame, random_frame, random_unit_vector
 from bornsim.quantum import born_probabilities, state_vector
 from bornsim.rod import (
     BreakPath,
@@ -20,18 +12,16 @@ from bornsim.rod import (
     QUANTUM,
     UNIFORM_VARIANT,
     _PATHS,
+    _tree,
     fold_paths,
     outcomes_from_uniforms,
     rod_analytic,
     rod_sample,
-    stage1_distribution,
-    stage2_distribution,
     thresholds,
 )
 from bornsim.stats import RunConfig, chi_square_gof, run_trials
 from bornsim.streams import TrialStream, trial_uniforms
 
-from conftest import random_ray_frame_pairs
 from oracles import rod_tree_oracle, quantum_weight, variant_weight
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -63,22 +53,24 @@ def _single_paths(p, e, w, u1, u2):
 def _rule_users(p, w):
     """Each public route through the rod rule, on ray ``p`` in the identity frame."""
     u = np.array([0.5])
-    return (lambda: stage1_distribution(p, IDENT, w), lambda: rod_analytic(p, IDENT, w),
+    return (lambda: rod_analytic(p, IDENT, w),
             lambda: outcomes_from_uniforms(thresholds(p, IDENT, w), u, u))
 
 
 class TestStage1:
     def test_eigenstate_splits_evenly_over_other_axes(self):
-        s1 = stage1_distribution(canonicalize((1, 0, 0)), IDENT, QUANTUM)
+        s1, s2 = _tree(canonicalize((1, 0, 0)), IDENT, QUANTUM)
         assert np.allclose(s1, [0.0, 0.5, 0.5], atol=1e-15)
         assert s1[0] == 0.0
+        # no stage 2 follows a first break of zero weight
+        assert sorted(s2) == [1, 2]
 
     def test_quantum_weights_normalize_by_two(self):
-        s1 = stage1_distribution(P_BENCH, IDENT, QUANTUM)
+        s1, _ = _tree(P_BENCH, IDENT, QUANTUM)
         assert np.allclose(s1, [0.25, 0.375, 0.375], atol=1e-12)
 
     def test_uniform_variant_stage1(self):
-        s1 = stage1_distribution(P_BENCH, IDENT, UNIFORM_VARIANT)
+        s1, _ = _tree(P_BENCH, IDENT, UNIFORM_VARIANT)
         assert np.allclose(s1, VARIANT_STAGE1, atol=1e-12)
         # direct recomputation, independent of the library path
         sines = np.sqrt(1.0 - np.array([SQ2, 0.5, 0.5]) ** 2)
@@ -90,39 +82,36 @@ class TestStage1:
         negative = BreakWeight("negative", lambda t: np.asarray(t) - 0.9)
         for w, error in ((dead, "degenerate frame/state"),
                          (negative, "^negative stage-1 weight$")):
-            for call in _rule_users(P_BENCH, w):
+            for call in (lambda: _tree(P_BENCH, IDENT, w), *_rule_users(P_BENCH, w)):
                 with pytest.raises(ValueError, match=error):
                     call()
 
 
 class TestStage2:
     def test_in_plane_eigenstate_breaks_other_tie(self):
-        p_prime = canonicalize((0.0, 1.0, 0.0))
-        s2 = stage2_distribution(p_prime, IDENT, (1, 2), QUANTUM)
-        assert np.allclose(s2, [0.0, 1.0], atol=1e-15)
+        # after tie 0 breaks, (0.6, 0.8, 0) swings onto axis 1, whose tie
+        # then carries no weight
+        p = canonicalize((0.6, 0.8, 0.0))
+        for w in (QUANTUM, UNIFORM_VARIANT):
+            _, s2 = _tree(p, IDENT, w)
+            assert np.allclose(s2[0], [0.0, 1.0], atol=1e-15)
 
     def test_symmetric_in_plane_state(self):
-        p_prime = canonicalize((0.0, SQ2, SQ2))
+        # after tie 0 breaks, the benchmark state swings onto (0, 1, 1) / sqrt 2
         for w in (QUANTUM, UNIFORM_VARIANT):
-            s2 = stage2_distribution(p_prime, IDENT, (1, 2), w)
-            assert np.allclose(s2, [0.5, 0.5], atol=1e-12)
+            _, s2 = _tree(P_BENCH, IDENT, w)
+            assert np.allclose(s2[0], [0.5, 0.5], atol=1e-12)
 
     def test_both_zero_weights_guarded(self):
-        dead = BreakWeight("dead", lambda t: 0.0 * np.asarray(t))
-        with pytest.raises(ValueError, match="degenerate projection"):
-            stage2_distribution(canonicalize((0.0, 1.0, 0.0)), IDENT, (1, 2), dead)
         # zero below 0.9: every stage-1 angle of the symmetric state (0.955)
         # weighs 1, and both in-plane angles after any first break (pi/4) 0
         step = BreakWeight("step", lambda t: np.where(np.asarray(t) < 0.9, 0.0, 1.0))
         # the benchmark's stage-1 angles (pi/4, pi/3, pi/3) weigh > 0, but
         # after tie 1 breaks first the in-plane angle 0.615 weighs < 0
         negative = BreakWeight("negative", lambda t: np.asarray(t) - 0.7)
-        assert np.all(stage1_distribution(P_BENCH, IDENT, negative) > 0.0)
-        with pytest.raises(ValueError, match="^negative stage-2 weight$"):
-            stage2_distribution(canonicalize((0.8, 0.0, 0.6)), IDENT, (0, 2), negative)
         for p, w, error in ((SYMMETRIC, step, "degenerate projection"),
                             (P_BENCH, negative, "^negative stage-2 weight$")):
-            for call in _rule_users(p, w)[1:]:
+            for call in (lambda: _tree(p, IDENT, w), *_rule_users(p, w)):
                 with pytest.raises(ValueError, match=error):
                     call()
 
@@ -280,7 +269,7 @@ class TestSampler:
     def test_boundary_uniforms_never_select_zero_weight(self):
         # eigenstate: stage-1 weight of axis 1 is zero; u1 = 0 must not pick it
         ray = canonicalize((1, 0, 0))
-        s1 = stage1_distribution(ray, IDENT, QUANTUM)
+        s1, _ = _tree(ray, IDENT, QUANTUM)
         edges = np.array([0.0, s1[1], s1[1] + s1[2], 1.0 - 2**-53])
         u2 = np.array([0.0, 0.5, 1.0 - 2**-53, 0.25])
         singles = _single_paths(ray, identity_frame(), QUANTUM, edges, u2)
@@ -292,7 +281,7 @@ class TestSampler:
         assert np.array_equal(counts, np.bincount(singles, minlength=6))
 
     def test_tie_on_boundary_goes_to_lowest_index(self):
-        s1 = stage1_distribution(P_BENCH, IDENT, QUANTUM)
+        s1, _ = _tree(P_BENCH, IDENT, QUANTUM)
         # u exactly on the first cumulative edge selects category 0
         (single,) = _single_paths(
             P_BENCH, identity_frame(), QUANTUM, np.array([s1[0]]), np.array([0.5])
@@ -305,9 +294,8 @@ _RETAINED = ((1, 2), (0, 2), (0, 1))
 
 def _reference_constants(p, e, w):
     """Stage-1 cumulative sums and per-first-break stage-2 constants, as the
-    nested-np.where kernel computed them, with the stage-2 cosines of the ray
-    projected onto the plane (from the ray's own cosines when that projection
-    is degenerate)."""
+    nested-np.where kernel computed them: stage 1 from the ray's own
+    cosines, stage 2 from the rod's stage tree."""
     c = np.minimum(np.abs(e.matrix @ p.array), 1.0)
     w1 = np.asarray(w.fn(np.arccos(c)), dtype=float)
     s1 = w1 / float(w1.sum())
@@ -315,23 +303,10 @@ def _reference_constants(p, e, w):
     prob_j = np.zeros(3)
     elig_j = np.zeros(3, dtype=bool)
     elig_k = np.zeros(3, dtype=bool)
-    for i in range(3):
-        if not elig[i]:
-            continue
-        j, k = _RETAINED[i]
-        try:
-            p_prime, _ = project_onto_plane(p, e, i)
-        except DegenerateProjectionError:
-            norm = math.hypot(c[j], c[k])
-            cos = np.array([min(c[j] / norm, 1.0), min(c[k] / norm, 1.0)])
-        else:
-            m = e.matrix
-            cos = np.array([min(abs(float(p_prime.array @ m[j])), 1.0),
-                            min(abs(float(p_prime.array @ m[k])), 1.0)])
-        w2 = np.asarray(w.fn(np.arccos(cos)), dtype=float)
-        prob_j[i] = w2[0] / float(w2.sum())
-        elig_j[i] = w2[0] > 0.0
-        elig_k[i] = w2[1] > 0.0
+    for i, (pj, pk) in _tree(p, e, w)[1].items():
+        prob_j[i] = pj
+        elig_j[i] = pj > 0.0
+        elig_k[i] = pk > 0.0
     return (s1[0], s1[0] + s1[1]), elig, prob_j, elig_j, elig_k
 
 
@@ -444,23 +419,6 @@ def test_path_counts_match_the_paper_path_identity():
             if w is QUANTUM:
                 for path, prob in zip(_PATHS, probs):
                     assert abs(prob - cos2[path.outcome] / 2.0) < 1e-12
-
-
-@pytest.mark.parametrize("w", [QUANTUM, UNIFORM_VARIANT], ids=["quantum", "uniform-variant"])
-def test_stage2_constants_agree_with_the_projected_ray_route(w):
-    # thresholds reads rod_analytic's stage tree, whose stage-2 cosines come
-    # from the ray projected onto the plane: each constant is, bit for bit,
-    # the stage-2 probability of the projected ray, on 2000 (ray, frame) pairs
-    gaps = []
-    for v, e in random_ray_frame_pairs(seed=1957, n=2000):
-        p = canonicalize(v.array)
-        r = thresholds(p, e, w)[2:]
-        for i in range(3):
-            if r[i] != -1.0:  # tie i breaks first with nonzero probability
-                p_prime, _ = project_onto_plane(p, e, i)
-                gaps.append(abs(r[i] - stage2_distribution(p_prime, e, OTHER_AXES[i], w)[0]))
-    assert len(gaps) == 6000
-    assert max(gaps) == 0.0
 
 
 def test_draws_of_different_lengths_are_rejected():
