@@ -79,7 +79,7 @@ void trial_uniforms(double *out, uint64_t seed, uint64_t base, int64_t n, int64_
  * r = (4 u2 - k) pi/2, so phi = k pi/2 + r with |r| <= pi/4. 4 u2 - k is
  * exact, and the Taylor polynomials of degree 9 (sin) and 10 (cos) are
  * within r**11/11! < 1.8e-9 of sin r and cos r there, far inside the 2**-20
- * per trig value that disk._first_pass's margin argument allows. sqrt is
+ * per trig value that disk.up_indices's margin argument allows. sqrt is
  * correctly rounded and the rest is float64 arithmetic, so every trial
  * outside the margin has the sign the float64 formula gives it. The
  * quadrant logic needs u2 in [0, 1] and the square roots u1 in [0, 1]: a

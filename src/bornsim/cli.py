@@ -451,25 +451,31 @@ def cmd_sweep(r: SimpleNamespace) -> int:
 def cmd_framecheck(r: SimpleNamespace) -> int:
     if r.seed < 0:  # numpy's generator takes no negative seed
         raise InputError(f"framecheck seed must be >= 0, got {r.seed}")
-    rng = np.random.default_rng(r.seed)
-    frames = [random_frame(rng) for _ in range(r.trials)]
     if r.measure == ROD.name:
         measure = rod.marginal_measure(canonicalize(r.state), rod.WEIGHTS[r.weight])
         label = f"{r.measure}:{r.weight}"
     else:
         measure = gleason_measure(state_vector(r.state.array))
         label = r.measure
-    report = frame_additivity_check(measure, frames)
+    rng = np.random.default_rng(r.seed)
+    rows = []
+
+    def frames() -> Iterator[Frame]:
+        # each frame's --out row is built as it is drawn: no frame is kept
+        for i in range(r.trials):
+            f = random_frame(rng)
+            if r.out is not None:
+                total = sum(measure(f, axis) for axis in range(3))
+                rows.append([str(i), _fmt(total), _fmt(abs(total - 1.0))])
+            yield f
+
+    report = frame_additivity_check(measure, frames())
     print(
         f"framecheck measure={label} frames={report.frames_checked} "
         f"max_deviation={_fmt(report.max_deviation)} "
         f"additive_within_1e-12={'yes' if report.additive else 'no'}"
     )
     if r.out is not None:
-        rows = []
-        for i, f in enumerate(frames):
-            total = sum(measure(f, axis) for axis in range(3))
-            rows.append([str(i), _fmt(total), _fmt(abs(total - 1.0))])
         _write_rows(r.out, ["frame_index", "sum", "deviation"], rows)
     return 0
 

@@ -12,15 +12,14 @@ Measuring along q reads off which half sphere the hidden point is in:
 q on up, -q on down, and the hidden point is reshaken at the new pole. The
 up probability reproduces cos^2(theta/2) for the angle theta between p and q.
 
-The counting kernel ``up_indices`` needs only the sign of t.q, so it filters
-(Shewchuk 1997, adaptive-precision geometric predicates): a cheap first pass
-decides every trial whose |t.q| is above ``_MARGIN``, and the float64
-formula is evaluated again on the few trials inside it. The first pass
-(``_first_pass``) is a C loop with polynomial trig, in ``_native.c``, in a
-process where the package's C library (``native.LIBRARY``) loads, and numpy
-with float32 trig in one where it does not; ``up_indices`` holds the one
-float64 recheck. Every trial's outcome equals the one-pass float64
-formula's, on either path; see ``_first_pass``.
+The counting kernel ``up_indices`` needs only the sign of t.q. In a process
+where the package's C library (``native.LIBRARY``) loads, it filters
+(Shewchuk 1997, adaptive-precision geometric predicates): a C loop with
+polynomial trig, in ``_native.c``, decides every trial whose |t.q| is above
+``_MARGIN``, and the float64 formula is evaluated again on the few trials
+inside it. In a process where the library does not load, the float64
+formula decides every trial. Every trial's outcome equals the one-pass
+float64 formula's, on either path; see ``up_indices``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .outcomes import OutcomeDistribution, cosine_split
 
 LABELS = ("up", "down")
 
-# |t.q| above which the first pass decides a trial (see ``_first_pass``)
+# |t.q| above which the C pass decides a trial (see ``up_indices``)
 _MARGIN = 2.0**-12
 
 
@@ -82,15 +81,12 @@ def hidden_from_uniforms(
     )
 
 
-def _t_dot_q(
-    u1: np.ndarray, u2: np.ndarray, aq: float, bq: float, pq: float, trig=np.float64
-) -> np.ndarray:
-    """t.q per (u1, u2) pair, from the dots of q with p's tangent basis (a, b)
-    and with p, without materializing t. The azimuth is rounded to ``trig``
-    before its cosine and sine are taken; everything else is float64."""
+def _t_dot_q(u1: np.ndarray, u2: np.ndarray, aq: float, bq: float, pq: float) -> np.ndarray:
+    """t.q per (u1, u2) pair, in float64, from the dots of q with p's tangent
+    basis (a, b) and with p, without materializing t."""
     st = np.sqrt(u1)
     ct = np.sqrt(1.0 - u1)
-    phi = (2.0 * math.pi * u2).astype(trig, copy=False)
+    phi = 2.0 * math.pi * u2
     return st * (np.cos(phi) * aq + np.sin(phi) * bq) + ct * pq
 
 
@@ -100,54 +96,35 @@ def basis_dots(p: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
     return float(a @ q), float(b @ q), float(p @ q)
 
 
-def _first_pass(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> tuple[int, np.ndarray]:
-    """(down, near) for contiguous 1-d draws: the number of trials with
-    t.q < -``_MARGIN``, and the indices of the trials with |t.q| <= ``_MARGIN``,
-    every exact tie among them, for the float64 formula to decide. Every
-    other trial is up.
-
-    The C pass runs where ``native.LIBRARY.load()`` returns a library, and
-    the numpy pass otherwise. The numpy pass takes the cosine and sine of the
-    azimuth rounded to float32 (about 20 times cheaper than float64 trig
-    with numpy 2.4 on x86-64). The C pass sends a trial whose draws are NaN
-    or outside [0, 1], where its quadrant logic does not hold, to ``near``.
-
-    Why the margin is safe: both passes use the same float64 st, ct and
-    dots as the float64 formula, so they differ from it only in the bracket
-    cos(phi) aq + sin(phi) bq, where |aq| + |bq| <= sqrt(2), and in the last
-    bits of the float64 products and sums. Each trig value of a first pass is
-    within 2**-20 of float64 trig (``tests/test_disk.py`` guards both
-    passes): in numpy, rounding phi < 2 pi to float32 moves it by at most
-    2**-22, and float32 trig adds a few float32 ulps; in ``_native.c``, the
-    degree-9 and degree-10 polynomials on the quadrant-reduced azimuth are
-    within 1.8e-9. So, with its products and sum rounded (in float32 in
-    numpy), the first pass's bracket is less than 2**-19 from the float64
-    one, and st <= 1. A trial with |t.q| > 2**-12 in the first pass
-    therefore has the same sign, and is no tie, in float64.
-    """
-    lib = native.LIBRARY.load()
-    if lib is None:
-        tq = _t_dot_q(u1, u2, *dots, np.float32)
-        return int(np.count_nonzero(tq < -_MARGIN)), np.flatnonzero(np.abs(tq) <= _MARGIN)
-    near = np.empty(len(u1), dtype=np.int64)
-    down = ctypes.c_int64()
-    m = lib.disk_first_pass(u1.ctypes.data, u2.ctypes.data, len(u1), *dots, _MARGIN,
-                            near.ctypes.data, ctypes.byref(down))
-    return down.value, near[:m]
-
-
 def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Vectorized trial kernel: int64 counts (up, down) of the (u1, u2) pairs.
 
     ``dots`` is the ``basis_dots`` of the state p and direction q, computed
     once per run. A trial is down exactly where the float64 formula
-    ``_t_dot_q(u1, u2, *dots) <= 0`` holds, ties included: ``_first_pass``
-    decides the trials outside ``_MARGIN`` and the formula the rest. Strided
-    draws are copied first. A ValueError is raised unless ``u1`` and ``u2``
-    are 1-d and of one length. The scalar path (``sample_hidden`` then
-    ``disk_measure``) materializes t first; its t.q can differ in the last
-    bits, so the two agree on the outcome of every draw whose |t.q| is
-    larger than that rounding.
+    ``_t_dot_q(u1, u2, *dots) <= 0`` holds, ties included. A ValueError is
+    raised unless ``u1`` and ``u2`` are 1-d and of one length.
+
+    Where ``native.LIBRARY.load()`` returns None, the formula decides every
+    trial. Otherwise the C pass, on contiguous copies of strided draws,
+    counts the trials with t.q < -``_MARGIN`` as down and returns the
+    indices of those with |t.q| <= ``_MARGIN``, every exact tie among them,
+    for the formula to decide; every other trial is up. It leaves to the
+    formula also a trial whose draws are NaN or outside [0, 1], where its
+    quadrant logic does not hold.
+
+    Why the margin is safe: the C pass uses the same float64 st, ct and
+    dots as the formula, so it differs from it only in the bracket
+    cos(phi) aq + sin(phi) bq, where |aq| + |bq| <= sqrt(2), and in the last
+    bits of the float64 products and sums. Its degree-9 and degree-10
+    polynomials on the quadrant-reduced azimuth are within 1.8e-9 of
+    float64 trig, well inside 2**-20 (``tests/test_disk.py`` guards this).
+    So its bracket is less than 2**-19 from the float64 one, and st <= 1: a
+    trial with |t.q| > 2**-12 in the C pass has the same sign, and is no
+    tie, in float64.
+
+    The scalar path (``sample_hidden`` then ``disk_measure``) materializes t
+    first; its t.q can differ in the last bits, so the two agree on the
+    outcome of every draw whose |t.q| is larger than that rounding.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
@@ -155,10 +132,19 @@ def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         raise ValueError(f"u1 and u2 must be 1-d, not of shapes {u1.shape} and {u2.shape}")
     if len(u1) != len(u2):
         raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
-    u1, u2 = np.ascontiguousarray(u1), np.ascontiguousarray(u2)
-    down, near = _first_pass(dots, u1, u2)
-    if near.size:
-        down += int(np.count_nonzero(_t_dot_q(u1[near], u2[near], *dots) <= 0.0))
+    lib = native.LIBRARY.load()
+    if lib is None:
+        down = int(np.count_nonzero(_t_dot_q(u1, u2, *dots) <= 0.0))
+    else:
+        u1, u2 = np.ascontiguousarray(u1), np.ascontiguousarray(u2)
+        near = np.empty(len(u1), dtype=np.int64)
+        below = ctypes.c_int64()
+        m = lib.disk_first_pass(u1.ctypes.data, u2.ctypes.data, len(u1), *dots, _MARGIN,
+                                near.ctypes.data, ctypes.byref(below))
+        down = below.value
+        if m:
+            near = near[:m]
+            down += int(np.count_nonzero(_t_dot_q(u1[near], u2[near], *dots) <= 0.0))
     return np.array([len(u1) - down, down], dtype=np.int64)
 
 

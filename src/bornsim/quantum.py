@@ -9,7 +9,7 @@ every frame's three axes sum to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class FrameAdditivityReport:
 
 
 def frame_additivity_check(
-    measure: Callable[[Frame, int], float], frames: Sequence[Frame]
+    measure: Callable[[Frame, int], float], frames: Iterable[Frame]
 ) -> FrameAdditivityReport:
     """Sum the measure over each frame's three axes and report the max |sum - 1|.
 
@@ -72,8 +72,11 @@ def frame_additivity_check(
     ``frame``, as in a frame function (Gleason 1957). A contextual measure
     (e.g. the uniform-variant rod marginals) gives the same ray different
     values in different frames; a Gleason measure reads only the axis's ray.
+    ``frames`` is read once, so a generator's frames are not kept.
     """
+    checked = 0
     worst = 0.0
     for f in frames:
         worst = max(worst, abs(sum(measure(f, axis) for axis in range(3)) - 1.0))
-    return FrameAdditivityReport(len(frames), worst)
+        checked += 1
+    return FrameAdditivityReport(checked, worst)

@@ -13,7 +13,7 @@ def rng():
 @pytest.fixture
 def numpy_only(monkeypatch):
     """The process as it runs where the C library does not load: the numpy
-    fill and the numpy first pass of the disk kernel."""
+    fill, and the float64 formula on every trial of the disk kernel."""
     monkeypatch.setattr(native.LIBRARY, "load", lambda: None)
 
 

@@ -91,8 +91,14 @@ MUTANTS = (
         "src/bornsim/disk.py",
         "_MARGIN = 2.0**-12",
         "_MARGIN = 0.0",
-        (_DECIDES + "[native]", _DECIDES + "[numpy]",
-         _PLANTED + "[native-65536]", _PLANTED + "[numpy-65536]"),
+        (_DECIDES + "[native]", _PLANTED + "[native-65536]"),
+    ),
+    Mutant(
+        "disk numpy path: exact ties counted up (<= 0.0 -> < 0.0)",
+        "src/bornsim/disk.py",
+        "_t_dot_q(u1, u2, *dots) <= 0.0",
+        "_t_dot_q(u1, u2, *dots) < 0.0",
+        (_DECIDES + "[numpy]", _PLANTED + "[numpy-65535]"),
     ),
     Mutant(
         "disk C pass: decides the trials near the boundary itself (near test t == 0.0)",

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,6 +282,22 @@ class TestFramecheck:
                      "--seed", "301", "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # a kept frame costs about 1.1 KB, so keeping them would peak above 1 MB
+    @pytest.mark.parametrize("measure, frames", [
+        (["gleason"], 3000),
+        (["rod", "--weight", "uniform-variant"], 1000),
+    ], ids=["gleason", "rod-uniform-variant"])
+    def test_frames_are_dropped_once_checked(self, measure, frames, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["framecheck", "--measure", *measure, "--state", BENCH,
+                         "--trials", str(frames), "--seed", "9"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"frames={frames} " in capsys.readouterr().out
+        assert peak < 500_000
 
     def test_negative_seed_flag_is_rejected_by_name(self, tmp_path, capsys):
         out = tmp_path / "kept.csv"

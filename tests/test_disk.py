@@ -16,7 +16,7 @@ from bornsim.disk import (
     sample_hidden,
     up_indices,
 )
-from bornsim.geometry import random_unit_vector, tangent_basis, unit_vector, vector_angle
+from bornsim.geometry import random_unit_vector, unit_vector, vector_angle
 from bornsim.stats import RunConfig, run_trials
 from bornsim.streams import trial_uniforms
 
@@ -27,8 +27,9 @@ EZ = unit_vector(0.0, 0.0, 1.0)
 
 @pytest.fixture(params=["native", "numpy"])
 def path(request):
-    """The kernel's first pass: the C loop (skipped where the C library does
-    not load) or the numpy float32 pass that a process without it runs."""
+    """The kernel's path: the C first pass with its float64 recheck (skipped
+    where the C library does not load), or the float64 formula on every
+    trial, as a process without the library runs it."""
     if request.param == "numpy":
         request.getfixturevalue("numpy_only")
     elif native.LIBRARY.load() is None:
@@ -182,13 +183,6 @@ class TestBornAgreement:
             assert first == second
 
 
-def _float32_pass_only(p, q, u1, u2):
-    """What the numpy kernel would decide with its float64 pass left out."""
-    a, b = tangent_basis(p)
-    tq = disk._t_dot_q(u1, u2, float(a @ q), float(b @ q), float(p @ q), np.float32)
-    return (tq <= 0.0).astype(np.int64)
-
-
 def _c_pass_only(p, q, u1, u2):
     """What the native kernel would decide with its float64 pass left out:
     the C pass with no margin, one trial at a time (an exact 0 is down)."""
@@ -263,12 +257,11 @@ def test_filtered_kernel_decides_as_the_one_pass_reference(path):
         assert counts.tolist() == [len(want) - want.sum(), want.sum()], (p, q)
         # every trial, the crossings first, through the kernel on its own
         assert np.array_equal(_one_trial_decisions(dots, u1, u2), want), (p, q)
-        crossings = slice(0, len(u1c))
-        first_pass_only = _c_pass_only if path == "native" else _float32_pass_only
-        first_pass_wrong += int(np.sum(first_pass_only(p, q, u1c, u2c) != want[crossings]))
-    # the crossings are close enough to the equator that the first pass alone
-    # gets some of them wrong, so the float64 pass is what this test checks
-    assert first_pass_wrong > 0
+        if path == "native":
+            first_pass_wrong += int(np.sum(_c_pass_only(p, q, u1c, u2c) != want[:len(u1c)]))
+    # the crossings are close enough to the equator that the C pass alone
+    # gets some of them wrong, so the float64 recheck is what this test checks
+    assert path == "numpy" or first_pass_wrong > 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537])
@@ -338,7 +331,7 @@ def test_out_of_domain_and_strided_draws_get_the_float64_counts(path):
 
 def test_c_trig_stays_inside_the_kernel_margin():
     """The C pass is safe while its cos and sin of 2 pi u2 stay within 2**-20
-    of float64 cos and sin (see ``disk._first_pass``); its polynomials are
+    of float64 cos and sin (see ``disk.up_indices``); its polynomials are
     within 1.8e-9. Checked on a dense u2 grid, at the quadrant points k/4 and
     the reduction's switch points (2k+1)/8, and on 8 floats either side of
     each."""
@@ -361,29 +354,3 @@ def test_c_trig_stays_inside_the_kernel_margin():
         err = float(np.abs(got - want).max())
         assert err <= 1.8e-9, name
         assert err <= 2.0**-20, name
-
-
-def test_float32_trig_stays_inside_the_kernel_margin():
-    """The float32 pass is safe while cos and sin of the azimuth rounded to
-    float32 stay within 2**-20 of float64 cos and sin of the azimuth (see
-    ``disk._first_pass``). A platform whose float32 trig breaks this fails
-    here instead of moving counts."""
-    gen = np.random.default_rng(20)
-    two_pi = 2.0 * math.pi
-    # float32 values of k pi/2 and 8 float32 neighbours on either side
-    below = above = (np.arange(5) * (math.pi / 2)).astype(np.float32)
-    near_quarters = [below]
-    for _ in range(8):
-        below = np.nextafter(below, np.float32(-1))
-        above = np.nextafter(above, np.float32(8))
-        near_quarters += [below, above]
-    phi = np.concatenate([
-        two_pi * gen.random(1_000_000),
-        np.concatenate(near_quarters).astype(float),
-        [np.nextafter(two_pi, 0.0), two_pi * (1.0 - 2**-53)],
-    ])
-    phi = phi[(phi >= 0.0) & (phi < two_pi)]
-    phi32 = phi.astype(np.float32)
-    for f in (np.cos, np.sin):
-        err = np.abs(f(phi32).astype(float) - f(phi))
-        assert float(err.max()) <= 2.0**-20, f.__name__
