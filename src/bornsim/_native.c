@@ -1,10 +1,16 @@
-/* Native bodies of bornsim.streams.trial_uniforms and of the first pass of
- * bornsim.disk.up_indices, built together into one library (bornsim.native).
+/* Native bodies of bornsim.streams.trial_uniforms, of the first pass of
+ * bornsim.disk.up_indices and of bornsim.rod.outcomes_from_uniforms, built
+ * together into one library (bornsim.native).
  *
  * Build with -O3 -fno-math-errno -fno-trapping-math, never -ffast-math:
  * the disk pass's loop, quadrant selects and domain select vectorize only
- * without errno and traps, and -ffast-math may reassociate the rounding of
- * k in trig() below. Neither flag changes the fill's integer arithmetic.
+ * without errno and traps, -ffast-math may reassociate the rounding of k in
+ * trig() below, and its -ffinite-math-only would let the compares of
+ * rod_count assume that no draw is NaN. Neither flag changes the fill's
+ * integer arithmetic.
+ *
+ * The loop under each "hot loop:" comment must vectorize; CI builds this
+ * file with -fopt-info-vec-optimized and fails if GCC does not report it.
  *
  * Each exported loop has one copy per x86-64 level, picked when the library
  * loads: AVX-512 has the 64-bit multiply and int64 -> double conversion as
@@ -61,6 +67,7 @@ void trial_uniforms(double *out, uint64_t seed, uint64_t base, int64_t n, int64_
         for (int64_t k = 0; k < ndraws; k++) {
             uint64_t step = (uint64_t)(k + 1) * GOLDEN;
             double *row = out + k * n + a;
+            /* hot loop: the fill's draws */
             for (int64_t i = 0; i < m; i++)
                 row[i] = (double)(int64_t)(mix64(state[i] + step) >> 11) * 0x1p-53;
         }
@@ -121,6 +128,7 @@ int64_t disk_first_pass(const double *u1, const double *u2, int64_t n, double aq
     for (int64_t a = 0; a < n; a += DISK_BLOCK) {
         int64_t len = n - a < DISK_BLOCK ? n - a : DISK_BLOCK;
         int64_t close = 0;
+        /* hot loop: the disk pass */
         for (int64_t i = 0; i < len; i++) {
             double x = u1[a + i], y = u2[a + i], c, s;
             trig(y, &c, &s);
@@ -145,4 +153,38 @@ void disk_trig(const double *u2, int64_t n, double *c, double *s)
 {
     for (int64_t i = 0; i < n; i++)
         trig(u2[i], &c[i], &s[i]);
+}
+
+/* ---- The count step of bornsim.rod.outcomes_from_uniforms.
+ *
+ * The compares of the numpy body, one trial at a time: tie 0 breaks first
+ * where u1 <= t0 (lo), tie 2 where u1 > t1 (hi), tie 1 where neither holds.
+ * n_s trials break tie s first, and k_s of them then break their first
+ * retained tie, where u2 <= r_s. A NaN fails every compare, as in numpy:
+ * a NaN u1 breaks tie 1 first, and a NaN u2 the second retained tie.
+ * Writes the six path counts (k0, n0 - k0, k1, n1 - k1, k2, n2 - k2).
+ */
+
+CLONES
+void rod_count(const double *u1, const double *u2, int64_t n, double t0, double t1,
+               double r0, double r1, double r2, int64_t *counts)
+{
+    int64_t n0 = 0, n2 = 0, k0 = 0, k1 = 0, k2 = 0;
+    /* hot loop: rod_count */
+    for (int64_t i = 0; i < n; i++) {
+        double x = u1[i], y = u2[i];
+        int64_t lo = x <= t0, hi = x > t1;
+        n0 += lo;
+        n2 += hi;
+        k0 += lo & (y <= r0);
+        k2 += hi & (y <= r2);
+        k1 += (y <= r1) & !(lo | hi);
+    }
+    int64_t n1 = n - n0 - n2;
+    counts[0] = k0;
+    counts[1] = n0 - k0;
+    counts[2] = k1;
+    counts[3] = n1 - k1;
+    counts[4] = k2;
+    counts[5] = n2 - k2;
 }

@@ -1,19 +1,20 @@
 """The package's C library, built on first use and loaded with ctypes.
 
 ``_native.c`` holds the native bodies of ``streams.trial_uniforms`` (the
-SplitMix64 fill) and of the first pass of ``disk.up_indices``; ``LIBRARY``
-is its one ``Library``, and the only one in the package. Its first
-``load()`` in a process compiles the source with the system ``cc`` (or
-``gcc``) into ``$XDG_CACHE_HOME/bornsim`` (``~/.cache/bornsim``), under a
-name keyed by a hash of the source, flags, compiler path and machine; later
-processes load the cached file. If that directory is not ours alone to
-write, the library is built in a private temporary directory instead.
-Without a compiler, or if the build or the load fails, ``load()`` returns
-None and both callers run their numpy bodies. A call takes its path from
-``load()`` alone, whatever its input, so a process is either native or
-numpy, never half of each. The callers look ``LIBRARY`` up on every call,
-so a test can swap in another one. Nothing is built or loaded at import:
-``analytic`` never draws.
+SplitMix64 fill), of the first pass of ``disk.up_indices`` and of the rod's
+count step ``rod.outcomes_from_uniforms``; ``LIBRARY`` is its one
+``Library``, and the only one in the package. Its first ``load()`` in a
+process compiles the source with the system ``cc`` (or ``gcc``) into
+``$XDG_CACHE_HOME/bornsim`` (``~/.cache/bornsim``), under a name keyed by a
+hash of the source, flags, compiler path and machine; later processes load
+the cached file. If that directory is not ours alone to write, the library
+is built in a private temporary directory instead. Without a compiler, or
+if the build or the load fails, ``load()`` returns None and all three
+callers run their numpy bodies. A call takes its path from ``load()``
+alone, whatever its input, so a process is either native or numpy, never
+half of each. The callers look ``LIBRARY`` up on every call, so a test can
+swap in another one. Nothing is built or loaded at import: ``analytic``
+never draws.
 """
 
 from __future__ import annotations
@@ -128,5 +129,6 @@ LIBRARY = Library(
     {"trial_uniforms": (None, (_ptr, ctypes.c_uint64, ctypes.c_uint64, _int64, _int64)),
      "disk_first_pass": (_int64, (_ptr, _ptr, _int64, _double, _double, _double, _double,
                                   _ptr, _ptr)),
-     "disk_trig": (None, (_ptr, _int64, _ptr, _ptr))},
+     "disk_trig": (None, (_ptr, _int64, _ptr, _ptr)),
+     "rod_count": (None, (_ptr, _ptr, _int64, *(_double,) * 5, _ptr))},
 )

@@ -25,6 +25,12 @@ The stage probabilities are computed in one place, ``_tree``, the rod's
 only stage API: ``rod_analytic`` tabulates them, and ``thresholds`` turns
 the same floats into the counting kernel's run constants, so the kernel's
 thresholds are exactly the table's stage probabilities.
+
+The counting kernel ``outcomes_from_uniforms`` makes the same compares on
+either of two paths: in a process where the package's C library
+(``native.LIBRARY``) loads, one C loop, ``rod_count`` in ``_native.c``,
+counts the six break paths; in a process where it does not, numpy masks
+do. The two give the same counts on every input, NaN included.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import native
 from .geometry import DEGENERATE_EPS, OTHER_AXES, Frame, Ray, direction_cosines
 from .outcomes import OutcomeDistribution
 from .quantum import LABELS
@@ -230,9 +237,14 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
     broken = (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1); outcome k is
     the sum of the two paths that leave axis k standing. Trial i reads
     ``u1[i]`` for its stage-1 choice and ``u2[i]`` for its stage-2 choice;
-    a ValueError is raised unless both are 1-d and of one length. The
-    trials are counted with boolean masks: no per-trial index is written. A
-    single trial's path is the one nonzero count of a 1-trial call.
+    a ValueError is raised unless both are 1-d and of one length. No
+    per-trial index is written. A single trial's path is the one nonzero
+    count of a 1-trial call.
+
+    Where ``native.LIBRARY.load()`` returns None, the trials are counted
+    with boolean masks. Otherwise the C loop ``rod_count``, on contiguous
+    copies of strided draws, makes the same compares one trial at a time,
+    so it returns the same counts, bit for bit.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
@@ -240,6 +252,12 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
         raise ValueError(f"u1 and u2 must be 1-d, not of shapes {u1.shape} and {u2.shape}")
     if len(u1) != len(u2):
         raise ValueError(f"u1 and u2 differ in length: {len(u1)} and {len(u2)}")
+    lib = native.LIBRARY.load()
+    if lib is not None:
+        u1, u2 = np.ascontiguousarray(u1), np.ascontiguousarray(u2)
+        counts = np.empty(6, dtype=np.int64)
+        lib.rod_count(u1.ctypes.data, u2.ctypes.data, len(u1), *th, counts.ctypes.data)
+        return counts
     t0, t1, r0, r1, r2 = th
 
     # n_s trials break tie s first; k_s of them then break retained[s][0]

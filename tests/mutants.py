@@ -44,6 +44,7 @@ _STREAMS = "tests/test_stats.py::TestStreams::"
 _WRAP_ROW = ("test_blocked_fill_matches_the_scalar_stream_bitwise"
              "[18446744073709551615-18446744073709486079-65541-2]")
 _ROD_ORACLE = "tests/test_rod.py::test_table_driven_kernel_matches_the_nested_where_reference"
+_ROD_PARITY = "tests/test_rod.py::test_c_and_numpy_count_steps_agree_on_edge_inputs"
 _FRAMECHECK_PIN = "tests/test_cli.py::TestFramecheck::test_out_bytes_are_pinned"
 _BLOCK_WALK = ("tests/test_stats.py::TestRunTrials::"
                "test_block_walk_counts_as_one_whole_array_kernel_call")
@@ -127,20 +128,37 @@ MUTANTS = (
         (_DOMAIN + "[native]",),
     ),
     Mutant(
-        "rod kernel: u1 == t1 counted in slot 2 (u1 >= t1)",
+        "rod kernel numpy path: u1 == t1 counted in slot 2 (u1 >= t1)",
         "src/bornsim/rod.py",
         "hi = u1 > t1",
         "hi = u1 >= t1",
-        (_ROD_ORACLE,),
+        (_ROD_ORACLE + "[numpy]",),
     ),
     Mutant(
-        "rod kernel: slot-1 pick mask drops the slot-2 exclusion ((u2 <= r1) & ~lo)",
+        "rod kernel numpy path: slot-1 pick mask drops the slot-2 exclusion ((u2 <= r1) & ~lo)",
         "src/bornsim/rod.py",
         "(u2 <= r1) > (lo | hi)",
         "(u2 <= r1) & ~lo",
-        (_ROD_ORACLE,
-         "tests/test_rod.py::test_counts_equal_the_sum_of_one_trial_calls",
+        (_ROD_ORACLE + "[numpy]",
+         "tests/test_rod.py::test_counts_equal_the_sum_of_one_trial_calls[numpy]",
          _PINNED + "[rod-lone-tie-variant-numpy]"),
+    ),
+    Mutant(
+        "rod_count: u1 == t1 counted in slot 2 (x >= t1)",
+        "src/bornsim/_native.c",
+        "hi = x > t1;",
+        "hi = x >= t1;",
+        (_ROD_ORACLE + "[native]", _ROD_PARITY),
+    ),
+    Mutant(
+        "rod_count: slot 1 picked without excluding slot 2 (!lo)",
+        "src/bornsim/_native.c",
+        "k1 += (y <= r1) & !(lo | hi);",
+        "k1 += (y <= r1) & !lo;",
+        (_ROD_ORACLE + "[native]",
+         _ROD_PARITY,
+         "tests/test_golden_counts.py::test_counts_match_the_recorded_ones"
+         "[rod-quantum-seed0-N999]"),
     ),
     Mutant(
         "rod tree, degenerate fallback: in-plane cosine of axis k read from axis j (c[j] / norm)",
@@ -177,14 +195,14 @@ MUTANTS = (
         "src/bornsim/rod.py",
         "    if s1[2] == 0.0:\n        t1 = 2.0\n",
         "    if False:\n        t1 = 2.0\n",
-        (_ROD_ORACLE,),
+        (_ROD_ORACLE + "[numpy]",),
     ),
     Mutant(
         "rod thresholds: no pj != 0.0 guard, so u2 = 0.0 breaks an ineligible tie",
         "src/bornsim/rod.py",
         "r[i] = pj if pj != 0.0 else -1.0",
         "r[i] = pj",
-        (_ROD_ORACLE,
+        (_ROD_ORACLE + "[numpy]",
          "tests/test_rod.py::TestSampler::test_boundary_uniforms_never_select_zero_weight"),
     ),
     Mutant(
@@ -192,7 +210,7 @@ MUTANTS = (
         "src/bornsim/rod.py",
         "t1 = s1[0] + s1[1] if s1[1] != 0.0 else t0",
         "t1 = s1[0] + s1[1] if s1[1] != 0.0 else -1.0",
-        (_ROD_ORACLE,
+        (_ROD_ORACLE + "[numpy]",
          "tests/test_cli.py::TestSweep::test_random_frame_reaches_the_angle_zero_endpoint[rod-1]"),
     ),
     Mutant(

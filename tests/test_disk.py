@@ -25,18 +25,6 @@ from oracles import binomial_bound, disk_down_oracle, disk_mean_cos_oracle, disk
 EZ = unit_vector(0.0, 0.0, 1.0)
 
 
-@pytest.fixture(params=["native", "numpy"])
-def path(request):
-    """The kernel's path: the C first pass with its float64 recheck (skipped
-    where the C library does not load), or the float64 formula on every
-    trial, as a process without the library runs it."""
-    if request.param == "numpy":
-        request.getfixturevalue("numpy_only")
-    elif native.LIBRARY.load() is None:
-        pytest.skip("the C library did not load: no C compiler")
-    return request.param
-
-
 def direction_at(theta: float) -> unit_vector:
     return unit_vector(math.sin(theta), 0.0, math.cos(theta))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bornsim import native
 from bornsim.geometry import canonicalize, identity_frame, random_frame, random_unit_vector
 from bornsim.quantum import born_probabilities, state_vector
 from bornsim.rod import (
@@ -244,7 +245,7 @@ class TestSampler:
             passed += chi_square_gof(emp, expected, alpha=0.01).passed
         assert passed >= 19
 
-    def test_scalar_and_vector_paths_agree_bitwise(self):
+    def test_scalar_and_vector_paths_agree_bitwise(self, path):
         # a batch counts what its 1-trial calls count, and every 7th trial
         # takes the same path three ways: the scalar sampler on its own
         # stream, a 1-trial call, and the step in a growing batch's counts
@@ -343,8 +344,10 @@ _COEFFS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0),
            (0, 0.6, 0.8), (0.28, 0, 0.96), (1, 1, 1), (SQ2, 0.5, 0.5)]
 
 
-def test_table_driven_kernel_matches_the_nested_where_reference():
-    gen = np.random.default_rng(2208)
+def _kernel_cases(gen):
+    """(ray, frame, weight) cases: the test states in the identity frame and
+    four random ones, with four random rays each, under both weights, and
+    one rounded weight whose stage-1 sum falls short of 1."""
     cases = []
     for frame in [identity_frame()] + [random_frame(gen) for _ in range(4)]:
         for a in _COEFFS + [tuple(random_unit_vector(gen).array) for _ in range(4)]:
@@ -360,6 +363,12 @@ def test_table_driven_kernel_matches_the_nested_where_reference():
     (_, cum1), elig, *_ = _reference_constants(ray, identity_frame(), rounded)
     assert not elig[2] and cum1 < 1.0 - 2**-53
     cases.append((ray, identity_frame(), rounded))
+    return cases
+
+
+def test_table_driven_kernel_matches_the_nested_where_reference(path):
+    gen = np.random.default_rng(2208)
+    cases = _kernel_cases(gen)
     # every stage-1 eligibility pattern is covered; (True, False, True) is
     # the one that needs t1 = t0 rather than -1
     patterns = {tuple(map(bool, _reference_constants(*case)[1])) for case in cases}
@@ -384,7 +393,7 @@ def test_table_driven_kernel_matches_the_nested_where_reference():
         assert np.array_equal(counts, np.bincount(want_paths, minlength=6)), (ray, w.tag)
 
 
-def test_counts_equal_the_sum_of_one_trial_calls():
+def test_counts_equal_the_sum_of_one_trial_calls(path):
     u = trial_uniforms(master_seed=41, start=0, stop=65_537, ndraws=2)
     frame = random_frame(np.random.default_rng(41))
     w = UNIFORM_VARIANT
@@ -394,6 +403,41 @@ def test_counts_equal_the_sum_of_one_trial_calls():
         counts = outcomes_from_uniforms(th, u[0][:n], u[1][:n])
         assert counts.dtype == np.int64 and counts.shape == (6,)
         assert np.array_equal(counts, np.bincount(singles[:n], minlength=6)), n
+
+
+def test_c_and_numpy_count_steps_agree_on_edge_inputs(monkeypatch):
+    # rod_count makes the numpy body's compares: on the threshold grids, on
+    # NaN, -0.0, 1.0 and values outside [0, 1] in either row, on strided
+    # views and on no trials, both paths count the same six paths. Each row
+    # and column of a grid is its own call, so a disagreement names its draw.
+    if native.LIBRARY.load() is None:
+        pytest.skip("the C library did not load: no C compiler")
+
+    def numpy_counts(th, u1, u2):
+        with monkeypatch.context() as m:
+            m.setattr(native.LIBRARY, "load", lambda: None)
+            return outcomes_from_uniforms(th, u1, u2)
+
+    gen = np.random.default_rng(2303)
+    cases = _kernel_cases(gen)
+    ths = [thresholds(*case) for case in cases]
+    # tie 0 ineligible (t0 = -1), tie 1 ineligible (t1 = t0 >= 0), tie 2
+    # ineligible (t1 = 2.0), and an ineligible stage-2 pick (r_s = -1.0)
+    assert {th[0] == -1.0 for th in ths} == {True, False}
+    assert any(th[1] == th[0] != -1.0 for th in ths)
+    assert any(th[1] == 2.0 for th in ths)
+    assert any(-1.0 in th[2:] for th in ths)
+    special = [np.nan, -0.0, 1.0, -0.25, 1.5, 2.0, -np.inf, np.inf]
+    for case, th in zip(cases, ths):
+        u = np.concatenate([_edge_uniforms(*case, gen), special])
+        grid = np.stack(np.meshgrid(u, u))  # grid[0] varies u1 along a row, grid[1] u2
+        calls = [*zip(grid[0], grid[1]), *zip(grid[0].T, grid[1].T)]
+        flat = grid.reshape(2, -1)
+        calls += [flat, flat[:, ::3], flat[:, :0]]
+        for u1, u2 in calls:
+            got = outcomes_from_uniforms(th, u1, u2)
+            assert np.array_equal(got, numpy_counts(th, u1, u2)), (case[2].tag, th, u1, u2)
+        assert outcomes_from_uniforms(th, *flat[:, :0]).tolist() == [0] * 6
 
 
 def test_path_counts_match_the_paper_path_identity():

@@ -244,7 +244,7 @@ class TestRunTrials:
         lambda u: rod.outcomes_from_uniforms(
             rod.thresholds(canonicalize(P_BENCH), identity_frame(), QUANTUM), u, u),
     ], ids=["sphere", "disk", "rod"])
-    def test_count_steps_reject_draws_that_are_not_1d(self, step):
+    def test_count_steps_reject_draws_that_are_not_1d(self, step, path):
         # a count step takes the number of trials from the first axis, so a
         # (2, 3) block would count 6 trials out of 2 and return a negative count
         for u in (np.full((2, 3), 0.9), np.full((1, 1), 0.9), np.float64(0.9), 0.9):

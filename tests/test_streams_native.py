@@ -1,13 +1,14 @@
 """The C library against its numpy oracles, and the loader that builds it.
 
 The package's one C library, ``native.LIBRARY`` (``_native.c``), holds the
-fill of ``streams.trial_uniforms`` and the first pass of
-``disk.up_indices``. It is built on its first use in a process, into a
-per-user cache; any failure leaves the process on both numpy bodies. These
+fill of ``streams.trial_uniforms``, the first pass of ``disk.up_indices``
+and the rod's count step. It is built on its first use in a process, into a
+per-user cache; any failure leaves the process on its numpy bodies. These
 tests check that both fills give the same bits, that the disk counts are the
 one-pass float64 formula's, that the CLI prints the same bytes on both
 paths, and that the build is done once, keyed by its source and never
-loaded from a directory another user can write.
+loaded from a directory another user can write. ``test_rod.py`` checks the
+rod count step against its numpy body.
 """
 
 from __future__ import annotations
