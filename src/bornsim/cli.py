@@ -35,9 +35,10 @@ import math
 import os
 import re
 import sys
+from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -70,15 +71,12 @@ MIN_TRIALS_FOR_VERDICT = 1000
 # significance levels with tabulated chi-square critical values
 ALPHAS = tuple(sorted({alpha for _, alpha in CHI2_CRITICAL}))
 
-SIMULATE_HEADER = [
-    "model", "weight", "state_x", "state_y", "state_z", "frame_id",
-    "outcome", "count", "frequency", "expected", "ci_low", "ci_high",
-]
-ANALYTIC_HEADER = [
-    "model", "weight", "state_x", "state_y", "state_z", "frame_id",
-    "outcome", "probability",
-]
+# the leading fields of an analytic or simulate row, from _outcome_fields
+OUTCOME_HEADER = ["model", "weight", "state_x", "state_y", "state_z", "frame_id", "outcome"]
+SIMULATE_HEADER = [*OUTCOME_HEADER, "count", "frequency", "expected", "ci_low", "ci_high"]
+ANALYTIC_HEADER = [*OUTCOME_HEADER, "probability"]
 SWEEP_HEADER = ["angle", "analytic", "empirical", "ci_low", "ci_high"]
+FRAMECHECK_HEADER = ["frame_index", "sum", "deviation"]
 
 
 class InputError(ValueError):
@@ -348,14 +346,22 @@ def _opened_out(path: str | None) -> Iterator[TextIO | None]:
         raise
 
 
-def _write_rows(out: TextIO | None, header: list[str], rows: list[list[str]]) -> None:
-    """CSV to the ``--out`` stream, or to stdout without one. An ``--out``
-    file is emptied only here, so a command that fails first leaves it as is."""
+def _write_rows(out: TextIO | None, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+    """CSV to the ``--out`` stream, or to stdout without one: the one place
+    that formats a cell, each float with ``_fmt`` and any other value as
+    ``str`` gives it. An ``--out`` file is emptied only here, so a command
+    that fails first leaves it as is."""
     if out not in (None, sys.stdout) and os.path.isfile(out.name):
         out.truncate(0)
     writer = csv.writer(sys.stdout if out is None else out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _outcome_fields(r: SimpleNamespace, label: str) -> list[Any]:
+    """The ``OUTCOME_HEADER`` fields of one outcome's analytic or simulate row."""
+    s = r.state
+    return [r.model.name, _weight_field(r), s.x, s.y, s.z, r.frame.frame_id, label]
 
 
 def cmd_analytic(r: SimpleNamespace) -> int:
@@ -363,12 +369,7 @@ def cmd_analytic(r: SimpleNamespace) -> int:
     for label, prob in zip(dist.labels, dist.probs):
         print(f"{label} {_fmt(prob)}")
     if r.out is not None:
-        sx, sy, sz = r.state.x, r.state.y, r.state.z
-        rows = [
-            [r.model.name, _weight_field(r), _fmt(sx), _fmt(sy), _fmt(sz),
-             r.frame.frame_id, label, _fmt(prob)]
-            for label, prob in zip(dist.labels, dist.probs)
-        ]
+        rows = [[*_outcome_fields(r, label), prob] for label, prob in zip(dist.labels, dist.probs)]
         _write_rows(r.out, ANALYTIC_HEADER, rows)
     return 0
 
@@ -378,16 +379,11 @@ def cmd_simulate(r: SimpleNamespace) -> int:
     emp, _ = run_trials(_run_config(r, r.state, r.seed))
     gof = chi_square_gof(emp, expected, alpha=r.alpha)
 
-    sx, sy, sz = r.state.x, r.state.y, r.state.z
-    rows = []
-    for i, label in enumerate(emp.labels):
-        lo, hi = gof.intervals[i]
-        rows.append(
-            [r.model.name, _weight_field(r), _fmt(sx), _fmt(sy), _fmt(sz),
-             r.frame.frame_id, label, str(emp.counts[i]),
-             _fmt(emp.frequencies[i]), _fmt(expected.probs[i]),
-             _fmt(lo), _fmt(hi)]
-        )
+    rows = [
+        [*_outcome_fields(r, label), count, freq, prob, *interval]
+        for label, count, freq, prob, interval in zip(
+            emp.labels, emp.counts, emp.frequencies, expected.probs, gof.intervals)
+    ]
     _write_rows(r.out, SIMULATE_HEADER, rows)
 
     err = sys.stderr
@@ -437,8 +433,7 @@ def cmd_sweep(r: SimpleNamespace) -> int:
         analytic = _self_distribution(r, state).probs[0]
         emp, _ = run_trials(_run_config(r, state, trial_state(r.seed, i)))
         f0 = float(emp.frequencies[0])
-        lo, hi = wald_interval(f0, r.trials)
-        rows.append([_fmt(angle), _fmt(analytic), _fmt(f0), _fmt(lo), _fmt(hi)])
+        rows.append([angle, analytic, f0, *wald_interval(f0, r.trials)])
     _write_rows(r.out, SWEEP_HEADER, rows)
     print(
         f"sweep model={r.model.name} weight={_weight_field(r) or '-'} steps={r.steps} "
@@ -458,15 +453,14 @@ def cmd_framecheck(r: SimpleNamespace) -> int:
         measure = gleason_measure(state_vector(r.state.array))
         label = r.measure
     rng = np.random.default_rng(r.seed)
-    rows = []
+    sums = array("d")  # one float per frame; its --out row is built as it is written
 
     def frames() -> Iterator[Frame]:
-        # each frame's --out row is built as it is drawn: no frame is kept
-        for i in range(r.trials):
+        # each frame's --out sum is taken as it is drawn: no frame is kept
+        for _ in range(r.trials):
             f = random_frame(rng)
             if r.out is not None:
-                total = sum(measure(f, axis) for axis in range(3))
-                rows.append([str(i), _fmt(total), _fmt(abs(total - 1.0))])
+                sums.append(sum(measure(f, axis) for axis in range(3)))
             yield f
 
     report = frame_additivity_check(measure, frames())
@@ -476,7 +470,8 @@ def cmd_framecheck(r: SimpleNamespace) -> int:
         f"additive_within_1e-12={'yes' if report.additive else 'no'}"
     )
     if r.out is not None:
-        _write_rows(r.out, ["frame_index", "sum", "deviation"], rows)
+        rows = ((i, total, abs(total - 1.0)) for i, total in enumerate(sums))
+        _write_rows(r.out, FRAMECHECK_HEADER, rows)
     return 0
 
 

@@ -16,6 +16,7 @@ per-outcome 99% normal-approximation confidence intervals.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -95,6 +96,14 @@ def _validate(cfg: RunConfig) -> Model:
     model = MODELS.get(cfg.model)
     if model is None:
         raise ValueError(f"unknown model {cfg.model!r}; expected one of {tuple(MODELS)}")
+    for name in ("trials", "workers", "master_seed"):
+        value = getattr(cfg, name)
+        try:
+            if isinstance(value, bool):  # an int to operator.index, but no count
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
     if cfg.workers < 1:
@@ -124,6 +133,7 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
     ``cfg.master_seed`` regardless of ``cfg.workers``.
     """
     model = _validate(cfg)
+    seed = operator.index(cfg.master_seed)  # a numpy integer overflows the streams' & mask
     kernel = model.kernel(cfg.state, cfg.measurement, cfg.weight)
     # -(-a // b) is ceil(a / b), the chunk count; len() of a range overflows
     threads = min(cfg.workers, -(-cfg.trials // _CHUNK), os.cpu_count() or 1)
@@ -131,7 +141,7 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
     def count_chunks(k: int) -> np.ndarray:
         counts = np.zeros(len(model.labels), dtype=np.int64)
         for a in range(k * _CHUNK, cfg.trials, threads * _CHUNK):
-            u = trial_uniforms(cfg.master_seed, a, min(a + _CHUNK, cfg.trials), model.draws)
+            u = trial_uniforms(seed, a, min(a + _CHUNK, cfg.trials), model.draws)
             for lo in range(0, u.shape[1], _BLOCK):
                 counts += kernel(u[:, lo : lo + _BLOCK])
             del u  # the next fill must not run while this chunk is alive
@@ -139,7 +149,7 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
 
     def record(t: int) -> TrialRecord:
         # trial t again, through its own stream and the same kernel
-        u = trial_uniforms(cfg.master_seed, t, t + 1, model.draws)
+        u = trial_uniforms(seed, t, t + 1, model.draws)
         return TrialRecord(t, model.labels[int(np.flatnonzero(kernel(u))[0])])
 
     if threads == 1:

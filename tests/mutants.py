@@ -51,6 +51,7 @@ _BLOCK_WALK = ("tests/test_stats.py::TestRunTrials::"
 _PINNED = "tests/test_cli.py::test_simulate_counts_are_pinned"
 _PARTNER = ("tests/test_cli.py::TestInputHandling::"
             "test_direction_sweep_partner_does_not_depend_on_the_row_scale")
+_CSV_DIGITS = "tests/test_cli.py::test_csv_floats_carry_12_significant_digits"
 _ROD_TABLES = "tests/test_golden_analytic.py::test_rod_tables_are_bit_identical"
 _STAGES = "tests/test_golden_analytic.py::test_stages_and_cosines_are_bit_identical"
 _ANGLES = "tests/test_cli.py::TestSweep::test_angles_are_linspace_bit_for_bit"
@@ -265,6 +266,16 @@ MUTANTS = (
         "    for i in range(steps - 1):\n        yield i * step\n    yield math.pi / 2\n",
         "    for i in range(steps):\n        yield i * step\n",
         (_ANGLES + "[26]", _ANGLES + "[201]"),
+    ),
+    Mutant(
+        "CSV rule: float cells written unformatted, not with 12 significant digits",
+        "src/bornsim/cli.py",
+        "_fmt(v) if isinstance(v, float) else v",
+        "v",
+        (_CSV_DIGITS + "[analytic]",
+         _CSV_DIGITS + "[simulate]",
+         _PARTNER + "[row1-1]",
+         _FRAMECHECK_PIN + "[gleason]"),
     ),
     Mutant(
         "config: every key of the file converted, not only the command's",

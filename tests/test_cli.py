@@ -171,6 +171,27 @@ def test_simulate_counts_are_pinned(fill, model, weight, state, trials, counts,
     assert {r["outcome"]: int(r["count"]) for r in read_csv(out)} == counts
 
 
+# the state (0.3, -0.2, 0.9), normalized, and the identity frame, as CSV fields
+STATE_FIELDS = "0.309426373878,-0.206284249252,0.928279121633,identity"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["analytic", "--model", "rod", "--weight", "uniform-variant"],
+     ["model,weight,state_x,state_y,state_z,frame_id,outcome,probability",
+      f"rod,uniform-variant,{STATE_FIELDS},o1,0.203256252236",
+      f"rod,uniform-variant,{STATE_FIELDS},o2,0.139768343682",
+      f"rod,uniform-variant,{STATE_FIELDS},o3,0.656975404082"]),
+    (["simulate", "--model", "ks", "--trials", "1000", "--seed", "5"],
+     ["model,weight,state_x,state_y,state_z,frame_id,outcome,count,frequency,expected,"
+      "ci_low,ci_high",
+      f"ks,,{STATE_FIELDS},up,658,0.658,0.654713186939,0.619356908924,0.696643091076",
+      f"ks,,{STATE_FIELDS},down,342,0.342,0.345286813061,0.303356908924,0.380643091076"]),
+], ids=["analytic", "simulate"])
+def test_csv_floats_carry_12_significant_digits(argv, rows, capsys):
+    assert main([*argv, "--state", "0.3,-0.2,0.9", "--frame", "identity", "--out", "-"]) == 0
+    assert capsys.readouterr().out.endswith("\n".join(rows) + "\n")
+
+
 class TestSweep:
     def test_step_count_must_be_at_least_two(self, capsys):
         assert main(["sweep", "--model", "rod", "--state", "1,0,0",
@@ -298,6 +319,24 @@ class TestFramecheck:
             tracemalloc.stop()
         assert f"frames={frames} " in capsys.readouterr().out
         assert peak < 500_000
+
+    def test_out_memory_grows_by_one_float_per_frame(self, tmp_path, capsys):
+        # each frame keeps only its sum until the rows are written: 8 B in an
+        # array, where three formatted strings per frame would take about 180 B
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                assert main(["framecheck", "--measure", "gleason", "--state", BENCH,
+                             "--trials", str(frames), "--seed", "9",
+                             "--out", str(tmp_path / f"fc{frames}.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # warm-up: the first call's imports and caches
+        small, large = peak(400), peak(2400)
+        capsys.readouterr()
+        assert (large - small) / 2000 < 40
 
     def test_negative_seed_flag_is_rejected_by_name(self, tmp_path, capsys):
         out = tmp_path / "kept.csv"

@@ -158,6 +158,19 @@ class TestRunTrials:
         with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
             run_trials(cfg)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("trials", True), ("trials", np.float64(3.0)),
+        ("workers", 1.5), ("workers", "2"), ("master_seed", 1.5), ("master_seed", False),
+    ])
+    def test_non_integer_counts_and_seed_rejected_by_name(self, field, value):
+        cfg = replace(RunConfig("rod", P_BENCH, identity_frame(), trials=1, master_seed=1),
+                      **{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            run_trials(cfg)
+        # numpy integers are integers
+        emp, _ = run_trials(replace(cfg, **{field: np.int64(2)}))
+        assert emp.total == (2 if field == "trials" else 1)
+
     def test_state_that_is_not_a_unit_vector_rejected(self):
         cfg = RunConfig("rod", canonicalize(P_BENCH.array), identity_frame(), trials=1,
                         master_seed=1)
