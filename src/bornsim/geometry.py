@@ -18,15 +18,21 @@ Frames, canonical rays and the rod tables built from them are pinned to the
 last bit (``tests/test_golden_analytic.py``, and the benchmark's CSV
 digests), so a rewrite of this path must keep every rounding step:
 
-* Every ``dot`` and ``@`` stays the same numpy call on operands with the
-  same values and layout. numpy hands a 3-element dot to BLAS, and with
-  OpenBLAS on x86-64 that is a fused multiply-add chain: on 20 000 pairs of
-  Gaussian 3-vectors (numpy 2.4, OpenBLAS, AVX-512 Xeon) plain Python
-  ``x0*y0 + x1*y1 + x2*y2`` matched it on only 13 277, and ``m @ v`` (a
-  matrix-vector product) matched the three row dots ``m[i] @ v`` on only
-  9 325 of 20 000. ``np.linalg.norm(v)`` of a vector is ``sqrt(v.dot(v))``
-  on ``v.ravel(order="K")``, and of rows ``sqrt(add.reduce(g * g, axis=1))``;
-  either may be written out.
+* Every dot stays a BLAS call on operands with the same values and layout.
+  numpy hands a 3-element dot to BLAS, and with OpenBLAS on x86-64 that is
+  a fused multiply-add chain: on 20 000 pairs of Gaussian 3-vectors (numpy
+  2.4, OpenBLAS, AVX-512 Xeon) plain Python ``x0*y0 + x1*y1 + x2*y2``
+  matched it on only 13 277, and ``m @ v`` (a matrix-vector product)
+  matched the three row dots ``m[i] @ v`` on only 9 325 of 20 000. On 1-D
+  float64 operands ``a.dot(b)`` and ``a @ b`` are one BLAS call, and so are
+  ``m.dot(v)`` and ``m @ v`` for a 3x3 matrix and a 3-vector, so either may
+  be written; ``.dot`` skips the matmul dispatch
+  (``tests/test_geometry.py::test_dot_and_matmul_round_alike``).
+  ``np.linalg.norm(v)`` of a vector is ``sqrt(v.dot(v))`` on
+  ``v.ravel(order="K")``, and of rows ``sqrt(add.reduce(g * g, axis=1))``;
+  either may be written out. The pinned bits are those of OpenBLAS's
+  SkylakeX kernels: its Haswell and Prescott kernels round some dots
+  differently.
 * ``arccos`` and ``sin`` stay numpy ufuncs on contiguous arrays: numpy's
   vectorized ``arccos`` differed from ``math.acos`` on 8 969 of 100 000
   uniform inputs in [0, 1). Each element's result does not depend on its
@@ -58,10 +64,17 @@ def _unit_components(vec) -> tuple[float, float, float]:
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     c = v.ravel(order="K")  # contiguous, as np.linalg.norm makes it
-    n = math.sqrt(c.dot(c))  # np.linalg.norm(v), without its overhead
+    return _near_unit(c, v.tolist())
+
+
+def _near_unit(c: np.ndarray, xyz) -> tuple[float, float, float]:
+    """The components ``xyz`` of the contiguous float 3-array ``c``, divided
+    by its norm unless that is 1 to working precision; rejects a norm off by
+    more than ``NORM_TOL``."""
+    n = math.sqrt(c.dot(c))  # np.linalg.norm(c), without its overhead
     if not math.isfinite(n) or abs(n - 1.0) > NORM_TOL:
         raise ValueError(f"vector norm {n} deviates from 1 by more than {NORM_TOL}")
-    x, y, z = v.tolist()
+    x, y, z = xyz
     if abs(n - 1.0) <= 1e-14:
         # already unit to working precision; dividing would shift the last ulp
         # and break idempotency of the canonical representative
@@ -115,7 +128,11 @@ def canonicalize(vec) -> Ray:
     ``canonicalize(v) == canonicalize(-v)``. Rejects input whose norm is off
     by more than 1e-6.
     """
-    x, y, z = _unit_components(vec.array if isinstance(vec, UnitVector) else vec)
+    return _ray(*_unit_components(vec.array if isinstance(vec, UnitVector) else vec))
+
+
+def _ray(x: float, y: float, z: float) -> Ray:
+    """The Ray through the unit vector (x, y, z), by the sign rule of ``Ray``."""
     for c in (x, y, z):
         if abs(c) > COMPONENT_EPS:
             if c < 0:
@@ -134,20 +151,26 @@ class Frame:
         a, b, c = self.axes
         a, b, c = a.rep, b.rep, c.rep
         m = np.array(((a.x, a.y, a.z), (b.x, b.y, b.z), (c.x, c.y, c.z)))
+        m.setflags(write=False)  # before the row views, which inherit it
         rows = (m[0], m[1], m[2])
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            d = abs(float(rows[i] @ rows[j]))
-            if d > ORTHO_TOL:
+            d = abs(float(rows[i].dot(rows[j])))
+            if not d <= ORTHO_TOL:  # NaN fails too
                 raise ValueError(
                     f"frame axes {i} and {j} not orthogonal: |cos| = {d:.3e}"
                 )
-        m.setflags(write=False)
         object.__setattr__(self, "_matrix", m)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def matrix(self) -> np.ndarray:
         """3x3 array whose rows are the canonical axis representatives."""
         return self._matrix
+
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three rows of ``matrix``, as read-only views of it."""
+        return self._rows
 
 
 def identity_frame() -> Frame:
@@ -161,22 +184,25 @@ def identity_frame() -> Frame:
 
 
 def normalize(vec, error: str) -> np.ndarray:
-    """vec / |vec| as a float array; raises ValueError(error) if |vec| < 1e-12
-    or a component is not finite.
+    """vec / |vec| of a 3-vector as a float array; raises ValueError(error) if
+    |vec| < 1e-12 or a component is not finite.
 
     The vector is first scaled by a power of two (exact) so that its squares
-    cannot overflow; the quotient is the same as without the scaling.
+    cannot overflow; the quotient is the same as without the scaling. The
+    scaling and the quotient are taken on Python floats, which round as
+    numpy's ``ldexp`` and ``/`` do; the norm's dot stays numpy's.
     """
-    v = np.asarray(vec, dtype=float)
-    components = v.tolist()
+    components = np.asarray(vec, dtype=float).tolist()
     if not all(map(math.isfinite, components)):
         raise ValueError(error)
     _, e = math.frexp(max(map(abs, components)))
-    v = np.ldexp(v, -e)
+    x, y, z = components
+    x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
+    v = np.array((x, y, z))
     n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
     if math.ldexp(n, min(e, 0)) < DEGENERATE_EPS:
         raise ValueError(error)
-    return v / n
+    return np.array((x / n, y / n, z / n))
 
 
 def orthonormal_frame(v1, v2, v3) -> Frame:
@@ -192,7 +218,7 @@ def orthonormal_frame(v1, v2, v3) -> Frame:
         x, y, z = w.tolist()
         for _ in range(2):
             for b, (b0, b1, b2) in basis:
-                d = float(w @ b)
+                d = float(w.dot(b))
                 x, y, z = x - d * b0, y - d * b1, z - d * b2
                 w = np.array((x, y, z))
         n = math.sqrt(w.dot(w))
@@ -200,8 +226,8 @@ def orthonormal_frame(v1, v2, v3) -> Frame:
             raise ValueError("degenerate triple: vectors are not independent")
         unit = (x / n, y / n, z / n)
         basis.append((np.array(unit), unit))
-    (a, _), (b, _), (c, _) = basis
-    return Frame((canonicalize(a), canonicalize(b), canonicalize(c)))
+    # canonicalize of each unit vector, on the array and floats held here
+    return Frame(tuple(_ray(*_near_unit(c, unit)) for c, unit in basis))
 
 
 def vector_angle(u: UnitVector, v: UnitVector) -> float:
@@ -214,7 +240,7 @@ def direction_cosines(p: Ray, e: Frame) -> tuple[float, float, float]:
 
     Their squares sum to 1 (within 1e-12 in double precision).
     """
-    x, y, z = (e.matrix @ p.array).tolist()
+    x, y, z = e.matrix.dot(p.array).tolist()
     return min(abs(x), 1.0), min(abs(y), 1.0), min(abs(z), 1.0)
 
 
@@ -279,9 +305,9 @@ def random_frame(rng: np.random.Generator) -> Frame:
         if min(norms.tolist()) < 1e-12:
             continue
         u = g / norms[:, None]
-        cos01 = abs(float(u[0] @ u[1]))
-        cos02 = abs(float(u[0] @ u[2]))
-        cos12 = abs(float(u[1] @ u[2]))
+        cos01 = abs(float(u[0].dot(u[1])))
+        cos02 = abs(float(u[0].dot(u[2])))
+        cos12 = abs(float(u[1].dot(u[2])))
         if max(cos01, cos02, cos12) > 1.0 - 1e-6:
             continue
         try:

@@ -45,7 +45,7 @@ def gleason_measure(psi: UnitVector) -> Callable[[Frame, int], float]:
     v = psi.array
 
     def measure(frame: Frame, axis: int) -> float:
-        a = float(frame.matrix[axis] @ v)
+        a = float(frame.rows[axis].dot(v))
         return min(a * a, 1.0)
 
     return measure

@@ -99,7 +99,7 @@ def _stage1(c, w: BreakWeight) -> list[float]:
     if w0 < 0.0 or w1 < 0.0 or w2 < 0.0:
         raise ValueError("negative stage-1 weight")
     total = float(weights.sum())
-    if total <= 0.0:
+    if not total > 0.0:  # NaN fails too
         raise ValueError("degenerate frame/state: all stage-1 weights vanish")
     return [w0 / total, w1 / total, w2 / total]
 
@@ -118,7 +118,7 @@ def _in_plane_cosines(
     v = np.array((x, y, z))
     n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
     pv = np.array((x / n, y / n, z / n))
-    return [min(abs(float(pv @ a)), 1.0), min(abs(float(pv @ b)), 1.0)]
+    return [min(abs(float(pv.dot(a))), 1.0), min(abs(float(pv.dot(b))), 1.0)]
 
 
 def _cosines_from_ray(c, j: int, k: int) -> list[float]:
@@ -132,7 +132,7 @@ def _stage2(wj: float, wk: float) -> tuple[float, float]:
     if wj < 0.0 or wk < 0.0:
         raise ValueError("negative stage-2 weight")
     total = wj + wk
-    if total <= 0.0:
+    if not total > 0.0:  # NaN fails too
         raise ValueError("degenerate projection: both stage-2 weights vanish")
     return wj / total, wk / total
 
@@ -154,11 +154,10 @@ def _tree(
     their plane."""
     c = direction_cosines(p, e)
     s1 = _stage1(c, w)
-    m = e.matrix
-    axes = (m[0], m[1], m[2])
+    axes = e.rows
     pv = p.array
-    dots = (float(pv @ axes[0]), float(pv @ axes[1]), float(pv @ axes[2]))
-    rows = m.tolist()
+    dots = (float(pv.dot(axes[0])), float(pv.dot(axes[1])), float(pv.dot(axes[2])))
+    rows = e.matrix.tolist()
     firsts = []
     cosines: list[float] = []
     for first in (0, 1, 2):

@@ -114,6 +114,14 @@ def _validate(cfg: RunConfig) -> Model:
         raise ValueError(
             f"{cfg.model} model needs a {model.measurement.__name__} measurement"
         )
+    # NaN fails every compare of a count step, so its trials would all land
+    # in one outcome; a Frame rejects a non-finite axis itself
+    vectors = {"state": cfg.state}
+    if isinstance(cfg.measurement, UnitVector):
+        vectors["direction"] = cfg.measurement
+    for name, v in vectors.items():
+        if not all(map(math.isfinite, (v.x, v.y, v.z))):
+            raise ValueError(f"{name} must be finite, got {v}")
     if model.weighted and cfg.weight not in rod.WEIGHTS:
         raise ValueError(f"unknown weight {cfg.weight!r}")
     return model

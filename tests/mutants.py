@@ -55,6 +55,9 @@ _CSV_DIGITS = "tests/test_cli.py::test_csv_floats_carry_12_significant_digits"
 _ROD_TABLES = "tests/test_golden_analytic.py::test_rod_tables_are_bit_identical"
 _STAGES = "tests/test_golden_analytic.py::test_stages_and_cosines_are_bit_identical"
 _ANGLES = "tests/test_cli.py::TestSweep::test_angles_are_linspace_bit_for_bit"
+_CANONICAL = "tests/test_golden_analytic.py::test_canonical_rays_are_bit_identical"
+_NON_FINITE = ("tests/test_stats.py::TestRunTrials::"
+               "test_non_finite_state_or_direction_rejected_by_name")
 _DECIDES = "tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_reference"
 _PLANTED = "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
 _DOMAIN = "tests/test_disk.py::test_out_of_domain_and_strided_draws_get_the_float64_counts"
@@ -227,7 +230,7 @@ MUTANTS = (
     Mutant(
         "orthonormal_frame: Gram-Schmidt dot in Python arithmetic, not BLAS",
         "src/bornsim/geometry.py",
-        "d = float(w @ b)",
+        "d = float(w.dot(b))",
         "d = float(w[0] * b[0] + w[1] * b[1] + w[2] * b[2])",
         ("tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
          "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]"),
@@ -243,13 +246,56 @@ MUTANTS = (
          "tests/test_cli.py::TestFramecheck::test_rod_variant_reports"),
     ),
     Mutant(
-        "rod analytic: second in-plane cosine taken against axis a (pv @ a)",
+        "rod analytic: second in-plane cosine taken against axis a (pv.dot(a))",
         "src/bornsim/rod.py",
-        "min(abs(float(pv @ b)), 1.0)",
-        "min(abs(float(pv @ a)), 1.0)",
+        "min(abs(float(pv.dot(b))), 1.0)",
+        "min(abs(float(pv.dot(a))), 1.0)",
         ("tests/test_golden_analytic.py::test_rod_tables_are_bit_identical[quantum]",
          "tests/test_rod.py::TestStage2::test_in_plane_eigenstate_breaks_other_tie",
          _FRAMECHECK_PIN + "[rod-uniform-variant]"),
+    ),
+    Mutant(
+        "canonicalize: always divides by the norm, even one that is 1 to working precision",
+        "src/bornsim/geometry.py",
+        "    if abs(n - 1.0) <= 1e-14:\n",
+        "    if False:\n",
+        (_CANONICAL,
+         "tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
+         "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]"),
+    ),
+    Mutant(
+        "Frame: a NaN |cos| passes the orthogonality check (d > ORTHO_TOL)",
+        "src/bornsim/geometry.py",
+        "if not d <= ORTHO_TOL:",
+        "if d > ORTHO_TOL:",
+        ("tests/test_geometry.py::TestFrames::test_frame_rejects_a_nan_axis",),
+    ),
+    Mutant(
+        "rod stage 1: a NaN weight total passes the guard (total <= 0.0)",
+        "src/bornsim/rod.py",
+        "    if not total > 0.0:  # NaN fails too\n"
+        "        raise ValueError(\"degenerate frame/state",
+        "    if total <= 0.0:\n"
+        "        raise ValueError(\"degenerate frame/state",
+        ("tests/test_rod.py::TestStage1::test_nan_weights_rejected",),
+    ),
+    Mutant(
+        "rod stage 2: a NaN weight total passes the guard (total <= 0.0)",
+        "src/bornsim/rod.py",
+        "    if not total > 0.0:  # NaN fails too\n"
+        "        raise ValueError(\"degenerate projection",
+        "    if total <= 0.0:\n"
+        "        raise ValueError(\"degenerate projection",
+        ("tests/test_rod.py::TestStage2::test_nan_weights_rejected",),
+    ),
+    Mutant(
+        "runner: a non-finite state or direction is not rejected",
+        "src/bornsim/stats.py",
+        "if not all(map(math.isfinite, (v.x, v.y, v.z))):",
+        "if False:",
+        tuple(_NON_FINITE + case for case in ("[nan-sphere2d-state]", "[nan-ks-state]",
+                                              "[nan-sphere2d-direction]",
+                                              "[inf-ks-direction]")),
     ),
     Mutant(
         "sweep partner: second row not made orthogonal to the direction",

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from bornsim.geometry import (
     Frame,
+    Ray,
+    UnitVector,
     canonicalize,
     direction_cosines,
     identity_frame,
@@ -130,6 +132,13 @@ class TestFrames:
         with pytest.raises(ValueError, match="^finite$"):
             normalize(vec, "finite")
 
+    def test_frame_rejects_a_nan_axis(self):
+        # NaN fails every comparison: a `d > tol` check would let it through
+        y, z = canonicalize((0.0, 1.0, 0.0)), canonicalize((0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="^frame axes 0 and 1 not orthogonal: "
+                                             r"\|cos\| = nan$"):
+            Frame((Ray(UnitVector(math.nan, 0.0, 0.0)), y, z))
+
     def test_degenerate_triple_rejected(self):
         with pytest.raises(ValueError):
             orthonormal_frame((1, 0, 0), (2, 0, 0), (0, 0, 1))
@@ -236,7 +245,7 @@ def test_shared_arrays_cannot_be_corrupted():
     to one leaves the vector as it was."""
     frame = random_frame(np.random.default_rng(4))
     before = frame.matrix.tolist()
-    for a in (frame.matrix, frame.matrix[1]):
+    for a in (frame.matrix, frame.matrix[1], frame.rows[2]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.5
     assert frame.matrix.tolist() == before
@@ -247,3 +256,22 @@ def test_shared_arrays_cannot_be_corrupted():
     assert u.array.tolist() == [0.6, 0.8, 0.0]
     assert ray.array.tolist() == [0.0, 0.6, -0.8]
     assert frame.axes[2].array.tolist() == before[2]
+
+
+def test_dot_and_matmul_round_alike():
+    """The rounding contract lets ``a.dot(b)`` stand for ``a @ b`` on 1-D
+    float64 operands, and ``m.dot(v)`` for ``m @ v`` with a 3x3 matrix: each
+    pair is one BLAS call on the same operands. Checked bit for bit on 20 000
+    Gaussian cases, with contiguous rows and strided columns of a 3x3 array."""
+    rng = np.random.default_rng(25)
+    mats, vecs = rng.standard_normal((20_000, 3, 3)), rng.standard_normal((20_000, 3))
+    dots, matmuls = [], []
+    for m, v in zip(mats, vecs):
+        pairs = ((m[0], m[1]), (m[2], v), (m[:, 0], m[:, 2]), (m[:, 1], v), (v, v))
+        dots += [a.dot(b) for a, b in pairs]
+        matmuls += [a @ b for a, b in pairs]
+        dots += m.dot(v).tolist()
+        matmuls += (m @ v).tolist()
+    dots, matmuls = np.array(dots), np.array(matmuls)
+    assert not m[:, 0].flags.c_contiguous  # the columns are strided views
+    assert np.array_equal(dots.view(np.int64), matmuls.view(np.int64))

@@ -87,6 +87,13 @@ class TestStage1:
                 with pytest.raises(ValueError, match=error):
                     call()
 
+    def test_nan_weights_rejected(self):
+        # NaN fails every comparison: a `total <= 0.0` guard lets it through
+        nan = BreakWeight("nan", lambda t: np.full(np.shape(t), np.nan))
+        for call in (lambda: _tree(P_BENCH, IDENT, nan), *_rule_users(P_BENCH, nan)):
+            with pytest.raises(ValueError, match="^degenerate frame/state"):
+                call()
+
 
 class TestStage2:
     def test_in_plane_eigenstate_breaks_other_tie(self):
@@ -115,6 +122,14 @@ class TestStage2:
             for call in (lambda: _tree(p, IDENT, w), *_rule_users(p, w)):
                 with pytest.raises(ValueError, match=error):
                     call()
+
+    def test_nan_weights_rejected(self):
+        # the symmetric state's stage-1 angles (0.955) weigh 1, and its
+        # in-plane angles (pi/4) NaN, which no `total <= 0.0` guard catches
+        nan = BreakWeight("nan", lambda t: np.where(np.asarray(t) < 0.9, np.nan, 1.0))
+        for call in (lambda: _tree(SYMMETRIC, IDENT, nan), *_rule_users(SYMMETRIC, nan)):
+            with pytest.raises(ValueError, match="^degenerate projection"):
+                call()
 
 
 class TestAnalytic:

@@ -7,7 +7,7 @@ import pytest
 
 from bornsim import disk, rod, sphere, stats, streams
 
-from bornsim.geometry import identity_frame, random_frame, unit_vector
+from bornsim.geometry import UnitVector, identity_frame, random_frame, unit_vector
 from bornsim.outcomes import OutcomeDistribution
 from bornsim.rod import QUANTUM, rod_analytic
 from bornsim.geometry import canonicalize
@@ -170,6 +170,21 @@ class TestRunTrials:
         # numpy integers are integers
         emp, _ = run_trials(replace(cfg, **{field: np.int64(2)}))
         assert emp.total == (2 if field == "trials" else 1)
+
+    @pytest.mark.parametrize("model, name", [
+        ("rod", "state"), ("sphere2d", "state"), ("ks", "state"),
+        ("sphere2d", "direction"), ("ks", "direction"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_state_or_direction_rejected_by_name(self, model, name, bad):
+        # NaN fails every compare of a count step, so all trials would land
+        # in one outcome if it were let through
+        good = identity_frame() if model == "rod" else EX
+        vectors = {"state": P_BENCH, "direction": good, name: UnitVector(bad, 0.0, 0.0)}
+        cfg = RunConfig(model, vectors["state"], vectors["direction"], trials=1000,
+                        master_seed=1)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got UnitVector\("):
+            run_trials(cfg)
 
     def test_state_that_is_not_a_unit_vector_rejected(self):
         cfg = RunConfig("rod", canonicalize(P_BENCH.array), identity_frame(), trials=1,
