@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import re
@@ -491,7 +492,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: a parse keeps no
+    state in it, so every ``main`` call reads the same one."""
     parser = argparse.ArgumentParser(
         prog="bornsim",
         description="Exact and Monte Carlo outcome statistics for the "

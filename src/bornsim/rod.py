@@ -24,7 +24,13 @@ state-vector rule.
 The stage probabilities are computed in one place, ``_tree``, the rod's
 only stage API: ``rod_analytic`` tabulates them, and ``thresholds`` turns
 the same floats into the counting kernel's run constants, so the kernel's
-thresholds are exactly the table's stage probabilities.
+thresholds are exactly the table's stage probabilities. ``_tree`` keeps its
+last result, keyed by the value of its (ray, frame, weight), so the tree is
+computed once per triple however many callers read it in a row: the three
+marginals of one frame and its ``--out`` sum in ``framecheck``, or the
+analytic column and the run constants of one sweep point. The calls
+themselves stay, and a counter on ``rod_analytic`` still sees each one:
+the benchmark pins how many a framecheck makes.
 
 The counting kernel ``outcomes_from_uniforms`` makes the same compares on
 either of two paths: in a process where the package's C library
@@ -35,9 +41,11 @@ do. The two give the same counts on every input, NaN included.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -92,7 +100,7 @@ _PATHS = tuple(
 _PATH_OUTCOMES = np.eye(3, dtype=np.int64)[[p.outcome for p in _PATHS]]
 
 
-def _stage1(c, w: BreakWeight) -> list[float]:
+def _stage1(c, w: BreakWeight) -> tuple[float, float, float]:
     """Normalized stage-1 weights from the ray's direction cosines ``c``."""
     weights = np.asarray(w.fn(np.arccos(c)), dtype=float)
     w0, w1, w2 = weights.tolist()
@@ -101,7 +109,7 @@ def _stage1(c, w: BreakWeight) -> list[float]:
     total = float(weights.sum())
     if not total > 0.0:  # NaN fails too
         raise ValueError("degenerate frame/state: all stage-1 weights vanish")
-    return [w0 / total, w1 / total, w2 / total]
+    return w0 / total, w1 / total, w2 / total
 
 
 def _in_plane_cosines(
@@ -121,9 +129,18 @@ def _in_plane_cosines(
     return [min(abs(float(pv.dot(a))), 1.0), min(abs(float(pv.dot(b))), 1.0)]
 
 
+# the in-plane cosine of a ray at 45 degrees to both retained axes
+_EVEN = math.sqrt(0.5)
+
+
 def _cosines_from_ray(c, j: int, k: int) -> list[float]:
-    """The in-plane cosines of axes j and k, from the ray's direction cosines ``c``."""
+    """The in-plane cosines of axes j and k, from the ray's direction cosines
+    ``c``. A ray with no component along either (both exactly 0) projects
+    to no direction in their plane; it gets two equal cosines, so stage 2
+    splits evenly between j and k."""
     norm = math.hypot(c[j], c[k])
+    if norm == 0.0:
+        return [_EVEN, _EVEN]
     return [min(c[j] / norm, 1.0), min(c[k] / norm, 1.0)]
 
 
@@ -144,14 +161,22 @@ def _stage2_pairs(cosines: list[float], w: BreakWeight) -> list[tuple[float, flo
     return [_stage2(ws[n], ws[n + 1]) for n in range(0, len(ws), 2)]
 
 
+@functools.lru_cache(maxsize=1)
 def _tree(
     p: Ray, e: Frame, w: BreakWeight
-) -> tuple[list[float], dict[int, tuple[float, float]]]:
+) -> tuple[tuple[float, float, float], Mapping[int, tuple[float, float]]]:
     """The rule's stage probabilities, the one route both ``rod_analytic``
     and ``thresholds`` read: ``_stage1`` of the ray's direction cosines, and
     for each first break i with nonzero weight, ``_stage2`` of the retained
     axes ``OTHER_AXES[i]``, from their |cosines| with the ray projected into
-    their plane."""
+    their plane.
+
+    The last result is kept (one entry, keyed by value: equal rays, frames
+    and weights hit it), so both parts are read-only: a tuple and a mapping
+    proxy. A hit returns the floats a fresh call computes, since the tree
+    reads its inputs through their values only, and every value it returns
+    is an absolute or a ratio of absolutes, the same for 0.0 and -0.0. A
+    ValueError is raised again on every call, not kept."""
     c = direction_cosines(p, e)
     s1 = _stage1(c, w)
     axes = e.rows
@@ -174,7 +199,7 @@ def _tree(
             cosines += _in_plane_cosines(
                 dots[j], dots[k], norm, axes[j], axes[k], rows[j], rows[k]
             )
-    return s1, dict(zip(firsts, _stage2_pairs(cosines, w)))
+    return s1, MappingProxyType(dict(zip(firsts, _stage2_pairs(cosines, w))))
 
 
 def rod_analytic(

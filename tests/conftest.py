@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from bornsim import native
+from bornsim import native, rod
 from bornsim.geometry import random_frame, random_unit_vector
+
+
+@pytest.fixture(autouse=True)
+def fresh_rod_tree():
+    """Each test starts with ``rod._tree``'s one-entry memo empty, so a
+    count of the calls inside the tree does not depend on the test before."""
+    rod._tree.cache_clear()
 
 
 @pytest.fixture

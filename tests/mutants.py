@@ -61,6 +61,7 @@ _NON_FINITE = ("tests/test_stats.py::TestRunTrials::"
 _DECIDES = "tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_reference"
 _PLANTED = "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
 _DOMAIN = "tests/test_disk.py::test_out_of_domain_and_strided_draws_get_the_float64_counts"
+_MEMO = "tests/test_rod.py::TestTreeMemo::"
 
 MUTANTS = (
     Mutant(
@@ -186,6 +187,42 @@ MUTANTS = (
         "if norm < DEGENERATE_EPS:",
         "if norm < 0.0:",
         (_STAGES, _ROD_TABLES + "[quantum]", _ROD_TABLES + "[uniform-variant]"),
+    ),
+    Mutant(
+        "rod tree, degenerate fallback: zero cross dots divided by their zero norm",
+        "src/bornsim/rod.py",
+        "    if norm == 0.0:\n        return [_EVEN, _EVEN]\n",
+        "",
+        ("tests/test_rod.py::TestStage2::test_ray_on_an_axis_with_zero_cross_dots_splits_evenly",
+         _MEMO + "test_a_hit_is_the_fresh_tree_bit_for_bit"),
+    ),
+    Mutant(
+        "rod tree memo: unbounded, one entry kept per (ray, frame, weight)",
+        "src/bornsim/rod.py",
+        "@functools.lru_cache(maxsize=1)",
+        "@functools.lru_cache(maxsize=None)",
+        ("tests/test_cli.py::TestSweep::test_rod_sweep_computes_one_tree_per_point_and_keeps_one",),
+    ),
+    Mutant(
+        "rod tree memo: keyed by frame and weight only, so a new ray reads the old tree",
+        "src/bornsim/rod.py",
+        "@functools.lru_cache(maxsize=1)\ndef _tree(",
+        "def _ray_blind(tree):\n"
+        "    kept = {}\n"
+        "\n"
+        "    def memo(p, e, w):\n"
+        "        if (e, w) not in kept:\n"
+        "            kept.clear()\n"
+        "            kept[e, w] = tree(p, e, w)\n"
+        "        return kept[e, w]\n"
+        "\n"
+        "    memo.cache_clear = kept.clear\n"
+        "    return memo\n"
+        "\n"
+        "\n"
+        "@_ray_blind\n"
+        "def _tree(",
+        (_MEMO + "test_a_change_of_ray_frame_or_weight_gives_the_fresh_tree",),
     ),
     Mutant(
         "Born rule: one matrix-vector product, not the Gleason measure of each axis",

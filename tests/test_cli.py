@@ -25,6 +25,20 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _counted(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call's
+    arguments; returns the list of them."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestAnalytic:
     def test_rod_eigenstate(self, capsys):
         assert main(["analytic", "--model", "rod", "--state", "1,0,0",
@@ -242,6 +256,18 @@ class TestSweep:
             # empirical column within its confidence interval of analytic
             assert float(r["ci_low"]) - 1e-12 <= float(r["analytic"]) <= float(r["ci_high"]) + 1e-12
 
+    def test_rod_sweep_computes_one_tree_per_point_and_keeps_one(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # the analytic column and the run constants of a point read one
+        # tree, and no point's tree outlives the next point
+        cosines = _counted(monkeypatch, rod, "direction_cosines")
+        assert main(["sweep", "--model", "rod", "--state", "1,0,0", "--steps", "1000",
+                     "--trials", "1", "--seed", "4", "--out", str(tmp_path / "s.csv")]) == 0
+        capsys.readouterr()
+        assert len(cosines) == 1000
+        assert rod._tree.cache_info().currsize <= 1
+
     @pytest.mark.parametrize("model,seed", [("sphere2d", 3), ("ks", 3), ("rod", 1)])
     def test_random_frame_reaches_the_angle_zero_endpoint(self, model, seed, tmp_path, capsys):
         # the angle-0 state equals the measurement axis up to rounding, which
@@ -303,6 +329,18 @@ class TestFramecheck:
                      "--seed", "301", "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_rod_out_computes_one_tree_per_frame(self, monkeypatch, tmp_path, capsys):
+        # each frame's three marginals and its --out sum make six
+        # rod_analytic calls on one (ray, frame, weight), one tree between them
+        cosines = _counted(monkeypatch, rod, "direction_cosines")
+        tables = _counted(monkeypatch, rod, "rod_analytic")
+        assert main(["framecheck", "--measure", "rod", "--weight", "uniform-variant",
+                     "--state", BENCH, "--trials", "150", "--seed", "301",
+                     "--out", str(tmp_path / "fc.csv")]) == 0
+        capsys.readouterr()
+        assert len(tables) == 900
+        assert len(cosines) == 150
 
     # a kept frame costs about 1.1 KB, so keeping them would peak above 1 MB
     @pytest.mark.parametrize("measure, frames", [
@@ -632,6 +670,35 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "o1 1"
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys):
+    # a call that fails to parse leaves nothing behind in the kept parser
+    assert cli.build_parser() is cli.build_parser()
+    argvs = (
+        ["simulate", "--model", "rod", "--state", BENCH, "--steps", "3"],
+        ["simulate", "--model", "rod", "--state", BENCH, "--trials", "2000", "--seed", "5"],
+        ["sweep", "--model", "ks", "--state", "1,0,0", "--steps", "3", "--trials", "500",
+         "--seed", "6"],
+        ["analytic", "--model", "rod", "--weight", "uniform-variant", "--state", BENCH],
+    )
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    kept = [run(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [2, 0, 0, 0]
+    assert "unrecognized arguments: --steps 3" in kept[0][2]
 
 
 class TestUnopenableOut:

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from bornsim import native
-from bornsim.geometry import canonicalize, identity_frame, random_frame, random_unit_vector
+from bornsim.geometry import (
+    Frame,
+    Ray,
+    UnitVector,
+    canonicalize,
+    direction_cosines,
+    identity_frame,
+    random_frame,
+    random_unit_vector,
+    rotate_frame_about_axis,
+)
 from bornsim.quantum import born_probabilities, state_vector
 from bornsim.rod import (
     BreakPath,
@@ -12,7 +22,9 @@ from bornsim.rod import (
     LABELS,
     QUANTUM,
     UNIFORM_VARIANT,
+    WEIGHTS,
     _PATHS,
+    _cosines_from_ray,
     _tree,
     fold_paths,
     outcomes_from_uniforms,
@@ -130,6 +142,26 @@ class TestStage2:
         for call in (lambda: _tree(SYMMETRIC, IDENT, nan), *_rule_users(SYMMETRIC, nan)):
             with pytest.raises(ValueError, match="^degenerate projection"):
                 call()
+
+    def test_ray_on_an_axis_with_zero_cross_dots_splits_evenly(self):
+        # the ray's own cosine rounds below 1, so its axis keeps a stage-1
+        # weight, yet both dots with the retained axes are exactly 0: no
+        # direction in their plane, and hypot(0, 0) = 0 is no divisor
+        near = 1.0 - 2.0**-53
+        cj, ck = _cosines_from_ray((0.0, 0.0, near), 0, 1)
+        assert cj == ck == pytest.approx(SQ2, abs=1e-15)
+        ray = canonicalize((0.0, 0.0, near))
+        assert direction_cosines(ray, IDENT) == (0.0, 0.0, near)
+        for w in (QUANTUM, UNIFORM_VARIANT):
+            s1, s2 = _tree(ray, IDENT, w)
+            assert s1[2] > 0.0
+            assert s2[2] == (0.5, 0.5)
+            dist, paths = rod_analytic(ray, IDENT, w)
+            assert paths[BreakPath(2, 0)] == paths[BreakPath(2, 1)] == s1[2] / 2
+            assert dist.probs[0] == dist.probs[1] == s1[2] / 2
+            assert sum(dist.probs) == pytest.approx(1.0, abs=1e-15)
+            *_, r2 = thresholds(ray, IDENT, w)
+            assert r2 == 0.5
 
 
 class TestAnalytic:
@@ -498,3 +530,87 @@ class TestBreakPath:
             BreakPath(0, 0)
         with pytest.raises(ValueError):
             BreakPath(0, 3)
+
+
+def _tree_bits(tree):
+    """A stage tree's floats as ``float.hex`` strings, so that 0.0 and -0.0
+    and the last bit all count."""
+    s1, s2 = tree
+    return [x.hex() for x in s1], {i: [x.hex() for x in pair] for i, pair in s2.items()}
+
+
+def _fresh_bits(p, e, w):
+    _tree.cache_clear()
+    return _tree_bits(_tree(p, e, w))
+
+
+def _signed_zero_twins():
+    """(ray, frame) pairs, each with a twin equal to it but for the sign of
+    zero components: the ray's, the frame's, or both. The two share one
+    memo key (0.0 == -0.0)."""
+    near = 1.0 - 2.0**-53
+
+    def flipped(xyz):
+        return [-v if v == 0.0 else v for v in xyz]
+
+    def frame(rows):
+        return Frame(tuple(Ray(UnitVector(*row)) for row in rows))
+
+    for e in (IDENT, rotate_frame_about_axis(IDENT, 2, 0.7)):
+        rows = e.matrix.tolist()
+        f = frame([flipped(row) for row in rows])
+        for xyz in ((0.6, 0.8, 0.0), (0.0, 0.6, 0.8), (1.0, 0.0, 0.0), (0.0, 0.0, near)):
+            p, q = Ray(UnitVector(*xyz)), Ray(UnitVector(*flipped(xyz)))
+            yield (p, frame(rows)), (q, f)
+            yield (p, frame(rows)), (p, f)
+            yield (p, frame(rows)), (q, frame(rows))
+
+
+def _input_bits(p, e):
+    return [v.hex() for v in (p.rep.x, p.rep.y, p.rep.z, *e.matrix.ravel().tolist())]
+
+
+class TestTreeMemo:
+    """``_tree`` keeps one entry, keyed by the value of (ray, frame, weight)."""
+
+    def test_a_hit_is_the_fresh_tree_bit_for_bit(self):
+        gen = np.random.default_rng(26)
+        pairs = [(canonicalize(random_unit_vector(gen).array), random_frame(gen))
+                 for _ in range(100)]
+        for w in WEIGHTS.values():
+            for ray, frame in pairs:
+                fresh = _fresh_bits(ray, frame, w)
+                hits = _tree.cache_info().hits
+                assert _tree_bits(_tree(ray, frame, w)) == fresh
+                assert _tree.cache_info().hits == hits + 1
+            for (ray, frame), (twin, twin_frame) in _signed_zero_twins():
+                assert (ray, frame) == (twin, twin_frame)
+                assert _input_bits(ray, frame) != _input_bits(twin, twin_frame)
+                fresh = _fresh_bits(twin, twin_frame, w)
+                _tree.cache_clear()
+                _tree(ray, frame, w)
+                hits = _tree.cache_info().hits
+                assert _tree_bits(_tree(twin, twin_frame, w)) == fresh
+                assert _tree.cache_info().hits == hits + 1
+
+    def test_a_change_of_ray_frame_or_weight_gives_the_fresh_tree(self):
+        base = (P_BENCH, IDENT, QUANTUM)
+        for changed in ((canonicalize((0.6, 0.8, 0.0)), IDENT, QUANTUM),
+                        (P_BENCH, random_frame(np.random.default_rng(3)), QUANTUM),
+                        (P_BENCH, IDENT, UNIFORM_VARIANT)):
+            fresh = _fresh_bits(*changed)
+            table, constants = rod_analytic(*changed), thresholds(*changed)
+            # the base tree is kept, and the changed input must not read it
+            assert _fresh_bits(*base) != fresh
+            assert _tree_bits(_tree(*changed)) == fresh
+            _tree(*base)
+            assert rod_analytic(*changed) == table
+            _tree(*base)
+            assert thresholds(*changed) == constants
+
+    def test_a_rejected_input_raises_on_every_call(self):
+        dead = BreakWeight("dead", lambda t: 0.0 * np.asarray(t))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="degenerate frame/state"):
+                _tree(P_BENCH, IDENT, dead)
+        assert _tree.cache_info().currsize == 0
