@@ -188,7 +188,10 @@ def normalize(vec, error: str) -> np.ndarray:
     |vec| < 1e-12 or a component is not finite.
 
     The vector is first scaled by a power of two (exact) so that its squares
-    cannot overflow; the quotient is the same as without the scaling. The
+    cannot overflow; the quotient is ``vec / np.linalg.norm(vec)`` bit for
+    bit, except on OpenBLAS's Prescott kernel, whose dot rounds an operand 8
+    bytes off 16-byte alignment (every other row of an (n, 3) array)
+    differently from the fresh, aligned array normalized here. The
     scaling and the quotient are taken on Python floats, which round as
     numpy's ``ldexp`` and ``/`` do; the norm's dot stays numpy's.
     """
@@ -226,8 +229,8 @@ def orthonormal_frame(v1, v2, v3) -> Frame:
             raise ValueError("degenerate triple: vectors are not independent")
         unit = (x / n, y / n, z / n)
         basis.append((np.array(unit), unit))
-    # canonicalize of each unit vector, on the array and floats held here
-    return Frame(tuple(_ray(*_near_unit(c, unit)) for c, unit in basis))
+    # each quotient's Ray: its norm is within 1e-14 of 1, so canonicalize keeps it
+    return Frame(tuple(_ray(*unit) for _, unit in basis))
 
 
 def vector_angle(u: UnitVector, v: UnitVector) -> float:

@@ -22,15 +22,18 @@ probabilities depend on the intermediate plane and no longer match any
 state-vector rule.
 
 The stage probabilities are computed in one place, ``_tree``, the rod's
-only stage API: ``rod_analytic`` tabulates them, and ``thresholds`` turns
-the same floats into the counting kernel's run constants, so the kernel's
-thresholds are exactly the table's stage probabilities. ``_tree`` keeps its
-last result, keyed by the value of its (ray, frame, weight), so the tree is
-computed once per triple however many callers read it in a row: the three
-marginals of one frame and its ``--out`` sum in ``framecheck``, or the
-analytic column and the run constants of one sweep point. The calls
-themselves stay, and a counter on ``rod_analytic`` still sees each one:
-the benchmark pins how many a framecheck makes.
+only stage API, as two plain tuples: ``s1``, the stage-1 probabilities, and
+``s2``, the stage-2 pairs indexed by the first break (``(0.0, 0.0)`` after
+one of zero weight). ``rod_analytic`` tabulates path i as
+``s1[i // 2] * s2[i // 2][i % 2]``, and ``thresholds`` turns the same floats
+into the counting kernel's run constants, so the kernel's thresholds are
+exactly the table's stage probabilities. ``_tree`` keeps its last result,
+keyed by the value of its (ray, frame, weight), so the tree is computed
+once per triple however many callers read it in a row: the three marginals
+of one frame and its ``--out`` sum in ``framecheck``, or the analytic column
+and the run constants of one sweep point. The calls themselves stay, and a
+counter on ``rod_analytic`` still sees each one: the benchmark pins how
+many a framecheck makes.
 
 The counting kernel ``outcomes_from_uniforms`` makes the same compares on
 either of two paths: in a process where the package's C library
@@ -44,8 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -164,16 +166,16 @@ def _stage2_pairs(cosines: list[float], w: BreakWeight) -> list[tuple[float, flo
 @functools.lru_cache(maxsize=1)
 def _tree(
     p: Ray, e: Frame, w: BreakWeight
-) -> tuple[tuple[float, float, float], Mapping[int, tuple[float, float]]]:
+) -> tuple[tuple[float, float, float], tuple[tuple[float, float], ...]]:
     """The rule's stage probabilities, the one route both ``rod_analytic``
-    and ``thresholds`` read: ``_stage1`` of the ray's direction cosines, and
-    for each first break i with nonzero weight, ``_stage2`` of the retained
-    axes ``OTHER_AXES[i]``, from their |cosines| with the ray projected into
-    their plane.
+    and ``thresholds`` read: ``s1``, ``_stage1`` of the ray's direction
+    cosines, and ``s2[i]``, ``_stage2`` of the retained axes
+    ``OTHER_AXES[i]`` from their |cosines| with the ray projected into
+    their plane, or ``(0.0, 0.0)`` where first break i has zero weight.
 
     The last result is kept (one entry, keyed by value: equal rays, frames
-    and weights hit it), so both parts are read-only: a tuple and a mapping
-    proxy. A hit returns the floats a fresh call computes, since the tree
+    and weights hit it), so both parts are tuples, which no reader can
+    change. A hit returns the floats a fresh call computes, since the tree
     reads its inputs through their values only, and every value it returns
     is an absolute or a ratio of absolutes, the same for 0.0 and -0.0. A
     ValueError is raised again on every call, not kept."""
@@ -183,12 +185,10 @@ def _tree(
     pv = p.array
     dots = (float(pv.dot(axes[0])), float(pv.dot(axes[1])), float(pv.dot(axes[2])))
     rows = e.matrix.tolist()
-    firsts = []
     cosines: list[float] = []
     for first in (0, 1, 2):
         if s1[first] == 0.0:
             continue
-        firsts.append(first)
         j, k = OTHER_AXES[first]
         norm = math.hypot(dots[j], dots[k])
         if norm < DEGENERATE_EPS:
@@ -199,7 +199,8 @@ def _tree(
             cosines += _in_plane_cosines(
                 dots[j], dots[k], norm, axes[j], axes[k], rows[j], rows[k]
             )
-    return s1, MappingProxyType(dict(zip(firsts, _stage2_pairs(cosines, w))))
+    pairs = iter(_stage2_pairs(cosines, w))
+    return s1, tuple(next(pairs) if x != 0.0 else (0.0, 0.0) for x in s1)
 
 
 def rod_analytic(
@@ -208,17 +209,15 @@ def rod_analytic(
     """Exact outcome distribution and the six break-order path probabilities.
 
     Outcome k sums the two paths that leave axis k standing. Orders whose
-    stage-1 weight is zero carry probability zero (they are never sampled,
+    stage-1 weight is zero carry probability +0.0 (they are never sampled,
     so the degenerate projection behind them is never taken).
     """
     s1, s2 = _tree(p, e, w)
+    # path 2 * i + n is s1[i] * s2[i][n]; a zero s1[i], even -0.0, gives +0.0
+    path_probs = [s * pr2 if s != 0.0 else 0.0 for s, pair in zip(s1, s2) for pr2 in pair]
     probs = [0.0, 0.0, 0.0]
-    path_probs = [0.0] * 6
-    for first, pair in s2.items():
-        for i, pr2 in enumerate(pair, start=2 * first):
-            pr = s1[first] * pr2
-            path_probs[i] = pr
-            probs[_PATHS[i].outcome] += pr
+    for path, pr in zip(_PATHS, path_probs):
+        probs[path.outcome] += pr
     return OutcomeDistribution(LABELS, tuple(probs)), dict(zip(_PATHS, path_probs))
 
 
@@ -247,10 +246,7 @@ def thresholds(p: Ray, e: Frame, w: BreakWeight) -> tuple:
     # Stage 2 per first break i: break retained[i][0] if u2 <= r[i], -1 when
     # it is ineligible. A lone eligible tie has pj = wj / (wj + 0.0) = 1.0
     # exactly, which every uniform in [0, 1) is below.
-    r = [-1.0, -1.0, -1.0]
-    for i, (pj, _) in s2.items():
-        r[i] = pj if pj != 0.0 else -1.0
-    return t0, t1, *r
+    return t0, t1, *(pj if pj != 0.0 else -1.0 for pj, _ in s2)
 
 
 def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -241,10 +241,25 @@ MUTANTS = (
     Mutant(
         "rod thresholds: no pj != 0.0 guard, so u2 = 0.0 breaks an ineligible tie",
         "src/bornsim/rod.py",
-        "r[i] = pj if pj != 0.0 else -1.0",
-        "r[i] = pj",
+        "*(pj if pj != 0.0 else -1.0 for pj, _ in s2)",
+        "*(pj for pj, _ in s2)",
         (_ROD_ORACLE + "[numpy]",
          "tests/test_rod.py::TestSampler::test_boundary_uniforms_never_select_zero_weight"),
+    ),
+    Mutant(
+        "rod tree: a first break of zero weight gets the stage-2 pair (1.0, 0.0)",
+        "src/bornsim/rod.py",
+        "else (0.0, 0.0) for x in s1)",
+        "else (1.0, 0.0) for x in s1)",
+        ("tests/test_rod.py::TestStage1::test_eigenstate_splits_evenly_over_other_axes",
+         "tests/test_rod.py::TestAnalytic::test_eigenstate_any_weight"),
+    ),
+    Mutant(
+        "rod analytic: no s1 != 0.0 guard, so a -0.0 first-break weight gives -0.0 paths",
+        "src/bornsim/rod.py",
+        "s * pr2 if s != 0.0 else 0.0 for",
+        "s * pr2 for",
+        ("tests/test_rod.py::TestAnalytic::test_eigenstate_any_weight",),
     ),
     Mutant(
         "rod thresholds: ineligible tie 1 at t1 = -1.0, not t0",
@@ -296,9 +311,7 @@ MUTANTS = (
         "src/bornsim/geometry.py",
         "    if abs(n - 1.0) <= 1e-14:\n",
         "    if False:\n",
-        (_CANONICAL,
-         "tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
-         "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]"),
+        (_CANONICAL,),
     ),
     Mutant(
         "Frame: a NaN |cos| passes the orthogonality check (d > ORTHO_TOL)",

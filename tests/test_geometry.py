@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -275,3 +276,36 @@ def test_dot_and_matmul_round_alike():
     dots, matmuls = np.array(dots), np.array(matmuls)
     assert not m[:, 0].flags.c_contiguous  # the columns are strided views
     assert np.array_equal(dots.view(np.int64), matmuls.view(np.int64))
+
+
+def test_frame_rows_are_unit_within_1e_14():
+    """``orthonormal_frame`` hands its Gram-Schmidt quotients to the sign
+    rule as they are, without the division by the norm that ``canonicalize``
+    makes when a norm is more than 1e-14 from 1. So every row it builds must
+    be that close to unit, with the norm taken as ``canonicalize`` takes it:
+    rows at scales 1e-10 to 1e150, near-parallel and near-coplanar triples,
+    and ``random_frame``. A rounding bound, not a bit pin: it holds on every
+    BLAS kernel."""
+    rng = np.random.default_rng(27)
+    n = 1000
+    g = rng.standard_normal((3, n, 3, 3))
+    # each row at its own scale
+    triples = list(g[0] * 10.0 ** rng.uniform(-10, 150, (n, 3, 1)))
+    # the second row 1e-5 to 1e-2 off the first, or the third that far off
+    # the plane of the first two, all rows at one scale
+    off = 10.0 ** rng.uniform(-5, -2, (2, n, 1))
+    scale = 10.0 ** rng.uniform(-10, 150, (2, n, 1))
+    a, b, c = g[1].transpose(1, 0, 2)
+    triples += list(np.stack((a, a + off[0] * b, c), axis=1) * scale[0, :, :, None])
+    a, b, c = g[2].transpose(1, 0, 2)
+    mix = rng.standard_normal((n, 2))
+    plane = mix[:, :1] * a + mix[:, 1:] * b
+    triples += list(np.stack((a, b, plane + off[1] * c), axis=1) * scale[1, :, :, None])
+    frames = [random_frame(rng) for _ in range(n)]
+    for t in triples:
+        with contextlib.suppress(ValueError):  # a residual below 1e-6
+            frames.append(orthonormal_frame(*t))
+    assert len(frames) > 3.5 * n
+    worst = max(abs(math.sqrt(v.dot(v)) - 1.0)
+                for f in frames for v in (axis.rep.array for axis in f.axes))
+    assert worst <= 1e-14

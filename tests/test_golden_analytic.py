@@ -113,7 +113,8 @@ def _stages(case: dict, frames: list[list[str]]) -> dict:
     if case["weight"] == "quantum":  # the cosines do not depend on the weight
         out["cosines"] = _hex(direction_cosines(ray, frame))
     out["stages"] = {"s1": _hex(s1),
-                     "s2": [[first, *_hex(pair)] for first, pair in s2.items()]}
+                     "s2": [[first, *_hex(pair)] for first, pair in enumerate(s2)
+                            if s1[first] != 0.0]}
     return out
 
 

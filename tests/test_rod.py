@@ -11,6 +11,7 @@ from bornsim.geometry import (
     canonicalize,
     direction_cosines,
     identity_frame,
+    orthonormal_frame,
     random_frame,
     random_unit_vector,
     rotate_frame_about_axis,
@@ -75,8 +76,9 @@ class TestStage1:
         s1, s2 = _tree(canonicalize((1, 0, 0)), IDENT, QUANTUM)
         assert np.allclose(s1, [0.0, 0.5, 0.5], atol=1e-15)
         assert s1[0] == 0.0
-        # no stage 2 follows a first break of zero weight
-        assert sorted(s2) == [1, 2]
+        # no stage 2 follows a first break of zero weight: its pair is +0.0
+        assert [x.hex() for x in s2[0]] == ["0x0.0p+0", "0x0.0p+0"]
+        assert s2[1] == s2[2] == (0.0, 1.0)
 
     def test_quantum_weights_normalize_by_two(self):
         s1, _ = _tree(P_BENCH, IDENT, QUANTUM)
@@ -177,10 +179,19 @@ class TestAnalytic:
 
     def test_eigenstate_any_weight(self):
         p = canonicalize((1, 0, 0))
-        for w in (QUANTUM, UNIFORM_VARIANT):
+        # a weight may give the angle 0 a weight of -0.0: the eigenstate's
+        # own tie then breaks first with probability -0.0, and -0.0 * 0.0
+        # is -0.0, yet its two paths must stay +0.0
+        signed = BreakWeight("signed-zero", lambda t: np.where(np.asarray(t) == 0.0, -0.0,
+                                                               np.sin(t) ** 2))
+        assert math.copysign(1.0, _tree(p, IDENT, signed)[0][0]) == -1.0
+        for w in (QUANTUM, UNIFORM_VARIANT, signed):
             dist, paths = rod_analytic(p, IDENT, w)
             assert dist.probs == (1.0, 0.0, 0.0)
             assert len(paths) == 6
+            for path in (BreakPath(0, 1), BreakPath(0, 2)):
+                assert math.copysign(1.0, paths[path]) == 1.0, (w.tag, path)
+            assert thresholds(p, IDENT, w)[2] == -1.0
 
     def test_uniform_variant_benchmark(self):
         dist, _ = rod_analytic(P_BENCH, IDENT, UNIFORM_VARIANT)
@@ -229,6 +240,33 @@ class TestAnalytic:
                 dist, paths = rod_analytic(ray, random_frame(gen), w)
                 assert abs(sum(dist.probs) - 1.0) < 1e-12
                 assert abs(sum(paths.values()) - 1.0) < 1e-12
+
+
+def _kcbs_sum(w):
+    """The KCBS sum (Klyachko, Can, Binicioglu and Shumovsky, PRL 101,
+    020403, 2008) of the state (0, 0, 1): P(axis 0) summed over five
+    contexts. Rays v_j lie at cos^2 = 1/sqrt(5) to the pole and azimuth
+    4 pi j / 5, so v_j is orthogonal to v_{j+1}; context j is the frame
+    (v_j, v_{j+1}, v_j x v_{j+1}). A non-contextual assignment keeps the sum
+    at most 2 (two of five pairwise exclusive rays); quantum theory reaches
+    sqrt(5)."""
+    ct = 5.0**-0.25
+    st = math.sqrt(1.0 - ct * ct)
+    v = [np.array((st * math.cos(4 * math.pi * j / 5), st * math.sin(4 * math.pi * j / 5), ct))
+         for j in range(5)]
+    pole = canonicalize((0.0, 0.0, 1.0))
+    return sum(rod_analytic(pole, orthonormal_frame(a, b, np.cross(a, b)), w)[0].probs[0]
+               for a, b in zip(v, v[1:] + v[:1]))
+
+
+class TestKCBS:
+    def test_quantum_rod_reaches_the_quantum_bound(self):
+        total = _kcbs_sum(QUANTUM)
+        assert total == pytest.approx(math.sqrt(5.0), abs=1e-12)
+        assert total > 2.0
+
+    def test_uniform_variant_stays_below_the_quantum_bound(self):
+        assert _kcbs_sum(UNIFORM_VARIANT) < math.sqrt(5.0)
 
 
 class TestWeights:
@@ -351,7 +389,7 @@ def _reference_constants(p, e, w):
     prob_j = np.zeros(3)
     elig_j = np.zeros(3, dtype=bool)
     elig_k = np.zeros(3, dtype=bool)
-    for i, (pj, pk) in _tree(p, e, w)[1].items():
+    for i, (pj, pk) in enumerate(_tree(p, e, w)[1]):
         prob_j[i] = pj
         elig_j[i] = pj > 0.0
         elig_k[i] = pk > 0.0
@@ -536,7 +574,7 @@ def _tree_bits(tree):
     """A stage tree's floats as ``float.hex`` strings, so that 0.0 and -0.0
     and the last bit all count."""
     s1, s2 = tree
-    return [x.hex() for x in s1], {i: [x.hex() for x in pair] for i, pair in s2.items()}
+    return [x.hex() for x in s1], [[x.hex() for x in pair] for pair in s2]
 
 
 def _fresh_bits(p, e, w):
