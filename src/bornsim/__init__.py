@@ -38,7 +38,6 @@ from .disk import DiskState, disk_analytic, disk_measure, initial_state, sample_
 from .rod import (
     QUANTUM,
     UNIFORM_VARIANT,
-    BreakPath,
     BreakWeight,
     rod_analytic,
     rod_sample,
@@ -62,7 +61,6 @@ from .streams import TrialStream, trial_uniforms
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakPath",
     "BreakWeight",
     "DiskState",
     "EmpiricalDistribution",

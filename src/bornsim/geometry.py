@@ -60,21 +60,17 @@ OTHER_AXES = ((1, 2), (0, 2), (0, 1))  # the two axes other than axis i, ascendi
 
 
 def _unit_components(vec) -> tuple[float, float, float]:
+    """The components of the 3-vector ``vec``, divided by its norm unless
+    that is 1 to working precision; rejects a norm off by more than
+    ``NORM_TOL``."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     c = v.ravel(order="K")  # contiguous, as np.linalg.norm makes it
-    return _near_unit(c, v.tolist())
-
-
-def _near_unit(c: np.ndarray, xyz) -> tuple[float, float, float]:
-    """The components ``xyz`` of the contiguous float 3-array ``c``, divided
-    by its norm unless that is 1 to working precision; rejects a norm off by
-    more than ``NORM_TOL``."""
     n = math.sqrt(c.dot(c))  # np.linalg.norm(c), without its overhead
     if not math.isfinite(n) or abs(n - 1.0) > NORM_TOL:
         raise ValueError(f"vector norm {n} deviates from 1 by more than {NORM_TOL}")
-    x, y, z = xyz
+    x, y, z = v.tolist()
     if abs(n - 1.0) <= 1e-14:
         # already unit to working precision; dividing would shift the last ulp
         # and break idempotency of the canonical representative

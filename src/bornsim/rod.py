@@ -24,16 +24,18 @@ state-vector rule.
 The stage probabilities are computed in one place, ``_tree``, the rod's
 only stage API, as two plain tuples: ``s1``, the stage-1 probabilities, and
 ``s2``, the stage-2 pairs indexed by the first break (``(0.0, 0.0)`` after
-one of zero weight). ``rod_analytic`` tabulates path i as
-``s1[i // 2] * s2[i // 2][i % 2]``, and ``thresholds`` turns the same floats
-into the counting kernel's run constants, so the kernel's thresholds are
-exactly the table's stage probabilities. ``_tree`` keeps its last result,
-keyed by the value of its (ray, frame, weight), so the tree is computed
-once per triple however many callers read it in a row: the three marginals
-of one frame and its ``--out`` sum in ``framecheck``, or the analytic column
-and the run constants of one sweep point. The calls themselves stay, and a
-counter on ``rod_analytic`` still sees each one: the benchmark pins how
-many a framecheck makes.
+one of zero weight). A break path is an index into ``_PATHS``, the
+``(first, second)`` broken axes in the order the count step counts them.
+``rod_analytic`` tabulates path i as ``s1[i // 2] * s2[i // 2][i % 2]``,
+and ``thresholds`` turns the same floats into the counting kernel's run
+constants, so the kernel's thresholds are exactly the table's stage
+probabilities. ``_tree`` keeps its last result, keyed by the value of its
+(ray, frame, weight), so the tree is computed once per triple however many
+callers read it in a row: the three marginals of one frame and its
+``--out`` sum in ``framecheck``, or the analytic column and the run
+constants of one sweep point. The calls themselves stay, and a counter on
+``rod_analytic`` still sees each one: the benchmark pins how many a
+framecheck makes.
 
 The counting kernel ``outcomes_from_uniforms`` makes the same compares on
 either of two paths: in a process where the package's C library
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,28 +80,13 @@ UNIFORM_VARIANT = BreakWeight("uniform-variant", np.sin)
 WEIGHTS = {w.tag: w for w in (QUANTUM, UNIFORM_VARIANT)}
 
 
-@dataclass(frozen=True)
-class BreakPath:
-    """One of the six break orders; outcome is the axis left standing."""
-
-    first_broken: int
-    second_broken: int
-    outcome: int = field(init=False)
-
-    def __post_init__(self):
-        if {self.first_broken, self.second_broken} | {0, 1, 2} != {0, 1, 2} or (
-            self.first_broken == self.second_broken
-        ):
-            raise ValueError("break path needs two distinct axis indices in 0..2")
-        object.__setattr__(self, "outcome", 3 - self.first_broken - self.second_broken)
-
-
-# the six break orders, in the order rod_analytic lists them
-_PATHS = tuple(
-    BreakPath(first, second) for first in range(3) for second in OTHER_AXES[first]
-)
+# the six break orders as (first, second) broken axes, in the order the
+# count step counts them and rod_analytic lists them
+_PATHS = tuple((first, second) for first in range(3) for second in OTHER_AXES[first])
+# the axis path i leaves standing, which names its outcome
+_OUTCOMES = tuple(3 - f - s for f, s in _PATHS)
 # row i is the one-hot outcome of path i: path counts @ it = outcome counts
-_PATH_OUTCOMES = np.eye(3, dtype=np.int64)[[p.outcome for p in _PATHS]]
+_PATH_OUTCOMES = np.eye(3, dtype=np.int64)[list(_OUTCOMES)]
 
 
 def _stage1(c, w: BreakWeight) -> tuple[float, float, float]:
@@ -111,7 +98,8 @@ def _stage1(c, w: BreakWeight) -> tuple[float, float, float]:
     total = float(weights.sum())
     if not total > 0.0:  # NaN fails too
         raise ValueError("degenerate frame/state: all stage-1 weights vanish")
-    return w0 / total, w1 / total, w2 / total
+    # abs makes a -0.0 weight +0.0, so no probability carries a sign
+    return abs(w0) / total, abs(w1) / total, abs(w2) / total
 
 
 def _in_plane_cosines(
@@ -153,7 +141,7 @@ def _stage2(wj: float, wk: float) -> tuple[float, float]:
     total = wj + wk
     if not total > 0.0:  # NaN fails too
         raise ValueError("degenerate projection: both stage-2 weights vanish")
-    return wj / total, wk / total
+    return abs(wj) / total, abs(wk) / total
 
 
 def _stage2_pairs(cosines: list[float], w: BreakWeight) -> list[tuple[float, float]]:
@@ -205,20 +193,21 @@ def _tree(
 
 def rod_analytic(
     p: Ray, e: Frame, w: BreakWeight
-) -> tuple[OutcomeDistribution, dict[BreakPath, float]]:
-    """Exact outcome distribution and the six break-order path probabilities.
+) -> tuple[OutcomeDistribution, tuple[float, ...]]:
+    """Exact outcome distribution and the six break-order path probabilities,
+    in ``_PATHS`` order, the order of the count step's six counts.
 
     Outcome k sums the two paths that leave axis k standing. Orders whose
     stage-1 weight is zero carry probability +0.0 (they are never sampled,
     so the degenerate projection behind them is never taken).
     """
     s1, s2 = _tree(p, e, w)
-    # path 2 * i + n is s1[i] * s2[i][n]; a zero s1[i], even -0.0, gives +0.0
-    path_probs = [s * pr2 if s != 0.0 else 0.0 for s, pair in zip(s1, s2) for pr2 in pair]
+    # path 2 * i + n is s1[i] * s2[i][n]; no stage probability is -0.0
+    path_probs = tuple(s * pr2 for s, pair in zip(s1, s2) for pr2 in pair)
     probs = [0.0, 0.0, 0.0]
-    for path, pr in zip(_PATHS, path_probs):
-        probs[path.outcome] += pr
-    return OutcomeDistribution(LABELS, tuple(probs)), dict(zip(_PATHS, path_probs))
+    for k, pr in zip(_OUTCOMES, path_probs):
+        probs[k] += pr
+    return OutcomeDistribution(LABELS, tuple(probs)), path_probs
 
 
 def thresholds(p: Ray, e: Frame, w: BreakWeight) -> tuple:
@@ -254,8 +243,8 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
 
     ``th`` is the ``thresholds`` of a ray, frame and weight, computed once
     per run. Returns int64 counts in ``_PATHS`` order, (first, second)
-    broken = (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1); outcome k is
-    the sum of the two paths that leave axis k standing. Trial i reads
+    broken = (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1); path i ends on
+    outcome ``_OUTCOMES[i]``, the axis it leaves standing. Trial i reads
     ``u1[i]`` for its stage-1 choice and ``u2[i]`` for its stage-2 choice;
     a ValueError is raised unless both are 1-d and of one length. No
     per-trial index is written. A single trial's path is the one nonzero
@@ -299,8 +288,9 @@ def fold_paths(counts: np.ndarray) -> np.ndarray:
     return counts @ _PATH_OUTCOMES
 
 
-def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, BreakPath]:
-    """One measurement: returns (outcome label, collapsed state, break order).
+def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, tuple[int, int]]:
+    """One measurement: returns (outcome label, collapsed state, break order),
+    the break order as its ``(first, second)`` entry of ``_PATHS``.
 
     The rod stabilizes on the outcome axis, so the new state is that axis's
     ray and an immediate repeat of the same measurement gives the same
@@ -309,8 +299,9 @@ def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, BreakPa
     u1 = rng.random()
     u2 = rng.random()
     counts = outcomes_from_uniforms(thresholds(p, e, w), np.array([u1]), np.array([u2]))
-    path = _PATHS[int(np.flatnonzero(counts)[0])]
-    return LABELS[path.outcome], e.axes[path.outcome], path
+    i = int(np.flatnonzero(counts)[0])
+    k = _OUTCOMES[i]
+    return LABELS[k], e.axes[k], _PATHS[i]
 
 
 def marginal_measure(p: Ray, w: BreakWeight) -> Callable[[Frame, int], float]:

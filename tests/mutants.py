@@ -255,11 +255,28 @@ MUTANTS = (
          "tests/test_rod.py::TestAnalytic::test_eigenstate_any_weight"),
     ),
     Mutant(
-        "rod analytic: no s1 != 0.0 guard, so a -0.0 first-break weight gives -0.0 paths",
+        "rod stage 1: no abs, so a -0.0 first-break weight gives -0.0 paths",
         "src/bornsim/rod.py",
-        "s * pr2 if s != 0.0 else 0.0 for",
-        "s * pr2 for",
+        "return abs(w0) / total, abs(w1) / total, abs(w2) / total",
+        "return w0 / total, w1 / total, w2 / total",
         ("tests/test_rod.py::TestAnalytic::test_eigenstate_any_weight",),
+    ),
+    Mutant(
+        "rod stage 2: no abs, so a -0.0 second-break weight gives -0.0 paths",
+        "src/bornsim/rod.py",
+        "return abs(wj) / total, abs(wk) / total",
+        "return wj / total, wk / total",
+        ("tests/test_rod.py::TestAnalytic::test_eigenstate_any_weight",),
+    ),
+    Mutant(
+        "rod paths: listed in reverse second-break order, not the count step's",
+        "src/bornsim/rod.py",
+        "for second in OTHER_AXES[first])",
+        "for second in reversed(OTHER_AXES[first]))",
+        (_ROD_ORACLE + "[numpy]",
+         "tests/test_rod.py::test_path_counts_match_the_paper_path_identity",
+         "tests/test_rod.py::TestAnalytic::test_matches_independent_tree_oracle_on_random_inputs",
+         "tests/test_golden_analytic.py::test_rod_tables_are_bit_identical[quantum]"),
     ),
     Mutant(
         "rod thresholds: ineligible tie 1 at t1 = -1.0, not t0",

@@ -30,6 +30,7 @@ from bornsim.quantum import (
 from bornsim.rod import (
     QUANTUM,
     UNIFORM_VARIANT,
+    _OUTCOMES,
     marginal_measure,
     rod_analytic,
     rod_sample,
@@ -69,8 +70,8 @@ def test_criterion_02_path_identity_exact():
     for ray, frame in _seeded_pairs(102, 100):
         dist, paths = rod_analytic(ray, frame, QUANTUM)
         cos = np.array(direction_cosines(ray, frame))
-        for path, prob in paths.items():
-            worst = max(worst, abs(prob - 0.5 * cos[path.outcome] ** 2))
+        for k, prob in zip(_OUTCOMES, paths):
+            worst = max(worst, abs(prob - 0.5 * cos[k] ** 2))
     assert worst < 1e-12
     _pass(2, f"all 6 paths == cos^2/2 on 100 random pairs (worst dev {worst:.2e})")
 

@@ -36,7 +36,7 @@ from bornsim.geometry import (
     random_frame,
     random_unit_vector,
 )
-from bornsim.rod import WEIGHTS, _tree, rod_analytic
+from bornsim.rod import WEIGHTS, _PATHS, _tree, rod_analytic
 
 GOLDEN = Path(__file__).parent / "data" / "golden_analytic.json"
 
@@ -98,8 +98,7 @@ def _rod(case: dict, frames: list[list[str]]) -> dict:
     )
     return {
         "probs": _hex(dist.probs),
-        "paths": [[p.first_broken, p.second_broken, float(v).hex()]
-                  for p, v in paths.items()],
+        "paths": [[first, second, float(v).hex()] for (first, second), v in zip(_PATHS, paths)],
     }
 
 

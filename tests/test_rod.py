@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,12 +19,12 @@ from bornsim.geometry import (
 )
 from bornsim.quantum import born_probabilities, state_vector
 from bornsim.rod import (
-    BreakPath,
     BreakWeight,
     LABELS,
     QUANTUM,
     UNIFORM_VARIANT,
     WEIGHTS,
+    _OUTCOMES,
     _PATHS,
     _cosines_from_ray,
     _tree,
@@ -159,7 +160,8 @@ class TestStage2:
             assert s1[2] > 0.0
             assert s2[2] == (0.5, 0.5)
             dist, paths = rod_analytic(ray, IDENT, w)
-            assert paths[BreakPath(2, 0)] == paths[BreakPath(2, 1)] == s1[2] / 2
+            # paths 4 and 5 break tie 2 first
+            assert paths[4] == paths[5] == s1[2] / 2
             assert dist.probs[0] == dist.probs[1] == s1[2] / 2
             assert sum(dist.probs) == pytest.approx(1.0, abs=1e-15)
             *_, r2 = thresholds(ray, IDENT, w)
@@ -172,25 +174,26 @@ class TestAnalytic:
         assert np.allclose(dist.probs, [0.5, 0.25, 0.25], atol=1e-12)
         # every break order contributes half the outcome probability
         cos2 = np.array([0.5, 0.25, 0.25])
-        for path, prob in paths.items():
-            assert prob == pytest.approx(0.5 * cos2[path.outcome], abs=1e-12)
-        both_to_o3 = [pr for path, pr in paths.items() if path.outcome == 2]
+        for k, prob in zip(_OUTCOMES, paths):
+            assert prob == pytest.approx(0.5 * cos2[k], abs=1e-12)
+        both_to_o3 = [pr for k, pr in zip(_OUTCOMES, paths) if k == 2]
         assert both_to_o3 == pytest.approx([0.125, 0.125], abs=1e-12)
 
     def test_eigenstate_any_weight(self):
         p = canonicalize((1, 0, 0))
         # a weight may give the angle 0 a weight of -0.0: the eigenstate's
-        # own tie then breaks first with probability -0.0, and -0.0 * 0.0
-        # is -0.0, yet its two paths must stay +0.0
+        # own tie in stage 1, and axis 0 again in stage 2 after tie 1 or 2
+        # breaks first. -0.0 times a probability is -0.0, yet all six paths
+        # must be +0.0
         signed = BreakWeight("signed-zero", lambda t: np.where(np.asarray(t) == 0.0, -0.0,
                                                                np.sin(t) ** 2))
-        assert math.copysign(1.0, _tree(p, IDENT, signed)[0][0]) == -1.0
+        assert math.copysign(1.0, float(signed.fn(np.arccos(1.0)))) == -1.0
         for w in (QUANTUM, UNIFORM_VARIANT, signed):
             dist, paths = rod_analytic(p, IDENT, w)
             assert dist.probs == (1.0, 0.0, 0.0)
             assert len(paths) == 6
-            for path in (BreakPath(0, 1), BreakPath(0, 2)):
-                assert math.copysign(1.0, paths[path]) == 1.0, (w.tag, path)
+            for path, prob in zip(_PATHS, paths):
+                assert math.copysign(1.0, prob) == 1.0, (w.tag, path)
             assert thresholds(p, IDENT, w)[2] == -1.0
 
     def test_uniform_variant_benchmark(self):
@@ -214,9 +217,8 @@ class TestAnalytic:
                 dist, paths = rod_analytic(ray, frame, w)
                 oracle_probs, oracle_paths = rod_tree_oracle(ray.array, frame.matrix, fn)
                 assert np.allclose(dist.probs, oracle_probs, atol=1e-12)
-                for path, prob in paths.items():
-                    key = (path.first_broken, path.second_broken)
-                    assert prob == pytest.approx(oracle_paths[key], abs=1e-12)
+                for path, prob in zip(_PATHS, paths):
+                    assert prob == pytest.approx(oracle_paths[path], abs=1e-12)
 
     def test_born_agreement_and_path_identity(self):
         # quantum weight: distribution equals the state-vector rule exactly,
@@ -229,8 +231,8 @@ class TestAnalytic:
             dist, paths = rod_analytic(ray, frame, QUANTUM)
             born = born_probabilities(state_vector(ray.rep.array), frame)
             assert np.allclose(dist.probs, born.probs, atol=1e-12)
-            for path, prob in paths.items():
-                assert abs(prob - 0.5 * born.probs[path.outcome]) < 1e-12
+            for k, prob in zip(_OUTCOMES, paths):
+                assert abs(prob - 0.5 * born.probs[k]) < 1e-12
 
     def test_normalization_for_any_weight(self):
         gen = np.random.default_rng(99)
@@ -239,7 +241,7 @@ class TestAnalytic:
                 ray = canonicalize(random_unit_vector(gen).array)
                 dist, paths = rod_analytic(ray, random_frame(gen), w)
                 assert abs(sum(dist.probs) - 1.0) < 1e-12
-                assert abs(sum(paths.values()) - 1.0) < 1e-12
+                assert abs(sum(paths) - 1.0) < 1e-12
 
 
 def _kcbs_sum(w):
@@ -286,7 +288,7 @@ class TestSampler:
             label, new_state, path = rod_sample(p, IDENT, QUANTUM, TrialStream(3, trial))
             assert label == "o2"
             assert new_state == IDENT.axes[1]
-            assert path.outcome == 1
+            assert set(path) == {0, 2}
 
     def test_symmetric_state_frequencies(self):
         emp, _ = run_trials(
@@ -359,10 +361,9 @@ class TestSampler:
         edges = np.array([0.0, s1[1], s1[1] + s1[2], 1.0 - 2**-53])
         u2 = np.array([0.0, 0.5, 1.0 - 2**-53, 0.25])
         singles = _single_paths(ray, identity_frame(), QUANTUM, edges, u2)
-        for path in (_PATHS[i] for i in singles):
-            assert path.outcome == 0
-            assert path.first_broken != 0
-            assert path.second_broken != 0
+        for i in singles:
+            assert _OUTCOMES[i] == 0
+            assert 0 not in _PATHS[i]
         counts = outcomes_from_uniforms(thresholds(ray, identity_frame(), QUANTUM), edges, u2)
         assert np.array_equal(counts, np.bincount(singles, minlength=6))
 
@@ -372,7 +373,7 @@ class TestSampler:
         (single,) = _single_paths(
             P_BENCH, identity_frame(), QUANTUM, np.array([s1[0]]), np.array([0.5])
         )
-        assert _PATHS[single].first_broken == 0
+        assert _PATHS[single][0] == 0
 
 
 _RETAINED = ((1, 2), (0, 2), (0, 1))
@@ -461,7 +462,7 @@ def test_table_driven_kernel_matches_the_nested_where_reference(path):
                         (True, True, False)}
 
     # (outcome, first, second) of each path, one column per path
-    table = np.array([(p.outcome, p.first_broken, p.second_broken) for p in _PATHS]).T
+    table = np.array([_OUTCOMES, *zip(*_PATHS)])
     for ray, frame, w in cases:
         u = _edge_uniforms(ray, frame, w, gen)
         u1, u2 = (x.ravel() for x in np.meshgrid(u, u))
@@ -537,17 +538,17 @@ def test_path_counts_match_the_paper_path_identity():
         for w in (QUANTUM, UNIFORM_VARIANT):
             counts = outcomes_from_uniforms(thresholds(P_BENCH, frame, w), u[0], u[1])
             _, path_probs = rod_analytic(P_BENCH, frame, w)
-            probs = np.array([path_probs[path] for path in _PATHS])
+            probs = np.array(path_probs)
             assert counts.sum() == n
             sigma = np.sqrt(n * probs * (1.0 - probs))
             assert np.all(np.abs(counts - n * probs) <= 5.0 * sigma), (w.tag, counts)
             by_outcome = [0, 0, 0]
-            for c, path in zip(counts, _PATHS):
-                by_outcome[path.outcome] += c
+            for c, k in zip(counts, _OUTCOMES):
+                by_outcome[k] += c
             assert np.array_equal(fold_paths(counts), by_outcome)
             if w is QUANTUM:
-                for path, prob in zip(_PATHS, probs):
-                    assert abs(prob - cos2[path.outcome] / 2.0) < 1e-12
+                for k, prob in zip(_OUTCOMES, probs):
+                    assert abs(prob - cos2[k] / 2.0) < 1e-12
 
 
 def test_draws_of_different_lengths_are_rejected():
@@ -558,16 +559,13 @@ def test_draws_of_different_lengths_are_rejected():
             outcomes_from_uniforms(th, u1, u2)
 
 
-class TestBreakPath:
-    def test_outcome_is_remaining_axis(self):
-        assert BreakPath(0, 2).outcome == 1
-        assert BreakPath(2, 1).outcome == 0
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            BreakPath(0, 0)
-        with pytest.raises(ValueError):
-            BreakPath(0, 3)
+def test_paths_are_the_six_ordered_pairs_of_distinct_axes():
+    # each (first, second) broken pair once, and each path's outcome the
+    # axis it leaves standing
+    assert len(_PATHS) == len(_OUTCOMES) == 6
+    assert sorted(_PATHS) == sorted(itertools.permutations(range(3), 2))
+    for (first, second), k in zip(_PATHS, _OUTCOMES):
+        assert {first, second, k} == {0, 1, 2}
 
 
 def _tree_bits(tree):
