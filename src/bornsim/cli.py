@@ -428,13 +428,15 @@ def _sweep_angles(steps: int) -> Iterator[float]:
 
 def cmd_sweep(r: SimpleNamespace) -> int:
     u, w = r.frame.sweep
-    rows = []
+    values = array("d")  # (analytic, empirical) per point; rows are built as written
     for i, angle in enumerate(_sweep_angles(r.steps)):
         state = state_vector(np.cos(angle) * u + np.sin(angle) * w)
         analytic = _self_distribution(r, state).probs[0]
         emp, _ = run_trials(_run_config(r, state, trial_state(r.seed, i)))
-        f0 = float(emp.frequencies[0])
-        rows.append([angle, analytic, f0, *wald_interval(f0, r.trials)])
+        values.extend((analytic, float(emp.frequencies[0])))
+    pairs = iter(values)
+    rows = ([angle, analytic, f0, *wald_interval(f0, r.trials)]
+            for angle, analytic, f0 in zip(_sweep_angles(r.steps), pairs, pairs))
     _write_rows(r.out, SWEEP_HEADER, rows)
     print(
         f"sweep model={r.model.name} weight={_weight_field(r) or '-'} steps={r.steps} "

@@ -22,9 +22,10 @@ probabilities depend on the intermediate plane and no longer match any
 state-vector rule.
 
 The stage probabilities are computed in one place, ``_tree``, the rod's
-only stage API, as two plain tuples: ``s1``, the stage-1 probabilities, and
-``s2``, the stage-2 pairs indexed by the first break (``(0.0, 0.0)`` after
-one of zero weight). A break path is an index into ``_PATHS``, the
+only stage API, from weights that both stages take from ``_weigh``, as two
+plain tuples: ``s1``, the stage-1 probabilities, and ``s2``, the stage-2
+pairs indexed by the first break (``(0.0, 0.0)`` after one of zero
+weight). A break path is an index into ``_PATHS``, the
 ``(first, second)`` broken axes in the order the count step counts them.
 ``rod_analytic`` tabulates path i as ``s1[i // 2] * s2[i // 2][i % 2]``,
 and ``thresholds`` turns the same floats into the counting kernel's run
@@ -89,9 +90,13 @@ _OUTCOMES = tuple(3 - f - s for f, s in _PATHS)
 _PATH_OUTCOMES = np.eye(3, dtype=np.int64)[list(_OUTCOMES)]
 
 
-def _stage1(c, w: BreakWeight) -> tuple[float, float, float]:
-    """Normalized stage-1 weights from the ray's direction cosines ``c``."""
-    weights = np.asarray(w.fn(np.arccos(c)), dtype=float)
+def _weigh(w: BreakWeight, cosines) -> np.ndarray:
+    """``w`` of the angles of the |cosines| ``cosines``, in one ufunc pass."""
+    return np.asarray(w.fn(np.arccos(cosines)), dtype=float)
+
+
+def _stage1(weights: np.ndarray) -> tuple[float, float, float]:
+    """Normalized stage-1 weights from the three ties' ``weights``."""
     w0, w1, w2 = weights.tolist()
     if w0 < 0.0 or w1 < 0.0 or w2 < 0.0:
         raise ValueError("negative stage-1 weight")
@@ -100,23 +105,6 @@ def _stage1(c, w: BreakWeight) -> tuple[float, float, float]:
         raise ValueError("degenerate frame/state: all stage-1 weights vanish")
     # abs makes a -0.0 weight +0.0, so no probability carries a sign
     return abs(w0) / total, abs(w1) / total, abs(w2) / total
-
-
-def _in_plane_cosines(
-    ca: float, cb: float, norm: float, a: np.ndarray, b: np.ndarray, a_xyz, b_xyz
-) -> list[float]:
-    """|cos| of the angles between the retained axes ``a``, ``b`` (components
-    ``a_xyz``, ``b_xyz``) and the ray projected into their plane, from the
-    ray's dots ``ca``, ``cb`` with them and the projection's length
-    ``norm = hypot(ca, cb)``."""
-    (a0, a1, a2), (b0, b1, b2) = a_xyz, b_xyz
-    x = (ca * a0 + cb * b0) / norm
-    y = (ca * a1 + cb * b1) / norm
-    z = (ca * a2 + cb * b2) / norm
-    v = np.array((x, y, z))
-    n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
-    pv = np.array((x / n, y / n, z / n))
-    return [min(abs(float(pv.dot(a))), 1.0), min(abs(float(pv.dot(b))), 1.0)]
 
 
 # the in-plane cosine of a ray at 45 degrees to both retained axes
@@ -144,22 +132,16 @@ def _stage2(wj: float, wk: float) -> tuple[float, float]:
     return abs(wj) / total, abs(wk) / total
 
 
-def _stage2_pairs(cosines: list[float], w: BreakWeight) -> list[tuple[float, float]]:
-    """``_stage2`` of each retained pair, from their in-plane cosines listed
-    two per pair; one ufunc pass weighs them all."""
-    ws = np.asarray(w.fn(np.arccos(cosines)), dtype=float).tolist()
-    return [_stage2(ws[n], ws[n + 1]) for n in range(0, len(ws), 2)]
-
-
 @functools.lru_cache(maxsize=1)
 def _tree(
     p: Ray, e: Frame, w: BreakWeight
 ) -> tuple[tuple[float, float, float], tuple[tuple[float, float], ...]]:
     """The rule's stage probabilities, the one route both ``rod_analytic``
-    and ``thresholds`` read: ``s1``, ``_stage1`` of the ray's direction
-    cosines, and ``s2[i]``, ``_stage2`` of the retained axes
-    ``OTHER_AXES[i]`` from their |cosines| with the ray projected into
-    their plane, or ``(0.0, 0.0)`` where first break i has zero weight.
+    and ``thresholds`` read: ``s1``, ``_stage1`` of the weights of the ray's
+    direction cosines, and ``s2[i]``, ``_stage2`` of the weights of the
+    retained axes ``OTHER_AXES[i]`` at their |cosines| with the ray
+    projected into their plane, or ``(0.0, 0.0)`` where first break i has
+    zero weight. Each stage is weighed in one ``_weigh`` call.
 
     The last result is kept (one entry, keyed by value: equal rays, frames
     and weights hit it), so both parts are tuples, which no reader can
@@ -168,27 +150,35 @@ def _tree(
     is an absolute or a ratio of absolutes, the same for 0.0 and -0.0. A
     ValueError is raised again on every call, not kept."""
     c = direction_cosines(p, e)
-    s1 = _stage1(c, w)
+    s1 = _stage1(_weigh(w, c))
     axes = e.rows
     pv = p.array
     dots = (float(pv.dot(axes[0])), float(pv.dot(axes[1])), float(pv.dot(axes[2])))
     rows = e.matrix.tolist()
-    cosines: list[float] = []
+    cosines: list[float] = []  # two per first break of nonzero weight
     for first in (0, 1, 2):
         if s1[first] == 0.0:
             continue
         j, k = OTHER_AXES[first]
-        norm = math.hypot(dots[j], dots[k])
+        dj, dk = dots[j], dots[k]
+        norm = math.hypot(dj, dk)
         if norm < DEGENERATE_EPS:
             # p lies within 1e-12 of axis `first`, whose stage-1 weight is
             # rounding noise; the in-plane cosines still follow from p's own.
             cosines += _cosines_from_ray(c, j, k)
-        else:
-            cosines += _in_plane_cosines(
-                dots[j], dots[k], norm, axes[j], axes[k], rows[j], rows[k]
-            )
-    pairs = iter(_stage2_pairs(cosines, w))
-    return s1, tuple(next(pairs) if x != 0.0 else (0.0, 0.0) for x in s1)
+            continue
+        # p projected into the plane of axes j and k, made unit, dotted with each
+        (a0, a1, a2), (b0, b1, b2) = rows[j], rows[k]
+        x = (dj * a0 + dk * b0) / norm
+        y = (dj * a1 + dk * b1) / norm
+        z = (dj * a2 + dk * b2) / norm
+        v = np.array((x, y, z))
+        n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
+        q = np.array((x / n, y / n, z / n))
+        cosines += (min(abs(float(q.dot(axes[j]))), 1.0), min(abs(float(q.dot(axes[k]))), 1.0))
+    ws = _weigh(w, cosines).tolist()
+    pairs = zip(ws[::2], ws[1::2])
+    return s1, tuple(_stage2(*next(pairs)) if x != 0.0 else (0.0, 0.0) for x in s1)
 
 
 def rod_analytic(

@@ -62,6 +62,9 @@ _DECIDES = "tests/test_disk.py::test_filtered_kernel_decides_as_the_one_pass_ref
 _PLANTED = "tests/test_disk.py::test_filtered_kernel_matches_the_reference_on_planted_crossings"
 _DOMAIN = "tests/test_disk.py::test_out_of_domain_and_strided_draws_get_the_float64_counts"
 _MEMO = "tests/test_rod.py::TestTreeMemo::"
+_CONTEXTUAL = "tests/test_rod.py::test_outcomes_are_contextual_where_quantum_probabilities_are_not"
+_FRAME_FUNCTION = ("tests/test_quantum.py::"
+                   "test_of_the_weight_families_only_sin_squared_gives_a_frame_function")
 
 MUTANTS = (
     Mutant(
@@ -175,8 +178,8 @@ MUTANTS = (
     Mutant(
         "rod tree: every first break takes the in-plane cosines from the ray's own",
         "src/bornsim/rod.py",
-        "cosines += _in_plane_cosines(\n                dots[j], dots[k], norm, axes[j], axes[k], rows[j], rows[k]\n            )",
-        "cosines += _cosines_from_ray(c, j, k)",
+        "if norm < DEGENERATE_EPS:",
+        "if True:",
         (_ROD_TABLES + "[quantum]",
          _STAGES,
          _FRAMECHECK_PIN + "[rod-uniform-variant]"),
@@ -315,13 +318,29 @@ MUTANTS = (
          "tests/test_cli.py::TestFramecheck::test_rod_variant_reports"),
     ),
     Mutant(
-        "rod analytic: second in-plane cosine taken against axis a (pv.dot(a))",
+        "rod tree: second in-plane cosine taken against axis j (q.dot(axes[j]))",
         "src/bornsim/rod.py",
-        "min(abs(float(pv.dot(b))), 1.0)",
-        "min(abs(float(pv.dot(a))), 1.0)",
+        "float(q.dot(axes[k]))",
+        "float(q.dot(axes[j]))",
         ("tests/test_golden_analytic.py::test_rod_tables_are_bit_identical[quantum]",
          "tests/test_rod.py::TestStage2::test_in_plane_eigenstate_breaks_other_tie",
          _FRAMECHECK_PIN + "[rod-uniform-variant]"),
+    ),
+    Mutant(
+        "rotate_frame_about_axis: the frame returned unrotated",
+        "src/bornsim/geometry.py",
+        "    return Frame(tuple(canonicalize(r) for r in rows))",
+        "    return e",
+        tuple(_CONTEXTUAL + case for case in ("[pi-over-7]", "[pi-over-4]", "[1.2]"))
+        + (_FRAME_FUNCTION,),
+    ),
+    Mutant(
+        "rod analytic: the paths folded into the outcomes in reverse order",
+        "src/bornsim/rod.py",
+        "for k, pr in zip(_OUTCOMES, path_probs):",
+        "for k, pr in zip(reversed(_OUTCOMES), path_probs):",
+        (_FRAME_FUNCTION,
+         "tests/test_rod.py::TestAnalytic::test_born_agreement_and_path_identity"),
     ),
     Mutant(
         "canonicalize: always divides by the norm, even one that is 1 to working precision",

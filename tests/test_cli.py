@@ -268,6 +268,25 @@ class TestSweep:
         assert len(cosines) == 1000
         assert rod._tree.cache_info().currsize <= 1
 
+    def test_memory_grows_by_two_floats_per_point(self, tmp_path, capsys):
+        # each point keeps only its analytic and empirical values until the
+        # rows are written: 16 B in an array, where a five-element row list
+        # per point would take about 280 B
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--model", "sphere2d", "--state", "1,0,0",
+                             "--trials", "1", "--steps", str(steps), "--seed", "9",
+                             "--out", str(tmp_path / f"s{steps}.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # warm-up: the first call's imports and caches
+        small, large = peak(400), peak(2400)
+        capsys.readouterr()
+        assert (large - small) / 2000 < 100
+
     @pytest.mark.parametrize("model,seed", [("sphere2d", 3), ("ks", 3), ("rod", 1)])
     def test_random_frame_reaches_the_angle_zero_endpoint(self, model, seed, tmp_path, capsys):
         # the angle-0 state equals the measurement axis up to rounding, which

@@ -20,7 +20,7 @@ from bornsim.quantum import (
     gleason_measure,
     state_vector,
 )
-from bornsim.rod import QUANTUM, UNIFORM_VARIANT, marginal_measure
+from bornsim.rod import BreakWeight, QUANTUM, UNIFORM_VARIANT, marginal_measure, rod_analytic
 
 from conftest import random_ray_frame_pairs
 
@@ -158,6 +158,46 @@ class TestFrameAdditivity:
         # frozen from the tree oracle: 0.415968... vs exactly 0.5
         assert v1 == pytest.approx(0.415968151066566, abs=1e-12)
         assert v2 == pytest.approx(0.5, abs=1e-12)
+
+
+def _mixed(lam):
+    """w = (1 - lam) sin^2 + lam sin: the quantum weight at lam = 0, the
+    uniform variant at lam = 1."""
+    return BreakWeight(f"mixed-{lam}", lambda t: (1.0 - lam) * np.sin(t) ** 2 + lam * np.sin(t))
+
+
+def _power(k):
+    return BreakWeight(f"sin^{k}", lambda t: np.sin(t) ** k)
+
+
+def test_of_the_weight_families_only_sin_squared_gives_a_frame_function():
+    # Gleason (1957): a frame function in dimension 3 is a quadratic form in
+    # the ray, so it cannot depend on the frame around it. Of the rod's
+    # weights scanned, only sin^2 gives a marginal that takes one value on
+    # a ray in every frame; the spread grows the further a weight is from it
+    gen = np.random.default_rng(1957)
+    cases = []
+    for _ in range(200):
+        ray = canonicalize(random_unit_vector(gen).array)
+        e = random_frame(gen)
+        axis = int(gen.integers(3))
+        cases.append((ray, e, rotate_frame_about_axis(e, axis, float(gen.uniform(0.1, 1.4))),
+                      axis))
+
+    def spread(w):
+        """The largest |P_e(axis) - P_rot(e)(axis)| over the cases."""
+        return max(abs(rod_analytic(ray, e, w)[0].probs[axis]
+                       - rod_analytic(ray, g, w)[0].probs[axis])
+                   for ray, e, g, axis in cases)
+
+    mixed = [spread(_mixed(lam)) for lam in (0.0, 0.05, 0.25, 0.5, 1.0)]
+    squared = spread(_power(2))
+    below = [squared, *(spread(_power(k)) for k in (1.5, 1, 0.5))]
+    above = [squared, *(spread(_power(k)) for k in (2.5, 3, 4))]
+    for family in (mixed, below, above):
+        assert family[0] <= 1e-12, family
+        assert family[1] > 1e-3, family
+        assert all(a < b for a, b in zip(family[1:], family[2:])), family
 
 
 def _fit_targets(weight, n_frames=50, seed=424242):

@@ -568,6 +568,39 @@ def test_paths_are_the_six_ordered_pairs_of_distinct_axes():
         assert {first, second, k} == {0, 1, 2}
 
 
+def _mask_paths(th, u1, u2):
+    """Each trial's ``_PATHS`` index from the numpy count step's compares:
+    tie 0 breaks first if u1 <= t0, tie 2 if u1 > t1, else tie 1; then
+    retained axis 0 of first break s if u2 <= r_s, else retained axis 1."""
+    t0, t1, *r = th
+    first = np.where(u1 <= t0, 0, np.where(u1 > t1, 2, 1))
+    return 2 * first + (u2 > np.array(r)[first])
+
+
+@pytest.mark.parametrize("angle", [math.pi / 7, math.pi / 4, 1.2],
+                         ids=["pi-over-7", "pi-over-4", "1.2"])
+def test_outcomes_are_contextual_where_quantum_probabilities_are_not(angle):
+    # Kochen and Specker (1967): no non-contextual assignment of single
+    # outcomes exists in dimension 3. Two frames share axis 0, and the
+    # quantum rod gives it one probability in both; yet on the same draws
+    # the verdict "the rod falls on axis 0" differs on over 10 % of trials
+    p = canonicalize((0.7071067811865476, 0.5, 0.5))
+    u1, u2 = trial_uniforms(7, 0, 2**16, 2)
+    frames = (IDENT, rotate_frame_about_axis(IDENT, 0, angle))
+    assert frames[1].axes[0] == IDENT.axes[0]
+    probs, on_axis_0 = [], []
+    for e in frames:
+        th = thresholds(p, e, QUANTUM)
+        paths = _mask_paths(th, u1, u2)
+        # the per-trial oracle counts what the count step counts
+        assert np.array_equal(np.bincount(paths, minlength=6),
+                              outcomes_from_uniforms(th, u1, u2))
+        on_axis_0.append(np.array(_OUTCOMES)[paths] == 0)
+        probs.append(rod_analytic(p, e, QUANTUM)[0].probs[0])
+    assert abs(probs[0] - probs[1]) <= 1e-12
+    assert np.count_nonzero(on_axis_0[0] != on_axis_0[1]) >= 0.10 * len(u1)
+
+
 def _tree_bits(tree):
     """A stage tree's floats as ``float.hex`` strings, so that 0.0 and -0.0
     and the last bit all count."""
