@@ -1,6 +1,7 @@
 /* Native bodies of bornsim.streams.trial_uniforms, of the first pass of
- * bornsim.disk.up_indices and of bornsim.rod.outcomes_from_uniforms, built
- * together into one library (bornsim.native).
+ * bornsim.disk.up_indices, of bornsim.rod.outcomes_from_uniforms and of
+ * bornsim.geometry.random_frame, built together into one library
+ * (bornsim.native).
  *
  * Build with -O3 -fno-math-errno -fno-trapping-math, never -ffast-math:
  * the disk pass's loop, quadrant selects and domain select vectorize only
@@ -14,9 +15,10 @@
  *
  * Each exported loop has one copy per x86-64 level, picked when the library
  * loads: AVX-512 has the 64-bit multiply and int64 -> double conversion as
- * vector instructions, which -O3 alone cannot assume. The clones are built
- * with GCC only; other compilers build the plain loops. No static state:
- * the functions are called without the GIL from several threads at once.
+ * vector instructions, which -O3 alone cannot assume. random_frame, which
+ * is not a loop, has one copy. The clones are built with GCC only; other
+ * compilers build the plain loops. No static state: the functions are
+ * called without the GIL from several threads at once.
  */
 #include <math.h>
 #include <stdint.h>
@@ -188,3 +190,92 @@ void rod_count(const double *u1, const double *u2, int64_t n, double t0, double 
     counts[4] = k2;
     counts[5] = n2 - k2;
 }
+
+/* ---- The body of bornsim.geometry.random_frame for one draw.
+ *
+ * g holds the nine draws of one standard_normal((3, 3)), row by row. The
+ * function makes random_frame's steps with the Python body's operations in
+ * its order: the row norms sqrt((x*x + y*y) + z*z) (numpy's add.reduce
+ * order) and the rejection of a norm below 1e-12, the three |cos| of the
+ * rows divided by their norms and the rejection of one above 1 - 1e-6,
+ * then Gram-Schmidt on the raw rows: each is scaled by a power of two and
+ * divided by its norm (geometry._unit), projected off the axes before it
+ * twice, and divided by its residual norm, which must be at least 1e-6.
+ * Writes the three axes to out and returns 0, or returns 1 where the
+ * Python body draws again.
+ *
+ * Every dot is ddot3, the chain of fused multiply-adds that OpenBLAS's
+ * SkylakeX ddot makes of three terms, so that the frame's bits do not
+ * depend on the compiler, the CPU or the BLAS kernel. The rest must round
+ * as written, so contraction is off here: wherever the target has an FMA
+ * instruction a compiler may otherwise fuse x - d*b into one (GCC 12 does
+ * at -march=x86-64-v3). The function has no CLONES for the same reason:
+ * the explicit fma() is the only FMA it may make.
+ */
+
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+static double ddot3(const double *a, const double *b)
+{
+    return fma(a[2], b[2], fma(a[1], b[1], fma(a[0], b[0], 0.0)));
+}
+
+/* v scaled by 2**-e, where 2**(e-1) <= max |v_i| < 2**e, then divided by
+ * its norm; 1 if a component is not finite or |v| < 1e-12 */
+static int unit(const double *v, double *w)
+{
+    if (!(isfinite(v[0]) && isfinite(v[1]) && isfinite(v[2])))
+        return 1;
+    int e;
+    frexp(fmax(fabs(v[0]), fmax(fabs(v[1]), fabs(v[2]))), &e);
+    double s[3] = {ldexp(v[0], -e), ldexp(v[1], -e), ldexp(v[2], -e)};
+    double n = sqrt(ddot3(s, s));
+    if (ldexp(n, e < 0 ? e : 0) < 1e-12)
+        return 1;
+    for (int i = 0; i < 3; i++)
+        w[i] = s[i] / n;
+    return 0;
+}
+
+int random_frame(const double *g, double *out)
+{
+    double u[9];
+    for (int r = 0; r < 3; r++) {
+        const double *x = g + 3 * r;
+        double n = sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]);
+        if (n < 1e-12)
+            return 1;
+        for (int i = 0; i < 3; i++)
+            u[3 * r + i] = x[i] / n;
+    }
+    if (fabs(ddot3(u, u + 3)) > 1.0 - 1e-6 || fabs(ddot3(u, u + 6)) > 1.0 - 1e-6
+        || fabs(ddot3(u + 3, u + 6)) > 1.0 - 1e-6)
+        return 1;
+    for (int r = 0; r < 3; r++) {
+        double w[3];
+        if (unit(g + 3 * r, w))
+            return 1;
+        for (int pass = 0; pass < 2; pass++)
+            for (int b = 0; b < r; b++) {
+                const double *axis = out + 3 * b;
+                double d = ddot3(w, axis);
+                for (int i = 0; i < 3; i++)
+                    w[i] = w[i] - d * axis[i];
+            }
+        double n = sqrt(ddot3(w, w));
+        if (n < 1e-6)
+            return 1;
+        for (int i = 0; i < 3; i++)
+            out[3 * r + i] = w[i] / n;
+    }
+    return 0;
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif

@@ -18,39 +18,54 @@ Frames, canonical rays and the rod tables built from them are pinned to the
 last bit (``tests/test_golden_analytic.py``, and the benchmark's CSV
 digests), so a rewrite of this path must keep every rounding step:
 
-* Every dot stays a BLAS call on operands with the same values and layout.
-  numpy hands a 3-element dot to BLAS, and with OpenBLAS on x86-64 that is
-  a fused multiply-add chain: on 20 000 pairs of Gaussian 3-vectors (numpy
-  2.4, OpenBLAS, AVX-512 Xeon) plain Python ``x0*y0 + x1*y1 + x2*y2``
-  matched it on only 13 277, and ``m @ v`` (a matrix-vector product)
-  matched the three row dots ``m[i] @ v`` on only 9 325 of 20 000. On 1-D
-  float64 operands ``a.dot(b)`` and ``a @ b`` are one BLAS call, and so are
-  ``m.dot(v)`` and ``m @ v`` for a 3x3 matrix and a 3-vector, so either may
-  be written; ``.dot`` skips the matmul dispatch
-  (``tests/test_geometry.py::test_dot_and_matmul_round_alike``).
+* The dots of ``normalize``, of Gram-Schmidt and of ``random_frame``'s
+  rejection test are ``_dot``: ``fma(x2, y2, fma(x1, y1, fma(x0, y0,
+  0.0)))``, each fused multiply-add rounded once. That is the chain
+  OpenBLAS's SkylakeX kernel makes of a 3-term ``ddot``, the one numpy
+  calls for ``a.dot(b)``: on 20 000 pairs of Gaussian 3-vectors (numpy
+  2.4, AVX-512 Xeon) it matched ``a.dot(b)`` on all 20 000, and on 20 000
+  more with one operand 8 bytes off 16-byte alignment, where plain Python
+  ``x0*y0 + x1*y1 + x2*y2`` differed on 6 667 and 6 774. OpenBLAS's
+  Haswell and Prescott kernels make the plain sum, so written out, the
+  chain gives the same frames on every kernel. ``_fma`` is exact:
+  Dekker's TwoProduct and the correctly rounded ``math.fsum``, and
+  ``Fraction`` where a product is too small for TwoProduct.
+  ``random_frame``'s C body (``_native.c``) makes the same chain with
+  ``fma()``.
+* Every other dot stays a BLAS call on operands with the same values and
+  layout: those of ``Frame``'s orthogonality check, of ``canonicalize``,
+  of ``direction_cosines``, and of the rod and the Gleason measure, whose
+  pins are still those of OpenBLAS's SkylakeX kernel. ``m @ v`` (a
+  matrix-vector product) matched the three row dots ``m[i] @ v`` on only
+  9 325 of 20 000 Gaussian cases. On 1-D float64 operands ``a.dot(b)`` and
+  ``a @ b`` are one BLAS call, and so are ``m.dot(v)`` and ``m @ v`` for a
+  3x3 matrix and a 3-vector, so either may be written; ``.dot`` skips the
+  matmul dispatch (``tests/test_geometry.py::test_dot_and_matmul_round_alike``).
   ``np.linalg.norm(v)`` of a vector is ``sqrt(v.dot(v))`` on
-  ``v.ravel(order="K")``, and of rows ``sqrt(add.reduce(g * g, axis=1))``;
-  either may be written out. The pinned bits are those of OpenBLAS's
-  SkylakeX kernels: its Haswell and Prescott kernels round some dots
-  differently.
+  ``v.ravel(order="K")``, and of rows ``sqrt(add.reduce(g * g, axis=1))``,
+  which sums each row as ``(x*x + y*y) + z*z``; either may be written out.
 * ``arccos`` and ``sin`` stay numpy ufuncs on contiguous arrays: numpy's
   vectorized ``arccos`` differed from ``math.acos`` on 8 969 of 100 000
   uniform inputs in [0, 1). Each element's result does not depend on its
   neighbours, so several evaluations may share one call.
 * Element-wise ``*``, ``+``, ``-``, ``/``, ``abs``, ``min``, negation,
   exact power-of-two scaling (``ldexp``) and ``sqrt``, and ``tolist``/
-  ``float`` round trips round the same on Python floats as in numpy, so
-  they may move between the two. So may a two-term sum; the three-term
-  ``sum`` of the rod's stage-1 weights stays numpy's.
+  ``float`` round trips round the same on Python floats, in numpy and in C
+  (compiled without contraction into fused multiply-adds), so they may
+  move between the three. So may a two-term sum; the three-term ``sum`` of
+  the rod's stage-1 weights stays numpy's.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import native
 
 NORM_TOL = 1e-6        # |norm - 1| beyond this is rejected as non-normalizable
 COMPONENT_EPS = 1e-12  # components at or below this count as zero for sign rules
@@ -179,54 +194,103 @@ def identity_frame() -> Frame:
     )
 
 
+_TINY = 2.0**-900  # below this, a product's TwoProduct error term may underflow
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: halves of 26 bits
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it, signed
+    zeros included, for finite operands below 2**100 in magnitude.
+
+    Dekker's TwoProduct writes a * b exactly as p + e, and ``math.fsum``
+    rounds p + e + c correctly. Where |p| < 2**-900 the error term e could
+    underflow, so the sum is taken as a ``Fraction``, unless a or b is
+    zero. An exact zero gets its sign from ``p + c``: then p is a * b
+    exactly.
+    """
+    p = a * b
+    if abs(p) < _TINY:
+        if a == 0.0 or b == 0.0:
+            return p + c
+        from fractions import Fraction  # rarely needed; 3 ms to import at start-up
+
+        exact = Fraction(a) * Fraction(b) + Fraction(c)
+        return float(exact) if exact else p + c
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    s = math.fsum((p, e, c))
+    return s if s else p + c
+
+
+def _dot(u, v) -> float:
+    """The dot of two 3-vectors as OpenBLAS's SkylakeX ``ddot`` makes it:
+    ``fma(u2, v2, fma(u1, v1, fma(u0, v0, 0.0)))`` (see the rounding
+    contract). The innermost fma is the rounded product wherever that is
+    not below 2**-900."""
+    s = u[0] * v[0]
+    if abs(s) < _TINY:
+        s = _fma(u[0], v[0], 0.0)
+    return _fma(u[2], v[2], _fma(u[1], v[1], s))
+
+
+def _unit(components: list[float], error: str) -> tuple[float, float, float]:
+    """``normalize`` on the components of a 3-vector, as floats."""
+    if not all(map(math.isfinite, components)):
+        raise ValueError(error)
+    _, e = math.frexp(max(map(abs, components)))
+    x, y, z = components
+    v = x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
+    n = math.sqrt(_dot(v, v))
+    if math.ldexp(n, min(e, 0)) < DEGENERATE_EPS:
+        raise ValueError(error)
+    return x / n, y / n, z / n
+
+
 def normalize(vec, error: str) -> np.ndarray:
     """vec / |vec| of a 3-vector as a float array; raises ValueError(error) if
     |vec| < 1e-12 or a component is not finite.
 
     The vector is first scaled by a power of two (exact) so that its squares
-    cannot overflow; the quotient is ``vec / np.linalg.norm(vec)`` bit for
-    bit, except on OpenBLAS's Prescott kernel, whose dot rounds an operand 8
-    bytes off 16-byte alignment (every other row of an (n, 3) array)
-    differently from the fresh, aligned array normalized here. The
-    scaling and the quotient are taken on Python floats, which round as
-    numpy's ``ldexp`` and ``/`` do; the norm's dot stays numpy's.
+    cannot overflow, and its norm is ``sqrt(_dot(v, v))``. So the quotient
+    is ``vec / np.linalg.norm(vec)`` bit for bit where BLAS is OpenBLAS's
+    SkylakeX kernel, and the same on every kernel.
     """
-    components = np.asarray(vec, dtype=float).tolist()
-    if not all(map(math.isfinite, components)):
-        raise ValueError(error)
-    _, e = math.frexp(max(map(abs, components)))
-    x, y, z = components
-    x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
-    v = np.array((x, y, z))
-    n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
-    if math.ldexp(n, min(e, 0)) < DEGENERATE_EPS:
-        raise ValueError(error)
-    return np.array((x / n, y / n, z / n))
+    return np.array(_unit(np.asarray(vec, dtype=float).tolist(), error))
+
+
+def _gram_schmidt(rows) -> list[tuple[float, float, float]]:
+    """The three unit axes that ``orthonormal_frame`` builds from ``rows``,
+    three lists of three floats, on Python floats; ValueError as there."""
+    basis: list[tuple[float, float, float]] = []
+    for v in rows:
+        w = x, y, z = _unit(v, "degenerate triple: zero vector")
+        for _ in range(2):
+            for b in basis:
+                d = _dot(w, b)
+                w = x, y, z = x - d * b[0], y - d * b[1], z - d * b[2]
+        n = math.sqrt(_dot(w, w))
+        if n < 1e-6:
+            raise ValueError("degenerate triple: vectors are not independent")
+        basis.append((x / n, y / n, z / n))
+    return basis
 
 
 def orthonormal_frame(v1, v2, v3) -> Frame:
     """Gram-Schmidt three vectors into a Frame (axes canonicalized).
 
-    The projection step runs twice per vector ("twice is enough"), which
-    pushes pairwise cosines to machine precision. Raises ValueError when the
+    Each vector is normalized, then projected off the axes before it. The
+    projection step runs twice per vector ("twice is enough"), which pushes
+    pairwise cosines to machine precision. Raises ValueError when the
     triple is linearly dependent (residual norm below 1e-6 at any step).
     """
-    basis: list[tuple[np.ndarray, tuple[float, float, float]]] = []
-    for v in (v1, v2, v3):
-        w = normalize(v, "degenerate triple: zero vector")
-        x, y, z = w.tolist()
-        for _ in range(2):
-            for b, (b0, b1, b2) in basis:
-                d = float(w.dot(b))
-                x, y, z = x - d * b0, y - d * b1, z - d * b2
-                w = np.array((x, y, z))
-        n = math.sqrt(w.dot(w))
-        if n < 1e-6:
-            raise ValueError("degenerate triple: vectors are not independent")
-        unit = (x / n, y / n, z / n)
-        basis.append((np.array(unit), unit))
+    rows = [np.asarray(v, dtype=float).tolist() for v in (v1, v2, v3)]
     # each quotient's Ray: its norm is within 1e-14 of 1, so canonicalize keeps it
-    return Frame(tuple(_ray(*unit) for _, unit in basis))
+    return Frame(tuple(_ray(*axis) for axis in _gram_schmidt(rows)))
 
 
 def vector_angle(u: UnitVector, v: UnitVector) -> float:
@@ -289,27 +353,50 @@ def random_unit_vector(rng: np.random.Generator) -> UnitVector:
     """Uniform point on the sphere (normalized 3D Gaussian draw)."""
     while True:
         with contextlib.suppress(ValueError):  # a zero draw: draw again
-            return UnitVector(*normalize(rng.standard_normal(3), "zero draw").tolist())
+            return UnitVector(*_unit(rng.standard_normal(3).tolist(), "zero draw"))
+
+
+def _random_axes(g: list[list[float]]) -> list[tuple[float, float, float]] | None:
+    """The axes ``random_frame`` makes of one draw ``g`` (three rows), or
+    None where it draws again: on Python floats, what the C body
+    ``random_frame`` in ``_native.c`` makes."""
+    # np.linalg.norm(g, axis=1), summed in its order
+    norms = [math.sqrt((x * x + y * y) + z * z) for x, y, z in g]
+    if min(norms) < 1e-12:
+        return None
+    u0, u1, u2 = ((x / n, y / n, z / n) for (x, y, z), n in zip(g, norms))
+    if max(abs(_dot(u0, u1)), abs(_dot(u0, u2)), abs(_dot(u1, u2))) > 1.0 - 1e-6:
+        return None
+    try:
+        return _gram_schmidt(g)
+    except ValueError:
+        return None
 
 
 def random_frame(rng: np.random.Generator) -> Frame:
     """Random orthonormal frame from Gram-Schmidt on three Gaussian draws.
 
     Near-degenerate triples (pairwise |cos| > 1 - 1e-6, or a vanishing
-    Gram-Schmidt residual) are rejected and redrawn.
+    Gram-Schmidt residual) are rejected and redrawn. Each draw is nine
+    values of ``rng.standard_normal``, the same as one
+    ``rng.standard_normal((3, 3))``. Where ``native.LIBRARY.load()``
+    returns None, ``_random_axes`` makes the frame on Python floats;
+    otherwise one call of the C body ``random_frame`` makes the same
+    operations in the same order, so both give the same frame, bit for bit,
+    and draw alike.
     """
+    lib = native.LIBRARY.load()
+    draws, out = (ctypes.c_double * 9)(), (ctypes.c_double * 9)()
+    g = np.frombuffer(draws).reshape(3, 3)  # each draw is written into ``draws``
     while True:
-        g = rng.standard_normal((3, 3))
-        norms = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm(g, axis=1)
-        if min(norms.tolist()) < 1e-12:
+        rng.standard_normal(out=g)
+        if lib is None:
+            axes = _random_axes(g.tolist())
+            if axes is None:
+                continue
+        elif lib.random_frame(draws, out):
             continue
-        u = g / norms[:, None]
-        cos01 = abs(float(u[0].dot(u[1])))
-        cos02 = abs(float(u[0].dot(u[2])))
-        cos12 = abs(float(u[1].dot(u[2])))
-        if max(cos01, cos02, cos12) > 1.0 - 1e-6:
-            continue
-        try:
-            return orthonormal_frame(g[0], g[1], g[2])
-        except ValueError:
-            continue
+        else:
+            axes = out[0:3], out[3:6], out[6:9]
+        with contextlib.suppress(ValueError):  # not orthogonal to 1e-10: draw again
+            return Frame(tuple(_ray(*axis) for axis in axes))

@@ -1,20 +1,23 @@
 """The package's C library, built on first use and loaded with ctypes.
 
-``_native.c`` holds the native bodies of ``streams.trial_uniforms`` (the
-SplitMix64 fill), of the first pass of ``disk.up_indices`` and of the rod's
-count step ``rod.outcomes_from_uniforms``; ``LIBRARY`` is its one
+``_native.c`` holds four C bodies: the SplitMix64 fill of
+``streams.trial_uniforms``, the first pass of ``disk.up_indices``, the
+rod's count step ``rod.outcomes_from_uniforms``, and
+``geometry.random_frame``'s frame from one draw. ``LIBRARY`` is its one
 ``Library``, and the only one in the package. Its first ``load()`` in a
 process compiles the source with the system ``cc`` (or ``gcc``) into
 ``$XDG_CACHE_HOME/bornsim`` (``~/.cache/bornsim``), under a name keyed by a
 hash of the source, flags, compiler path and machine; later processes load
 the cached file. If that directory is not ours alone to write, the library
 is built in a private temporary directory instead. Without a compiler, or
-if the build or the load fails, ``load()`` returns None and all three
-callers run their numpy bodies. A call takes its path from ``load()``
-alone, whatever its input, so a process is either native or numpy, never
-half of each. The callers look ``LIBRARY`` up on every call, so a test can
-swap in another one. Nothing is built or loaded at import: ``analytic``
-never draws.
+if the build or the load fails, ``load()`` returns None and all four
+callers run their Python bodies (numpy, or Python floats for the frame). A
+call takes its path from ``load()`` alone, whatever its input, so a process
+is either native or numpy, never half of each; both paths give the same
+counts and frames, bit for bit. The callers look ``LIBRARY`` up on every
+call, so a test can swap in another one. Nothing is built or loaded at
+import, and ``analytic`` with a fixed frame never draws; a ``random:N``
+frame and ``framecheck`` draw frames, and so load the library.
 """
 
 from __future__ import annotations
@@ -130,5 +133,6 @@ LIBRARY = Library(
      "disk_first_pass": (_int64, (_ptr, _ptr, _int64, _double, _double, _double, _double,
                                   _ptr, _ptr)),
      "disk_trig": (None, (_ptr, _int64, _ptr, _ptr)),
-     "rod_count": (None, (_ptr, _ptr, _int64, *(_double,) * 5, _ptr))},
+     "rod_count": (None, (_ptr, _ptr, _int64, *(_double,) * 5, _ptr)),
+     "random_frame": (ctypes.c_int, (_ptr, _ptr))},
 )

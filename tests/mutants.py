@@ -65,6 +65,10 @@ _MEMO = "tests/test_rod.py::TestTreeMemo::"
 _CONTEXTUAL = "tests/test_rod.py::test_outcomes_are_contextual_where_quantum_probabilities_are_not"
 _FRAME_FUNCTION = ("tests/test_quantum.py::"
                    "test_of_the_weight_families_only_sin_squared_gives_a_frame_function")
+_REPLICA = "tests/test_geometry.py::test_random_frames_equal_the_exact_fma_replica"
+_EDGE_DRAWS = "tests/test_geometry.py::test_edge_draws_give_the_replica_frame"
+_EXTREME_SCALES = ("tests/test_geometry.py::"
+                   "test_orthonormal_frame_on_extreme_scales_equals_the_replica")
 
 MUTANTS = (
     Mutant(
@@ -300,12 +304,46 @@ MUTANTS = (
          "tests/test_cli.py::TestSimulate::test_csv_bytes_are_reproducible"),
     ),
     Mutant(
-        "orthonormal_frame: Gram-Schmidt dot in Python arithmetic, not BLAS",
+        "Gram-Schmidt on Python floats: the projection dot as a plain sum, not the fma chain",
         "src/bornsim/geometry.py",
-        "d = float(w.dot(b))",
-        "d = float(w[0] * b[0] + w[1] * b[1] + w[2] * b[2])",
+        "d = _dot(w, b)",
+        "d = x * b[0] + y * b[1] + z * b[2]",
         ("tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
+         _REPLICA + "[numpy-3]"),
+    ),
+    Mutant(
+        "Python _fma: a * b + c rounded twice (no TwoProduct and fsum)",
+        "src/bornsim/geometry.py",
+        "    s = math.fsum((p, e, c))\n    return s if s else p + c\n",
+        "    return p + c\n",
+        ("tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
+         _REPLICA + "[numpy-3]",
+         _EXTREME_SCALES + "[1e308]",
+         "tests/test_geometry.py::TestFrames::test_normalize_is_the_plain_quotient_on_ordinary_input"),
+    ),
+    Mutant(
+        "Python _dot: the innermost fma taken as the bare product (a -0.0 product stays -0.0)",
+        "src/bornsim/geometry.py",
+        "        s = _fma(u[0], v[0], 0.0)\n",
+        "        pass\n",
+        (_EDGE_DRAWS + "[numpy-signed-zeros]", _EDGE_DRAWS + "[numpy-signed-zeros-first-axis]"),
+    ),
+    Mutant(
+        "random_frame C body: ddot3 as a plain sum, not the fma chain",
+        "src/bornsim/_native.c",
+        "return fma(a[2], b[2], fma(a[1], b[1], fma(a[0], b[0], 0.0)));",
+        "return a[0] * b[0] + a[1] * b[1] + a[2] * b[2];",
+        (_REPLICA + "[native-3]", _EDGE_DRAWS + "[native-signed-zeros]",
          "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]"),
+    ),
+    Mutant(
+        "random_frame C body: one Gram-Schmidt pass, not two",
+        "src/bornsim/_native.c",
+        "for (int pass = 0; pass < 2; pass++)",
+        "for (int pass = 0; pass < 1; pass++)",
+        (_REPLICA + "[native-3]",
+         "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]",
+         _FRAMECHECK_PIN + "[gleason]"),
     ),
     Mutant(
         "rod marginal: every axis reads outcome 0 (probs[0])",

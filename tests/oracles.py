@@ -2,11 +2,15 @@
 
 Nothing here goes through the library's model code paths: the disk-model
 oracles integrate the hidden-point density directly or take t.q in one
-float64 pass, and the rod oracle re-evaluates the six break orders from raw
-vectors.
+float64 pass, the rod oracle re-evaluates the six break orders from raw
+vectors, and the frame oracle rebuilds random frames with a fused
+multiply-add taken in exact rational arithmetic.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -120,3 +124,84 @@ def variant_weight(theta: float) -> float:
 def binomial_bound(p: float, n: int, sigmas: float = 5.0) -> float:
     """Half-width of a +-sigmas binomial band around probability p."""
     return sigmas * float(np.sqrt(p * (1.0 - p) / n))
+
+
+def fma_exact(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once to the nearest double (ties to even), as IEEE
+    754 defines fusedMultiplyAdd, from exact ``Fraction`` arithmetic.
+
+    An exact zero is -0.0 only where a * b is a zero of negative sign and c
+    is -0.0; a nonzero sum that rounds to zero keeps its sign.
+    """
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact:
+        return float(exact)  # int / int: correctly rounded, subnormals included
+    product_sign = math.copysign(1.0, a) * math.copysign(1.0, b)
+    if (a == 0.0 or b == 0.0) and product_sign < 0 and math.copysign(1.0, c) < 0:
+        return -0.0
+    return 0.0
+
+
+def dot_fma_chain(u, v) -> float:
+    """fma(u2, v2, fma(u1, v1, fma(u0, v0, +0.0))), each step ``fma_exact``."""
+    s = 0.0
+    for a, b in zip(u, v):
+        s = fma_exact(a, b, s)
+    return s
+
+
+def _unit_oracle(v):
+    """v scaled by 2**-e (2**(e-1) <= max |v_i| < 2**e), over its chain norm;
+    None where that norm, scaled back, is below 1e-12 or v is not finite."""
+    if not all(math.isfinite(c) for c in v):
+        return None
+    e = math.frexp(max(abs(c) for c in v))[1]
+    s = [math.ldexp(c, -e) for c in v]
+    n = math.sqrt(dot_fma_chain(s, s))
+    if math.ldexp(n, min(e, 0)) < 1e-12:
+        return None
+    return [c / n for c in s]
+
+
+def orthonormal_rows_oracle(rows):
+    """The rows ``geometry.orthonormal_frame`` gives three vectors: each
+    made unit, projected off the axes before it twice, divided by its
+    residual norm, then signed so that its first component above 1e-12 in
+    magnitude is positive. None where a vector is zero or the residual
+    norm is below 1e-6."""
+    basis = []
+    for v in rows:
+        w = _unit_oracle([float(c) for c in v])
+        if w is None:
+            return None
+        for _ in range(2):
+            for b in basis:
+                d = dot_fma_chain(w, b)
+                w = [x - d * y for x, y in zip(w, b)]
+        n = math.sqrt(dot_fma_chain(w, w))
+        if n < 1e-6:
+            return None
+        basis.append([x / n for x in w])
+    canonical = []
+    for axis in basis:
+        lead = next((c for c in axis if abs(c) > 1e-12), 0.0)
+        canonical.append([-c for c in axis] if lead < 0 else axis)
+    return canonical
+
+
+def random_frame_oracle(rng) -> list[list[float]]:
+    """The rows of ``geometry.random_frame(rng)``, drawing from ``rng`` as
+    it does: one ``standard_normal((3, 3))`` per attempt, redrawn where a
+    row norm is below 1e-12, where two rows over their norms have
+    |cos| > 1 - 1e-6, or where Gram-Schmidt fails."""
+    while True:
+        g = rng.standard_normal((3, 3)).tolist()
+        norms = [math.sqrt((x * x + y * y) + z * z) for x, y, z in g]
+        if min(norms) < 1e-12:
+            continue
+        u = [[c / n for c in row] for row, n in zip(g, norms)]
+        if any(abs(dot_fma_chain(u[i], u[j])) > 1.0 - 1e-6 for i, j in ((0, 1), (0, 2), (1, 2))):
+            continue
+        rows = orthonormal_rows_oracle(g)
+        if rows is not None:
+            return rows

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import orthonormal_rows_oracle, random_frame_oracle
 
 from bornsim.geometry import (
     Frame,
@@ -309,3 +311,86 @@ def test_frame_rows_are_unit_within_1e_14():
     worst = max(abs(math.sqrt(v.dot(v)) - 1.0)
                 for f in frames for v in (axis.rep.array for axis in f.axes))
     assert worst <= 1e-14
+
+
+# --- random_frame's two bodies against a replica built on an exact fma ---
+#
+# Every frame dot is written out as the fused multiply-add chain of
+# OpenBLAS's SkylakeX ddot, in C and on Python floats, so these tests hold
+# on any BLAS kernel. The replica (``tests/oracles.py``) takes each fma in
+# Fraction arithmetic.
+
+_REPLICA_SEEDS = (3, 31, 314, 3141)
+_REPLICA_FRAMES = 500  # per seed: 2000 frames
+
+
+@functools.cache
+def _replica(seed: int) -> tuple[bytes, dict]:
+    """The replica's frames from ``default_rng(seed)``, and the generator's state after."""
+    rng = np.random.default_rng(seed)
+    rows = [random_frame_oracle(rng) for _ in range(_REPLICA_FRAMES)]
+    return np.array(rows).tobytes(), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", _REPLICA_SEEDS)
+def test_random_frames_equal_the_exact_fma_replica(path, seed):
+    rng = np.random.default_rng(seed)
+    got = b"".join(random_frame(rng).matrix.tobytes() for _ in range(_REPLICA_FRAMES))
+    want, state = _replica(seed)
+    assert got == want  # bytes: signed zeros count
+    assert rng.bit_generator.state == state  # the same draws, redraws included
+
+
+class _Scripted:
+    """Stands in for a Generator: each ``standard_normal`` call hands out
+    the next of the given (3, 3) draws, into ``out`` or as a new array."""
+
+    def __init__(self, draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+        self.taken = 0
+
+    def standard_normal(self, size=None, out=None):
+        g = self.draws[self.taken]
+        self.taken += 1
+        if out is None:
+            return g.reshape(size).copy()
+        out[...] = g.reshape(out.shape)
+        return out
+
+
+_ORDINARY = [[0.3, -1.2, 0.5], [1.1, 0.4, -0.7], [-0.2, 0.9, 1.3]]
+
+
+@pytest.mark.parametrize("draws", [
+    # every product of the second row's dot with the first axis is -0.0:
+    # the chain starts from +0.0, so the projection keeps the row's -0.0
+    [[[1.0, 1.0, -0.0], [-0.0, -0.0, 1.0], [1.0, -1.0, 0.0]]],
+    [[[-0.0, 2.0, 0.0], [3.0, -0.0, -0.0], [0.0, -0.0, -5.0]]],
+    # squares of 2**-601 in the norms: the products below 2**-900
+    [[[1.0, 2.0**-600, 0.5], [2.0**-600, -1.0, 2.0**-600], [0.3, 0.2, 1.0]]],
+    # near-parallel rows (|cos| > 1 - 1e-6), then a zero row, then a third
+    # row within 1e-9 of the plane of the first two: each is drawn again
+    [[[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-7], [0.0, 1.0, 0.0]],
+     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-9]],
+     _ORDINARY],
+], ids=["signed-zeros", "signed-zeros-first-axis", "underflow", "redrawn"])
+def test_edge_draws_give_the_replica_frame(path, draws):
+    rng, reference = _Scripted(draws), _Scripted(draws)
+    got = random_frame(rng).matrix.tobytes()
+    assert got == np.array(random_frame_oracle(reference)).tobytes()
+    assert rng.taken == reference.taken == len(draws)
+
+
+@pytest.mark.parametrize("scale", [1.7e308, [[1.0, 1e-310, 1.0], [1e-320, 1.0, 1.0],
+                                              [1.0, 1.0, 3e-315]]],
+                         ids=["1e308", "subnormal-components"])
+def test_orthonormal_frame_on_extreme_scales_equals_the_replica(scale):
+    """Rows of magnitude up to 1.7e308, whose squares would overflow
+    unscaled, and rows with a subnormal component each, whose products
+    fall below 2**-900."""
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        rows = rng.uniform(-1.0, 1.0, (3, 3)) * np.array(scale)
+        want = orthonormal_rows_oracle(rows.tolist())
+        assert orthonormal_frame(*rows).matrix.tobytes() == np.array(want).tobytes()
