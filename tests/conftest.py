@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from oracles import blas_dot_is_fma_chain
 
 from bornsim import native, rod
 from bornsim.geometry import random_frame, random_unit_vector
+
+# normalize's norm is the SkylakeX fma chain on every kernel, so it equals
+# numpy's v / np.linalg.norm(v) only where numpy's dot is that chain too
+numpy_dot_is_the_chain = pytest.mark.skipif(
+    not blas_dot_is_fma_chain(),
+    reason="numpy's 3-term dot on this BLAS kernel is not the SkylakeX fma chain",
+)
 
 
 @pytest.fixture(autouse=True)

@@ -319,7 +319,7 @@ MUTANTS = (
         ("tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
          _REPLICA + "[numpy-3]",
          _EXTREME_SCALES + "[1e308]",
-         "tests/test_geometry.py::TestFrames::test_normalize_is_the_plain_quotient_on_ordinary_input"),
+         "tests/test_geometry.py::TestFrames::test_normalize_is_the_chain_quotient_on_every_kernel"),
     ),
     Mutant(
         "Python _dot: the innermost fma taken as the bare product (a -0.0 product stays -0.0)",

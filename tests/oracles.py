@@ -150,6 +150,18 @@ def dot_fma_chain(u, v) -> float:
     return s
 
 
+def blas_dot_is_fma_chain(n: int = 500) -> bool:
+    """Whether numpy's dot of two 3-vectors is ``dot_fma_chain`` here, as on
+    OpenBLAS's SkylakeX kernel, on n seeded Gaussian pairs and their squares;
+    the plain sum of its Haswell and Prescott kernels differs on about a
+    third of them."""
+    for a, b in np.random.default_rng(0).standard_normal((n, 2, 3)):
+        u, v = a.tolist(), b.tolist()
+        if float(a.dot(b)) != dot_fma_chain(u, v) or float(a.dot(a)) != dot_fma_chain(u, u):
+            return False
+    return True
+
+
 def _unit_oracle(v):
     """v scaled by 2**-e (2**(e-1) <= max |v_i| < 2**e), over its chain norm;
     None where that norm, scaled back, is below 1e-12 or v is not finite."""

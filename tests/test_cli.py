@@ -282,10 +282,7 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
 
-        # warm-up at the larger size: the first call's imports, caches and C
-        # library, and about 100 KB that a 50-frame run does not reach, are
-        # paid before either measurement
-        peak(2400)
+        peak(50)  # warm-up: the first call's imports and caches
         small, large = peak(400), peak(2400)
         capsys.readouterr()
         assert (large - small) / 2000 < 100

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import orthonormal_rows_oracle, random_frame_oracle
+from conftest import numpy_dot_is_the_chain
+from oracles import dot_fma_chain, orthonormal_rows_oracle, random_frame_oracle
 
 from bornsim.geometry import (
     Frame,
@@ -120,6 +121,12 @@ class TestFrames:
             f = orthonormal_frame((1e308, 0, 0), (0, 1e308, 0), (0, 0, -1e308))
         assert f == identity_frame()
 
+    def test_normalize_is_the_chain_quotient_on_every_kernel(self, rng):
+        for v in rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-5, 6, (200, 1)):
+            got = normalize(v, "zero")
+            assert np.array_equal(got, v / math.sqrt(dot_fma_chain(v.tolist(), v.tolist())))
+
+    @numpy_dot_is_the_chain
     def test_normalize_is_the_plain_quotient_on_ordinary_input(self, rng):
         for v in rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-5, 6, (200, 1)):
             got = normalize(v, "zero")
@@ -192,6 +199,14 @@ class TestRandomDirections:
         # and norms are exactly unit
         assert np.allclose(np.linalg.norm(draws, axis=1), 1.0, atol=1e-12)
 
+    def test_draw_is_the_chain_quotient_on_every_kernel(self):
+        gen, ref = np.random.default_rng(77), np.random.default_rng(77)
+        for _ in range(2000):
+            g = ref.standard_normal(3)
+            want = g / math.sqrt(dot_fma_chain(g.tolist(), g.tolist()))
+            assert random_unit_vector(gen).array.tobytes() == want.tobytes()
+
+    @numpy_dot_is_the_chain
     def test_draw_is_the_plain_quotient_and_a_zero_draw_is_redrawn(self):
         gen, ref = np.random.default_rng(77), np.random.default_rng(77)
         for _ in range(2000):

@@ -22,7 +22,8 @@ from bornsim.quantum import (
 )
 from bornsim.rod import BreakWeight, QUANTUM, UNIFORM_VARIANT, marginal_measure, rod_analytic
 
-from conftest import random_ray_frame_pairs
+from conftest import numpy_dot_is_the_chain, random_ray_frame_pairs
+from oracles import dot_fma_chain
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -86,6 +87,14 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state_vector((1.0, 0.0, 0.0, 0.0))
 
+    def test_equals_division_by_the_chain_norm_on_every_kernel(self, rng):
+        for scale in (1e-5, 1.0, 1e5, 1e100):
+            for _ in range(500):
+                v = scale * rng.standard_normal(3)
+                want = v / math.sqrt(dot_fma_chain(v.tolist(), v.tolist()))
+                assert state_vector(v).array.tolist() == want.tolist()
+
+    @numpy_dot_is_the_chain
     def test_equals_plain_division_by_the_norm(self, rng):
         # the overflow-safe normalization gives the same bits as v / |v|
         for scale in (1e-5, 1.0, 1e5, 1e100):
