@@ -18,29 +18,29 @@ Frames, canonical rays and the rod tables built from them are pinned to the
 last bit (``tests/test_golden_analytic.py``, and the benchmark's CSV
 digests), so a rewrite of this path must keep every rounding step:
 
-* The dots of ``normalize``, of Gram-Schmidt and of ``random_frame``'s
-  rejection test are ``_dot``: ``fma(x2, y2, fma(x1, y1, fma(x0, y0,
-  0.0)))``, each fused multiply-add rounded once. That is the chain
-  OpenBLAS's SkylakeX kernel makes of a 3-term ``ddot``, the one numpy
-  calls for ``a.dot(b)``: on 20 000 pairs of Gaussian 3-vectors (numpy
-  2.4, AVX-512 Xeon) it matched ``a.dot(b)`` on all 20 000, and on 20 000
-  more with one operand 8 bytes off 16-byte alignment, where plain Python
-  ``x0*y0 + x1*y1 + x2*y2`` differed on 6 667 and 6 774. OpenBLAS's
-  Haswell and Prescott kernels make the plain sum, so written out, the
-  chain gives the same frames on every kernel. ``_fma`` is exact:
-  Dekker's TwoProduct and the correctly rounded ``math.fsum``, and
-  ``Fraction`` where a product is too small for TwoProduct.
-  ``random_frame``'s C body (``_native.c``) makes the same chain with
-  ``fma()``.
-* Every other dot stays a BLAS call on operands with the same values and
-  layout: those of ``Frame``'s orthogonality check, of ``canonicalize``,
-  of ``direction_cosines``, and of the rod and the Gleason measure, whose
-  pins are still those of OpenBLAS's SkylakeX kernel. ``m @ v`` (a
-  matrix-vector product) matched the three row dots ``m[i] @ v`` on only
-  9 325 of 20 000 Gaussian cases. On 1-D float64 operands ``a.dot(b)`` and
-  ``a @ b`` are one BLAS call, and so are ``m.dot(v)`` and ``m @ v`` for a
-  3x3 matrix and a 3-vector, so either may be written; ``.dot`` skips the
-  matmul dispatch (``tests/test_geometry.py::test_dot_and_matmul_round_alike``).
+* The dots of ``normalize``, Gram-Schmidt, ``random_frame``'s rejection
+  test, ``direction_cosines``, the rod's stage tree, the Gleason measure
+  and ``_unit_components``' norm are ``_dot``: ``fma(x2, y2, fma(x1, y1,
+  fma(x0, y0, 0.0)))``, each fused multiply-add rounded once. That is the
+  chain OpenBLAS's SkylakeX kernel makes of a 3-term ``ddot``, the one
+  numpy calls for ``a.dot(b)``: on 20 000 pairs of Gaussian 3-vectors
+  (numpy 2.4, AVX-512 Xeon) it matched ``a.dot(b)`` on all 20 000, and on
+  20 000 more with one operand 8 bytes off 16-byte alignment, where plain
+  Python ``x0*y0 + x1*y1 + x2*y2`` differed on 6 667 and 6 774. Its 3x3
+  gemv ``m.dot(v)`` takes each row's terms in the order 1, 0, 2, and so
+  does ``direction_cosines``. Written out, the chain gives the same bits
+  on OpenBLAS's Haswell and Prescott kernels, which sum otherwise.
+  ``_fma`` is exact: Dekker's TwoProduct and the correctly rounded
+  ``math.fsum``, and ``Fraction`` where a product is too small for
+  TwoProduct. ``random_frame``'s C body (``_native.c``) makes the same
+  chain with ``fma()``.
+* The dots that stay BLAS calls are ``_unit_cross``' norm,
+  ``disk.basis_dots``, ``_unit_components``' norm of a component of 1e100
+  or more (beyond ``_fma``'s contract; it may overflow to ``inf``) and the
+  CLI's 1e-6 check of custom frame rows. On 1-D float64 operands
+  ``a.dot(b)`` and ``a @ b`` are one BLAS call, so either may be written;
+  ``.dot`` skips the matmul dispatch
+  (``tests/test_geometry.py::test_dot_and_matmul_round_alike``).
   ``np.linalg.norm(v)`` of a vector is ``sqrt(v.dot(v))`` on
   ``v.ravel(order="K")``, and of rows ``sqrt(add.reduce(g * g, axis=1))``,
   which sums each row as ``(x*x + y*y) + z*z``; either may be written out.
@@ -61,7 +61,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,11 +81,13 @@ def _unit_components(vec) -> tuple[float, float, float]:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    c = v.ravel(order="K")  # contiguous, as np.linalg.norm makes it
-    n = math.sqrt(c.dot(c))  # np.linalg.norm(c), without its overhead
+    x, y, z = v.tolist()
+    if max(abs(x), abs(y), abs(z)) < 1e100:
+        n = math.sqrt(_dot((x, y, z), (x, y, z)))
+    else:  # beyond _fma's contract: numpy's norm, which may overflow to inf
+        n = float(np.linalg.norm(v))
     if not math.isfinite(n) or abs(n - 1.0) > NORM_TOL:
         raise ValueError(f"vector norm {n} deviates from 1 by more than {NORM_TOL}")
-    x, y, z = v.tolist()
     if abs(n - 1.0) <= 1e-14:
         # already unit to working precision; dividing would shift the last ulp
         # and break idempotency of the canonical representative
@@ -154,34 +156,31 @@ def _ray(x: float, y: float, z: float) -> Ray:
 
 @dataclass(frozen=True)
 class Frame:
-    """Ordered orthonormal triad of rays: one 3-outcome measurement."""
+    """Ordered orthonormal triad of rays: one 3-outcome measurement.
+
+    ``rows`` holds the axes' representatives as three (x, y, z) float
+    triples. Their pairwise |cos|, a plain float sum that pins no bit, must
+    be within ``ORTHO_TOL``.
+    """
 
     axes: tuple[Ray, Ray, Ray]
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b, c = self.axes
-        a, b, c = a.rep, b.rep, c.rep
-        m = np.array(((a.x, a.y, a.z), (b.x, b.y, b.z), (c.x, c.y, c.z)))
-        m.setflags(write=False)  # before the row views, which inherit it
-        rows = (m[0], m[1], m[2])
+        rows = tuple((a.rep.x, a.rep.y, a.rep.z) for a in self.axes)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            d = abs(float(rows[i].dot(rows[j])))
+            (a0, a1, a2), (b0, b1, b2) = rows[i], rows[j]
+            d = abs(a0 * b0 + a1 * b1 + a2 * b2)
             if not d <= ORTHO_TOL:  # NaN fails too
                 raise ValueError(
                     f"frame axes {i} and {j} not orthogonal: |cos| = {d:.3e}"
                 )
-        object.__setattr__(self, "_matrix", m)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def matrix(self) -> np.ndarray:
-        """3x3 array whose rows are the canonical axis representatives."""
-        return self._matrix
-
-    @property
-    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three rows of ``matrix``, as read-only views of it."""
-        return self._rows
+        """A new 3x3 array of ``rows`` on each access."""
+        return np.array(self.rows)
 
 
 def identity_frame() -> Frame:
@@ -200,7 +199,8 @@ _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: halves of 26 bits
 
 def _fma(a: float, b: float, c: float) -> float:
     """a * b + c rounded once, as a fused multiply-add rounds it, signed
-    zeros included, for finite operands below 2**100 in magnitude.
+    zeros included, for finite a and b below 1e100 in magnitude and c
+    below 1e300.
 
     Dekker's TwoProduct writes a * b exactly as p + e, and ``math.fsum``
     rounds p + e + c correctly. Where |p| < 2**-900 the error term e could
@@ -301,10 +301,12 @@ def vector_angle(u: UnitVector, v: UnitVector) -> float:
 def direction_cosines(p: Ray, e: Frame) -> tuple[float, float, float]:
     """Absolute cosines of the angles between a ray and the three frame axes.
 
-    Their squares sum to 1 (within 1e-12 in double precision).
+    Their squares sum to 1 (within 1e-12 in double precision). Each is
+    ``_dot`` with the terms in the order 1, 0, 2, as in ``e.matrix.dot(v)``.
     """
-    x, y, z = e.matrix.dot(p.array).tolist()
-    return min(abs(x), 1.0), min(abs(y), 1.0), min(abs(z), 1.0)
+    r = p.rep
+    v = r.y, r.x, r.z
+    return tuple(min(abs(_dot((a1, a0, a2), v)), 1.0) for a0, a1, a2 in e.rows)
 
 
 def tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,14 +340,11 @@ def rotate_frame_about_axis(e: Frame, axis_index: int, angle: float) -> Frame:
     """
     if axis_index not in (0, 1, 2):
         raise ValueError(f"axis_index must be 0, 1 or 2, got {axis_index}")
-    m = e.matrix
-    others = OTHER_AXES[axis_index]
-    b, c = m[others[0]], m[others[1]]
+    j, k = OTHER_AXES[axis_index]
     cb, sb = math.cos(angle), math.sin(angle)
-    rows: list[np.ndarray | None] = [None, None, None]
-    rows[axis_index] = m[axis_index]
-    rows[others[0]] = cb * b + sb * c
-    rows[others[1]] = -sb * b + cb * c
+    rows = list(e.rows)
+    rows[j] = [cb * x + sb * y for x, y in zip(e.rows[j], e.rows[k])]
+    rows[k] = [-sb * x + cb * y for x, y in zip(e.rows[j], e.rows[k])]
     return Frame(tuple(canonicalize(r) for r in rows))
 
 

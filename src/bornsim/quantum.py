@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Frame, UnitVector, normalize
+from .geometry import Frame, UnitVector, _dot, normalize
 from .outcomes import OutcomeDistribution
 
 
@@ -42,10 +42,10 @@ def gleason_measure(psi: UnitVector) -> Callable[[Frame, int], float]:
     It reads only the axis's ray: the value of a ray is the same in every
     frame that contains it.
     """
-    v = psi.array
+    v = psi.x, psi.y, psi.z
 
     def measure(frame: Frame, axis: int) -> float:
-        a = float(frame.rows[axis].dot(v))
+        a = _dot(frame.rows[axis], v)
         return min(a * a, 1.0)
 
     return measure

@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import native
-from .geometry import DEGENERATE_EPS, OTHER_AXES, Frame, Ray, direction_cosines
+from .geometry import DEGENERATE_EPS, OTHER_AXES, Frame, Ray, _dot, direction_cosines
 from .outcomes import OutcomeDistribution
 from .quantum import LABELS
 
@@ -151,10 +151,9 @@ def _tree(
     ValueError is raised again on every call, not kept."""
     c = direction_cosines(p, e)
     s1 = _stage1(_weigh(w, c))
-    axes = e.rows
-    pv = p.array
-    dots = (float(pv.dot(axes[0])), float(pv.dot(axes[1])), float(pv.dot(axes[2])))
-    rows = e.matrix.tolist()
+    rows = e.rows
+    pv = p.rep.x, p.rep.y, p.rep.z
+    dots = [_dot(pv, axis) for axis in rows]
     cosines: list[float] = []  # two per first break of nonzero weight
     for first in (0, 1, 2):
         if s1[first] == 0.0:
@@ -172,10 +171,10 @@ def _tree(
         x = (dj * a0 + dk * b0) / norm
         y = (dj * a1 + dk * b1) / norm
         z = (dj * a2 + dk * b2) / norm
-        v = np.array((x, y, z))
-        n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its overhead
-        q = np.array((x / n, y / n, z / n))
-        cosines += (min(abs(float(q.dot(axes[j]))), 1.0), min(abs(float(q.dot(axes[k]))), 1.0))
+        v = x, y, z
+        n = math.sqrt(_dot(v, v))
+        q = x / n, y / n, z / n
+        cosines += (min(abs(_dot(q, rows[j])), 1.0), min(abs(_dot(q, rows[k])), 1.0))
     ws = _weigh(w, cosines).tolist()
     pairs = zip(ws[::2], ws[1::2])
     return s1, tuple(_stage2(*next(pairs)) if x != 0.0 else (0.0, 0.0) for x in s1)

@@ -356,13 +356,33 @@ MUTANTS = (
          "tests/test_cli.py::TestFramecheck::test_rod_variant_reports"),
     ),
     Mutant(
-        "rod tree: second in-plane cosine taken against axis j (q.dot(axes[j]))",
+        "rod tree: second in-plane cosine taken against axis j (_dot(q, rows[j]))",
         "src/bornsim/rod.py",
-        "float(q.dot(axes[k]))",
-        "float(q.dot(axes[j]))",
+        "_dot(q, rows[k])",
+        "_dot(q, rows[j])",
         ("tests/test_golden_analytic.py::test_rod_tables_are_bit_identical[quantum]",
          "tests/test_rod.py::TestStage2::test_in_plane_eigenstate_breaks_other_tie",
          _FRAMECHECK_PIN + "[rod-uniform-variant]"),
+    ),
+    Mutant(
+        "direction_cosines: the terms in the order 0, 1, 2, not the gemv's 1, 0, 2",
+        "src/bornsim/geometry.py",
+        "    v = r.y, r.x, r.z\n"
+        "    return tuple(min(abs(_dot((a1, a0, a2), v)), 1.0)",
+        "    v = r.x, r.y, r.z\n"
+        "    return tuple(min(abs(_dot((a0, a1, a2), v)), 1.0)",
+        (_ROD_TABLES + "[quantum]", _ROD_TABLES + "[uniform-variant]", _STAGES,
+         _FRAMECHECK_PIN + "[rod-quantum]", _FRAMECHECK_PIN + "[rod-uniform-variant]",
+         "tests/test_geometry.py::TestDirectionCosines::"
+         "test_equals_the_exact_fma_gemv_replica_on_every_kernel"),
+    ),
+    Mutant(
+        "Gleason measure: the dot as a plain sum, not the fma chain",
+        "src/bornsim/quantum.py",
+        "a = _dot(frame.rows[axis], v)",
+        "a = sum(x * y for x, y in zip(frame.rows[axis], v))",
+        ("tests/test_quantum.py::TestGleasonMeasure::"
+         "test_equals_the_exact_fma_replica_on_every_kernel",),
     ),
     Mutant(
         "rotate_frame_about_axis: the frame returned unrotated",

@@ -150,6 +150,12 @@ def dot_fma_chain(u, v) -> float:
     return s
 
 
+def gemv_fma_chain(m, v) -> list[float]:
+    """``m.dot(v)`` of a 3x3 ``m`` as OpenBLAS's SkylakeX and Haswell gemv
+    make it: each row's ``dot_fma_chain`` with the terms in the order 1, 0, 2."""
+    return [dot_fma_chain((r[1], r[0], r[2]), (v[1], v[0], v[2])) for r in m]
+
+
 def blas_dot_is_fma_chain(n: int = 500) -> bool:
     """Whether numpy's dot of two 3-vectors is ``dot_fma_chain`` here, as on
     OpenBLAS's SkylakeX kernel, on n seeded Gaussian pairs and their squares;

@@ -129,6 +129,16 @@ class TestGleasonMeasure:
             assert g.axes[axis] == f.axes[axis]
             assert m(f, axis) == m(g, axis)
 
+    def test_equals_the_exact_fma_replica_on_every_kernel(self):
+        # <psi, x> is the fma chain in term order 0, 1, 2, whatever the BLAS
+        # kernel; the pinned state's products are too exact to show that
+        for v, frame in random_ray_frame_pairs(seed=1957, n=2000):
+            measure, psi = gleason_measure(v), (v.x, v.y, v.z)
+            for axis, row in enumerate(frame.matrix.tolist()):
+                a = dot_fma_chain(row, psi)
+                # a * a, as the measure squares it: libm's pow (a ** 2) may round otherwise
+                assert measure(frame, axis) == min(a * a, 1.0)
+
 
 class TestFrameAdditivity:
     def test_gleason_sums_to_one(self, rng):

@@ -37,7 +37,7 @@ from bornsim.rod import (
 from bornsim.stats import RunConfig, chi_square_gof, run_trials
 from bornsim.streams import TrialStream, trial_uniforms
 
-from oracles import rod_tree_oracle, quantum_weight, variant_weight
+from oracles import gemv_fma_chain, rod_tree_oracle, quantum_weight, variant_weight
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -382,8 +382,9 @@ _RETAINED = ((1, 2), (0, 2), (0, 1))
 def _reference_constants(p, e, w):
     """Stage-1 cumulative sums and per-first-break stage-2 constants, as the
     nested-np.where kernel computed them: stage 1 from the ray's own
-    cosines, stage 2 from the rod's stage tree."""
-    c = np.minimum(np.abs(e.matrix @ p.array), 1.0)
+    cosines (the SkylakeX gemv's fma chain), stage 2 from the rod's stage
+    tree."""
+    c = np.minimum(np.abs(gemv_fma_chain(e.matrix.tolist(), p.array.tolist())), 1.0)
     w1 = np.asarray(w.fn(np.arccos(c)), dtype=float)
     s1 = w1 / float(w1.sum())
     elig = w1 > 0.0
