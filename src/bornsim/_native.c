@@ -1,7 +1,8 @@
-/* Native bodies of bornsim.streams.trial_uniforms, of the first pass of
- * bornsim.disk.up_indices, of bornsim.rod.outcomes_from_uniforms and of
- * bornsim.geometry.random_frame, built together into one library
- * (bornsim.native).
+/* The CPython extension module bornsim._native (built and loaded by
+ * bornsim.native): the native bodies of bornsim.streams.trial_uniforms, of
+ * the first pass of bornsim.disk.up_indices, of
+ * bornsim.rod.outcomes_from_uniforms and of bornsim.geometry.random_frame,
+ * and geometry._dot's fma chain.
  *
  * Build with -O3 -fno-math-errno -fno-trapping-math, never -ffast-math:
  * the disk pass's loop, quadrant selects and domain select vectorize only
@@ -13,13 +14,21 @@
  * The loop under each "hot loop:" comment must vectorize; CI builds this
  * file with -fopt-info-vec-optimized and fails if GCC does not report it.
  *
- * Each exported loop has one copy per x86-64 level, picked when the library
- * loads: AVX-512 has the 64-bit multiply and int64 -> double conversion as
- * vector instructions, which -O3 alone cannot assume. random_frame, which
- * is not a loop, has one copy. The clones are built with GCC only; other
- * compilers build the plain loops. No static state: the functions are
- * called without the GIL from several threads at once.
+ * Each loop has one copy per x86-64 level, picked when the module loads:
+ * AVX-512 has the 64-bit multiply and int64 -> double conversion as vector
+ * instructions, which -O3 alone cannot assume. random_frame and dot, which
+ * are not loops, have one copy. The clones are built with GCC only; other
+ * compilers build the plain loops.
+ *
+ * Each body has a wrapper next to it that Python calls. The loop wrappers
+ * take their arrays through the buffer protocol (array() checks that each
+ * is C-contiguous float64 or int64 and of the right length) and release the
+ * GIL around the loop, so the runner's worker threads run them in
+ * parallel. No static state: the loops run without the GIL from several
+ * threads at once.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -28,6 +37,80 @@
 #else
 #define CLONES
 #endif
+
+/* ---- Arguments from Python. */
+
+static Py_ssize_t items(const Py_buffer *view)
+{
+    return view->len / view->itemsize;
+}
+
+/* The buffer of obj, which must be a C-contiguous array of float64 (type
+ * 'd') or int64 (type 'q') items, and writable for an upper-case type; -1
+ * with an exception set otherwise. */
+static int array(PyObject *obj, Py_buffer *view, char type)
+{
+    int writable = type == 'D' || type == 'Q', real = type == 'd' || type == 'D';
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                           | (writable ? PyBUF_WRITABLE : 0)) < 0)
+        return -1;
+    const char *format = view->format ? view->format : "B";
+    const char *f = format[0] == '@' ? format + 1 : format;
+    int ok = real ? f[0] == 'd' : f[0] == 'q' || f[0] == 'l';
+    if (ok && f[1] == '\0' && view->itemsize == 8)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "expected a C-contiguous %s array, not format '%s'",
+                 real ? "float64" : "int64", format);
+    PyBuffer_Release(view);
+    return -1;
+}
+
+static void release(Py_buffer *views, int n)
+{
+    while (n-- > 0)
+        PyBuffer_Release(&views[n]);
+}
+
+/* The buffers of args[i], one per letter of types (see array), all of n
+ * items, or all as many as the first where n < 0; -1 with an exception set
+ * and none held otherwise. */
+static int arrays(PyObject *const *args, const char *types, Py_buffer *views, Py_ssize_t n)
+{
+    for (int i = 0; types[i]; i++) {
+        if (array(args[i], &views[i], types[i]) < 0) {
+            release(views, i);
+            return -1;
+        }
+        if (n < 0)
+            n = items(&views[i]);
+        if (items(&views[i]) != n) {
+            PyErr_Format(PyExc_ValueError, "an array has %zd items, not %zd",
+                         items(&views[i]), n);
+            release(views, i + 1);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* args[0..n) as doubles; -1 with an exception set if one is not a number */
+static int doubles(PyObject *const *args, int n, double *x)
+{
+    for (int i = 0; i < n; i++) {
+        x[i] = PyFloat_AsDouble(args[i]);
+        if (x[i] == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+static int nargs_is(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, want, nargs);
+    return -1;
+}
 
 /* ---- The fill of bornsim.streams.trial_uniforms.
  *
@@ -58,7 +141,7 @@ static inline uint64_t mix64(uint64_t z)
 }
 
 CLONES
-void trial_uniforms(double *out, uint64_t seed, uint64_t base, int64_t n, int64_t ndraws)
+static void trial_uniforms(double *out, uint64_t seed, uint64_t base, int64_t n, int64_t ndraws)
 {
     uint64_t state[FILL_BLOCK];
     for (int64_t a = 0; a < n; a += FILL_BLOCK) {
@@ -74,6 +157,33 @@ void trial_uniforms(double *out, uint64_t seed, uint64_t base, int64_t n, int64_
                 row[i] = (double)(int64_t)(mix64(state[i] + step) >> 11) * 0x1p-53;
         }
     }
+}
+
+static int uint64(PyObject *obj, uint64_t *x)
+{
+    *x = PyLong_AsUnsignedLongLong(obj);
+    return *x == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* trial_uniforms(out, seed, base): fills out, float64 of shape (ndraws, n) */
+static PyObject *py_trial_uniforms(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    uint64_t seed, base;
+    Py_buffer out;
+    if (nargs_is("trial_uniforms", nargs, 3) < 0 || uint64(args[1], &seed) < 0
+        || uint64(args[2], &base) < 0 || arrays(args, "D", &out, -1) < 0)
+        return NULL;
+    if (out.ndim != 2) {
+        PyErr_SetString(PyExc_ValueError, "out must be 2-d: (ndraws, n)");
+        PyBuffer_Release(&out);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    trial_uniforms(out.buf, seed, base, out.shape[1], out.shape[0]);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&out);
+    Py_RETURN_NONE;
 }
 
 /* ---- The first pass of bornsim.disk.up_indices.
@@ -121,9 +231,9 @@ static inline void trig(double u2, double *c, double *s)
 }
 
 CLONES
-int64_t disk_first_pass(const double *u1, const double *u2, int64_t n, double aq,
-                        double bq, double pq, double margin, int64_t *near,
-                        int64_t *down)
+static int64_t disk_first_pass(const double *u1, const double *u2, int64_t n, double aq,
+                               double bq, double pq, double margin, int64_t *near,
+                               int64_t *down)
 {
     double tq[DISK_BLOCK];
     int64_t below = 0, m = 0;
@@ -150,11 +260,43 @@ int64_t disk_first_pass(const double *u1, const double *u2, int64_t n, double aq
     return m;
 }
 
+/* disk_first_pass(u1, u2, near, aq, bq, pq, margin) -> (m, down): u1, u2
+ * and near of one length, near int64 */
+static PyObject *py_disk_first_pass(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    double x[4];
+    Py_buffer v[3];
+    if (nargs_is("disk_first_pass", nargs, 7) < 0 || doubles(args + 3, 4, x) < 0
+        || arrays(args, "ddQ", v, -1) < 0)
+        return NULL;
+    int64_t m, down;
+    Py_BEGIN_ALLOW_THREADS
+    m = disk_first_pass(v[0].buf, v[1].buf, items(v), x[0], x[1], x[2], x[3], v[2].buf, &down);
+    Py_END_ALLOW_THREADS
+    release(v, 3);
+    return Py_BuildValue("(LL)", (long long)m, (long long)down);
+}
+
 /* The pass's cos(2 pi u2) and sin(2 pi u2), for the tests that bound their error */
-void disk_trig(const double *u2, int64_t n, double *c, double *s)
+static void disk_trig(const double *u2, int64_t n, double *c, double *s)
 {
     for (int64_t i = 0; i < n; i++)
         trig(u2[i], &c[i], &s[i]);
+}
+
+/* disk_trig(u2, c, s): writes c and s, all three float64 of one length */
+static PyObject *py_disk_trig(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    Py_buffer v[3];
+    if (nargs_is("disk_trig", nargs, 3) < 0 || arrays(args, "dDD", v, -1) < 0)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    disk_trig(v[0].buf, items(v), v[1].buf, v[2].buf);
+    Py_END_ALLOW_THREADS
+    release(v, 3);
+    Py_RETURN_NONE;
 }
 
 /* ---- The count step of bornsim.rod.outcomes_from_uniforms.
@@ -168,8 +310,8 @@ void disk_trig(const double *u2, int64_t n, double *c, double *s)
  */
 
 CLONES
-void rod_count(const double *u1, const double *u2, int64_t n, double t0, double t1,
-               double r0, double r1, double r2, int64_t *counts)
+static void rod_count(const double *u1, const double *u2, int64_t n, double t0, double t1,
+                      double r0, double r1, double r2, int64_t *counts)
 {
     int64_t n0 = 0, n2 = 0, k0 = 0, k1 = 0, k2 = 0;
     /* hot loop: rod_count */
@@ -189,6 +331,27 @@ void rod_count(const double *u1, const double *u2, int64_t n, double t0, double 
     counts[3] = n1 - k1;
     counts[4] = k2;
     counts[5] = n2 - k2;
+}
+
+/* rod_count(u1, u2, counts, t0, t1, r0, r1, r2): u1 and u2 float64 of one
+ * length, counts int64 of 6 */
+static PyObject *py_rod_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    double x[5];
+    Py_buffer v[3];
+    if (nargs_is("rod_count", nargs, 8) < 0 || doubles(args + 3, 5, x) < 0
+        || arrays(args, "dd", v, -1) < 0)
+        return NULL;
+    if (arrays(args + 2, "Q", v + 2, 6) < 0) {
+        release(v, 2);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    rod_count(v[0].buf, v[1].buf, items(v), x[0], x[1], x[2], x[3], x[4], v[2].buf);
+    Py_END_ALLOW_THREADS
+    release(v, 3);
+    Py_RETURN_NONE;
 }
 
 /* ---- The body of bornsim.geometry.random_frame for one draw.
@@ -242,7 +405,7 @@ static int unit(const double *v, double *w)
     return 0;
 }
 
-int random_frame(const double *g, double *out)
+static int random_frame(const double *g, double *out)
 {
     double u[9];
     for (int r = 0; r < 3; r++) {
@@ -276,6 +439,78 @@ int random_frame(const double *g, double *out)
     return 0;
 }
 
+/* random_frame(g) -> the three axes as tuples of floats, or None: g float64
+ * of 9 items */
+static PyObject *py_random_frame(PyObject *self, PyObject *g)
+{
+    (void)self;
+    Py_buffer v;
+    double a[9];
+    if (arrays(&g, "d", &v, 9) < 0)
+        return NULL;
+    int again = random_frame(v.buf, a);
+    PyBuffer_Release(&v);
+    if (again)
+        Py_RETURN_NONE;
+    return Py_BuildValue("((ddd)(ddd)(ddd))", a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7],
+                         a[8]);
+}
+
+/* The three items of a sequence of numbers; -1 with an exception set if it
+ * is not one */
+static int vector(PyObject *obj, double *x)
+{
+    PyObject *seq = PySequence_Fast(obj, "expected a sequence of three numbers");
+    if (seq == NULL)
+        return -1;
+    int ok = PySequence_Fast_GET_SIZE(seq) == 3;
+    if (!ok)
+        PyErr_SetString(PyExc_ValueError, "expected a sequence of three numbers");
+    for (int i = 0; ok && i < 3; i++) {
+        x[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq, i));
+        ok = !(x[i] == -1.0 && PyErr_Occurred());
+    }
+    Py_DECREF(seq);
+    return ok ? 0 : -1;
+}
+
+/* dot(u, v): ddot3 of two 3-vectors, the body of geometry._dot */
+static PyObject *py_dot(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    double u[3], v[3];
+    if (nargs_is("dot", nargs, 2) < 0 || vector(args[0], u) < 0 || vector(args[1], v) < 0)
+        return NULL;
+    return PyFloat_FromDouble(ddot3(u, v));
+}
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC pop_options
 #endif
+
+/* ---- The module. */
+
+#define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
+
+static PyMethodDef methods[] = {
+    {"trial_uniforms", FASTCALL(py_trial_uniforms), "trial_uniforms(out, seed, base)"},
+    {"disk_first_pass", FASTCALL(py_disk_first_pass),
+     "disk_first_pass(u1, u2, near, aq, bq, pq, margin) -> (m, down)"},
+    {"disk_trig", FASTCALL(py_disk_trig), "disk_trig(u2, c, s)"},
+    {"rod_count", FASTCALL(py_rod_count), "rod_count(u1, u2, counts, t0, t1, r0, r1, r2)"},
+    {"random_frame", py_random_frame, METH_O, "random_frame(g) -> axes or None"},
+    {"dot", FASTCALL(py_dot), "dot(u, v) -> float"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "bornsim._native",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__native(void)
+{
+    return PyModule_Create(&module);
+}

@@ -24,7 +24,6 @@ float64 formula's, on either path; see ``up_indices``.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -138,10 +137,7 @@ def up_indices(dots: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     else:
         u1, u2 = np.ascontiguousarray(u1), np.ascontiguousarray(u2)
         near = np.empty(len(u1), dtype=np.int64)
-        below = ctypes.c_int64()
-        m = lib.disk_first_pass(u1.ctypes.data, u2.ctypes.data, len(u1), *dots, _MARGIN,
-                                near.ctypes.data, ctypes.byref(below))
-        down = below.value
+        m, down = lib.disk_first_pass(u1, u2, near, *dots, _MARGIN)
         if m:
             near = near[:m]
             down += int(np.count_nonzero(_t_dot_q(u1[near], u2[near], *dots) <= 0.0))

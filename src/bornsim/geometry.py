@@ -30,10 +30,13 @@ digests), so a rewrite of this path must keep every rounding step:
   gemv ``m.dot(v)`` takes each row's terms in the order 1, 0, 2, and so
   does ``direction_cosines``. Written out, the chain gives the same bits
   on OpenBLAS's Haswell and Prescott kernels, which sum otherwise.
-  ``_fma`` is exact: Dekker's TwoProduct and the correctly rounded
+  In a process where the C extension module (``native.LIBRARY``) loads,
+  ``_dot`` is its ``dot``, and ``random_frame``'s C body takes its dots
+  there too: both make the chain with C's ``fma()`` (``ddot3`` in
+  ``_native.c``). Elsewhere ``_dot`` is ``_chain_dot`` on Python floats,
+  whose ``_fma`` is exact: Dekker's TwoProduct and the correctly rounded
   ``math.fsum``, and ``Fraction`` where a product is too small for
-  TwoProduct. ``random_frame``'s C body (``_native.c``) makes the same
-  chain with ``fma()``.
+  TwoProduct. The tests hold each body to the other.
 * The dots that stay BLAS calls are ``_unit_cross``' norm,
   ``disk.basis_dots``, ``_unit_components``' norm of a component of 1e100
   or more (beyond ``_fma``'s contract; it may overflow to ``inf``) and the
@@ -59,7 +62,6 @@ digests), so a rewrite of this path must keep every rounding step:
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -160,11 +162,13 @@ class Frame:
 
     ``rows`` holds the axes' representatives as three (x, y, z) float
     triples. Their pairwise |cos|, a plain float sum that pins no bit, must
-    be within ``ORTHO_TOL``.
+    be within ``ORTHO_TOL``. The hash is the dataclass's, kept from the
+    first ``hash``: ``rod._tree``'s memo hashes its frame on every call.
     """
 
     axes: tuple[Ray, Ray, Ray]
     rows: tuple = field(init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple((a.rep.x, a.rep.y, a.rep.z) for a in self.axes)
@@ -176,6 +180,11 @@ class Frame:
                     f"frame axes {i} and {j} not orthogonal: |cos| = {d:.3e}"
                 )
         object.__setattr__(self, "rows", rows)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.axes,)))
+        return self._hash
 
     @property
     def matrix(self) -> np.ndarray:
@@ -230,8 +239,15 @@ def _fma(a: float, b: float, c: float) -> float:
 def _dot(u, v) -> float:
     """The dot of two 3-vectors as OpenBLAS's SkylakeX ``ddot`` makes it:
     ``fma(u2, v2, fma(u1, v1, fma(u0, v0, 0.0)))`` (see the rounding
-    contract). The innermost fma is the rounded product wherever that is
-    not below 2**-900."""
+    contract). The C extension module's ``dot`` where it loads, else
+    ``_chain_dot``; the two give the same bits."""
+    lib = native.LIBRARY.load()
+    return _chain_dot(u, v) if lib is None else lib.dot(u, v)
+
+
+def _chain_dot(u, v) -> float:
+    """``_dot`` on Python floats, with ``_fma``. The innermost fma is the
+    rounded product wherever that is not below 2**-900."""
     s = u[0] * v[0]
     if abs(s) < _TINY:
         s = _fma(u[0], v[0], 0.0)
@@ -385,17 +401,11 @@ def random_frame(rng: np.random.Generator) -> Frame:
     and draw alike.
     """
     lib = native.LIBRARY.load()
-    draws, out = (ctypes.c_double * 9)(), (ctypes.c_double * 9)()
-    g = np.frombuffer(draws).reshape(3, 3)  # each draw is written into ``draws``
+    g = np.empty((3, 3))
     while True:
         rng.standard_normal(out=g)
-        if lib is None:
-            axes = _random_axes(g.tolist())
-            if axes is None:
-                continue
-        elif lib.random_frame(draws, out):
+        axes = _random_axes(g.tolist()) if lib is None else lib.random_frame(g)
+        if axes is None:
             continue
-        else:
-            axes = out[0:3], out[3:6], out[6:9]
         with contextlib.suppress(ValueError):  # not orthogonal to 1e-10: draw again
             return Frame(tuple(_ray(*axis) for axis in axes))

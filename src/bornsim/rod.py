@@ -254,7 +254,7 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
     if lib is not None:
         u1, u2 = np.ascontiguousarray(u1), np.ascontiguousarray(u2)
         counts = np.empty(6, dtype=np.int64)
-        lib.rod_count(u1.ctypes.data, u2.ctypes.data, len(u1), *th, counts.ctypes.data)
+        lib.rod_count(u1, u2, counts, *th)
         return counts
     t0, t1, r0, r1, r2 = th
 

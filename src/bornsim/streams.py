@@ -16,9 +16,9 @@ The numpy fill computes the same formula on uint64 arrays (which wrap mod
 2**64, as SplitMix64 needs), one sub-block of ``_BLOCK`` trials at a time.
 
 ``trial_uniforms`` runs a native body, in ``_native.c``, when the
-package's C library (``native.LIBRARY``) loads: one C call per chunk fills
-the whole array, in 4096-trial blocks, and ctypes releases the GIL for the
-call, so the runner's worker threads draw in parallel. It is exact for the
+package's C extension module (``native.LIBRARY``) loads: one C call per
+chunk fills the whole array, in 4096-trial blocks, and releases the GIL
+while it does, so the runner's worker threads draw in parallel. It is exact for the
 same reasons as the numpy path: the mixing is integer arithmetic mod 2**64,
 the 53-bit word converts to float64 exactly, and scaling by 2**-53 (a power
 of two) is exact; the library is built without -ffast-math. Where the
@@ -94,8 +94,7 @@ def trial_uniforms(master_seed: int, start: int, stop: int, ndraws: int) -> np.n
         return _numpy_uniforms(master_seed, start, stop, ndraws)
     n = stop - start
     out = np.empty((ndraws, n), dtype=float)  # C-contiguous; rejects n < 0
-    lib.trial_uniforms(out.ctypes.data, master_seed & _MASK, (start + 1) * GOLDEN & _MASK, n,
-                       ndraws)
+    lib.trial_uniforms(out, master_seed & _MASK, (start + 1) * GOLDEN & _MASK)
     return out
 
 

@@ -28,8 +28,8 @@ def rng():
 @pytest.fixture
 def numpy_only(monkeypatch):
     """The process as it runs where the C library does not load: the numpy
-    fill, the float64 formula on every trial of the disk kernel, and the
-    numpy masks of the rod count step."""
+    fill, the float64 formula on every trial of the disk kernel, the numpy
+    masks of the rod count step, and frames and dots on Python floats."""
     monkeypatch.setattr(native.LIBRARY, "load", lambda: None)
 
 

@@ -67,8 +67,8 @@ _FRAME_FUNCTION = ("tests/test_quantum.py::"
                    "test_of_the_weight_families_only_sin_squared_gives_a_frame_function")
 _REPLICA = "tests/test_geometry.py::test_random_frames_equal_the_exact_fma_replica"
 _EDGE_DRAWS = "tests/test_geometry.py::test_edge_draws_give_the_replica_frame"
-_EXTREME_SCALES = ("tests/test_geometry.py::"
-                   "test_orthonormal_frame_on_extreme_scales_equals_the_replica")
+_DOT_PARITY = "tests/test_geometry.py::test_native_and_python_dots_equal_the_replica"
+_DOT_GAUSSIAN = "tests/test_geometry.py::test_native_dot_is_the_chain_on_gaussian_vectors"
 
 MUTANTS = (
     Mutant(
@@ -316,10 +316,7 @@ MUTANTS = (
         "src/bornsim/geometry.py",
         "    s = math.fsum((p, e, c))\n    return s if s else p + c\n",
         "    return p + c\n",
-        ("tests/test_golden_analytic.py::test_orthonormal_frames_are_bit_identical",
-         _REPLICA + "[numpy-3]",
-         _EXTREME_SCALES + "[1e308]",
-         "tests/test_geometry.py::TestFrames::test_normalize_is_the_chain_quotient_on_every_kernel"),
+        (_REPLICA + "[numpy-3]", _DOT_PARITY, _DOT_GAUSSIAN),
     ),
     Mutant(
         "Python _dot: the innermost fma taken as the bare product (a -0.0 product stays -0.0)",
@@ -335,6 +332,24 @@ MUTANTS = (
         "return a[0] * b[0] + a[1] * b[1] + a[2] * b[2];",
         (_REPLICA + "[native-3]", _EDGE_DRAWS + "[native-signed-zeros]",
          "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]"),
+    ),
+    Mutant(
+        "native dot takes its terms in the order 1, 0, 2",
+        "src/bornsim/_native.c",
+        "    return PyFloat_FromDouble(ddot3(u, v));",
+        "    double u1[3] = {u[1], u[0], u[2]}, v1[3] = {v[1], v[0], v[2]};\n"
+        "    return PyFloat_FromDouble(ddot3(u1, v1));",
+        (_DOT_PARITY, _DOT_GAUSSIAN),
+    ),
+    Mutant(
+        "fill wrapper keeps the GIL",
+        "src/bornsim/_native.c",
+        "    Py_BEGIN_ALLOW_THREADS\n"
+        "    trial_uniforms(out.buf, seed, base, out.shape[1], out.shape[0]);\n"
+        "    Py_END_ALLOW_THREADS\n",
+        "    trial_uniforms(out.buf, seed, base, out.shape[1], out.shape[0]);\n",
+        ("tests/test_streams_native.py::"
+         "test_the_main_thread_runs_python_while_a_native_fill_runs",),
     ),
     Mutant(
         "random_frame C body: one Gram-Schmidt pass, not two",

@@ -1,4 +1,3 @@
-import ctypes
 import math
 
 import numpy as np
@@ -176,12 +175,11 @@ def _c_pass_only(p, q, u1, u2):
     the C pass with no margin, one trial at a time (an exact 0 is down)."""
     first_pass = native.LIBRARY.load().disk_first_pass
     dots = basis_dots(p, q)
-    near, down = np.empty(1, dtype=np.int64), ctypes.c_int64()
+    near = np.empty(1, dtype=np.int64)
     out = np.empty(len(u1), dtype=np.int64)
     for i in range(len(u1)):
-        m = first_pass(u1[i:].ctypes.data, u2[i:].ctypes.data, 1, *dots, 0.0,
-                       near.ctypes.data, ctypes.byref(down))
-        out[i] = down.value + m
+        m, down = first_pass(u1[i : i + 1], u2[i : i + 1], near, *dots, 0.0)
+        out[i] = down + m
     return out
 
 
@@ -304,9 +302,7 @@ def test_out_of_domain_and_strided_draws_get_the_float64_counts(path):
             assert up_indices(dots, v[0], v[1]).tolist() == [1_000 - down, down], name
         if path == "native":
             near = np.empty(1_000, np.int64)
-            m = native.LIBRARY.load().disk_first_pass(
-                v[0].ctypes.data, v[1].ctypes.data, 1_000, *dots, disk._MARGIN,
-                near.ctypes.data, ctypes.byref(ctypes.c_int64()))
+            m, _ = native.LIBRARY.load().disk_first_pass(v[0], v[1], near, *dots, disk._MARGIN)
             assert m >= 0, name
             if name in outside:
                 assert 700 in near[:m], name
@@ -336,7 +332,7 @@ def test_c_trig_stays_inside_the_kernel_margin():
                          *near_switches])
     u2 = u2[(u2 >= 0.0) & (u2 <= 1.0)]
     c, s = np.empty_like(u2), np.empty_like(u2)
-    lib.disk_trig(u2.ctypes.data, len(u2), c.ctypes.data, s.ctypes.data)
+    lib.disk_trig(u2, c, s)
     phi = 2.0 * math.pi * u2
     for name, got, want in (("cos", c, np.cos(phi)), ("sin", s, np.sin(phi))):
         err = float(np.abs(got - want).max())

@@ -1,14 +1,16 @@
 """The C library against its numpy oracles, and the loader that builds it.
 
-The package's one C library, ``native.LIBRARY`` (``_native.c``), holds the
-fill of ``streams.trial_uniforms``, the first pass of ``disk.up_indices``
-and the rod's count step. It is built on its first use in a process, into a
-per-user cache; any failure leaves the process on its numpy bodies. These
-tests check that both fills give the same bits, that the disk counts are the
-one-pass float64 formula's, that the CLI prints the same bytes on both
-paths, and that the build is done once, keyed by its source and never
-loaded from a directory another user can write. ``test_rod.py`` checks the
-rod count step against its numpy body.
+The package's one C extension module, ``native.LIBRARY`` (``_native.c``),
+holds the fill of ``streams.trial_uniforms``, the first pass of
+``disk.up_indices``, the rod's count step, ``random_frame``'s body and the
+dot. It is built on its first use in a process, into a per-user cache; any
+failure leaves the process on its numpy bodies. These tests check that both
+fills give the same bits, that the fill lets other threads run Python, that
+the disk counts are the one-pass float64 formula's, that the CLI prints the
+same bytes on both paths, and that the build is done once, keyed by its
+source and interpreter and never loaded from a directory another user can
+write. ``test_rod.py`` checks the rod count step against its numpy body,
+and ``test_geometry.py`` the frame and the dot against their replicas.
 """
 
 from __future__ import annotations
@@ -125,6 +127,51 @@ def test_no_compiler_gives_the_numpy_bytes(cold_cache, monkeypatch):
     assert not cold_cache.exists()
 
 
+def test_the_main_thread_runs_python_while_a_native_fill_runs(loads):
+    """The fill releases the GIL: while one thread fills 2**24 trials, this
+    one reads the array half written. A fill that kept the GIL would let
+    it read only before the call or after it."""
+    fill = native.LIBRARY.load().trial_uniforms
+    out = np.empty((1, 1 << 24))
+    half_written = False
+    for _ in range(3):  # the host may not schedule this thread during one fill
+        out.fill(-1.0)  # no draw is negative
+        worker = threading.Thread(target=fill, args=(out, 7, streams.GOLDEN))
+        worker.start()
+        while worker.is_alive() and not half_written:
+            half_written = out[0, 0] >= 0.0 and out[0, -1] < 0.0
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        if half_written:
+            break
+    assert half_written
+    assert out[0, -1] == TrialStream(7, (1 << 24) - 1).random()
+
+
+def test_the_loops_take_only_contiguous_arrays_of_their_type_and_length(loads):
+    lib = native.LIBRARY.load()
+    u = np.zeros(8)
+    near, counts = np.empty(8, dtype=np.int64), np.empty(6, dtype=np.int64)
+    wrong = {
+        "float32 out": (TypeError, lib.trial_uniforms, np.empty((2, 8), np.float32), 1, 2),
+        "strided out": (ValueError, lib.trial_uniforms, np.empty((2, 8))[:, ::2], 1, 2),
+        "read-only out": (ValueError, lib.trial_uniforms, np.empty((2, 8)), 1, 2),
+        "1-d out": (ValueError, lib.trial_uniforms, np.empty(8), 1, 2),
+        "negative seed": (OverflowError, lib.trial_uniforms, np.empty((2, 8)), -1, 2),
+        "int64 draws": (TypeError, lib.rod_count, near, u, counts, 0.1, 0.2, 0.3, 0.4, 0.5),
+        "short u2": (ValueError, lib.rod_count, u, u[:7], counts, 0.1, 0.2, 0.3, 0.4, 0.5),
+        "5 counts": (ValueError, lib.rod_count, u, u, counts[:5], 0.1, 0.2, 0.3, 0.4, 0.5),
+        "float near": (TypeError, lib.disk_first_pass, u, u, u, 0.1, 0.2, 0.3, 0.0),
+        "short near": (ValueError, lib.disk_first_pass, u, u, near[:7], 0.1, 0.2, 0.3, 0.0),
+        "8 draws": (ValueError, lib.random_frame, u),
+        "a missing argument": (TypeError, lib.disk_trig, u, u),
+    }
+    wrong["read-only out"][2].flags.writeable = False
+    for error, function, *args in wrong.values():
+        with pytest.raises(error):
+            function(*args)
+
+
 def test_two_threads_on_a_cold_cache_build_once(loads, cold_cache, monkeypatch):
     builds = []
     run = subprocess.run
@@ -194,6 +241,36 @@ def test_a_cache_directory_others_can_write_is_not_used(loads, cold_cache):
     assert lib.load() is not None  # built in a private directory
     assert planted.read_bytes() == b"not a library"
     assert [p.name for p in cold_cache.iterdir()] == [planted.name]
+
+
+def test_a_corrupt_cached_module_is_not_loaded(loads, cold_cache):
+    lib = native.LIBRARY
+    cold_cache.mkdir(mode=0o700)
+    cc = shutil.which("cc") or shutil.which("gcc")
+    (cold_cache / lib.file_name(lib.source.read_bytes(), cc)).write_bytes(b"not a module")
+    assert lib.load() is None
+    assert _both_same()
+
+
+def test_the_cache_name_follows_the_interpreter(monkeypatch):
+    lib = native.LIBRARY
+    source = lib.source.read_bytes()
+    name = lib.file_name(source, "/usr/bin/cc")
+    assert dataclasses.replace(lib, include="/usr/include/python3.10").file_name(
+        source, "/usr/bin/cc") != name
+    config_var = native.sysconfig.get_config_var
+    monkeypatch.setattr(native.sysconfig, "get_config_var", lambda key: (
+        ".cpython-310-x86_64-linux-gnu.so" if key == "EXT_SUFFIX" else config_var(key)))
+    assert lib.file_name(source, "/usr/bin/cc") != name
+
+
+def test_no_python_headers_gives_the_numpy_bytes(cold_cache, tmp_path, monkeypatch):
+    headers = tmp_path / "include"
+    headers.mkdir()  # a directory without Python.h
+    monkeypatch.setattr(native, "LIBRARY", dataclasses.replace(native.LIBRARY, include=str(headers)))
+    assert native.LIBRARY.load() is None
+    assert _both_same()
+    assert not list(cold_cache.glob("*"))  # no module and no temporary left
 
 
 def _cli(args, env, cwd):
