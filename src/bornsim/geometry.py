@@ -162,13 +162,14 @@ class Frame:
 
     ``rows`` holds the axes' representatives as three (x, y, z) float
     triples. Their pairwise |cos|, a plain float sum that pins no bit, must
-    be within ``ORTHO_TOL``. The hash is the dataclass's, kept from the
-    first ``hash``: ``rod._tree``'s memo hashes its frame on every call.
+    be within ``ORTHO_TOL``. The hash is taken once, of ``rows``: equal
+    frames have equal rows, and ``rod._tree``'s memo hashes its frame on
+    every call.
     """
 
     axes: tuple[Ray, Ray, Ray]
     rows: tuple = field(init=False, repr=False, compare=False)
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple((a.rep.x, a.rep.y, a.rep.z) for a in self.axes)
@@ -180,10 +181,9 @@ class Frame:
                     f"frame axes {i} and {j} not orthogonal: |cos| = {d:.3e}"
                 )
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash(rows))
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.axes,)))
         return self._hash
 
     @property

@@ -18,12 +18,12 @@ The numpy fill computes the same formula on uint64 arrays (which wrap mod
 ``trial_uniforms`` runs a native body, in ``_native.c``, when the
 package's C extension module (``native.LIBRARY``) loads: one C call per
 chunk fills the whole array, in 4096-trial blocks, and releases the GIL
-while it does, so the runner's worker threads draw in parallel. It is exact for the
-same reasons as the numpy path: the mixing is integer arithmetic mod 2**64,
-the 53-bit word converts to float64 exactly, and scaling by 2**-53 (a power
-of two) is exact; the library is built without -ffast-math. Where the
-library does not load, the process uses the numpy fill, which stays as the
-reference the tests compare the native fill with.
+while it does, so the runner's worker threads draw in parallel. It is exact
+for the same reasons as the numpy path: the mixing is integer arithmetic
+mod 2**64, the 53-bit word converts to float64 exactly, and scaling by
+2**-53 (a power of two) is exact; the module is built without -ffast-math.
+Where the module does not load, the process uses the numpy fill, which
+stays as the reference the tests compare the native fill with.
 """
 
 from __future__ import annotations

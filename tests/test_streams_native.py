@@ -267,7 +267,8 @@ def test_the_cache_name_follows_the_interpreter(monkeypatch):
 def test_no_python_headers_gives_the_numpy_bytes(cold_cache, tmp_path, monkeypatch):
     headers = tmp_path / "include"
     headers.mkdir()  # a directory without Python.h
-    monkeypatch.setattr(native, "LIBRARY", dataclasses.replace(native.LIBRARY, include=str(headers)))
+    without_headers = dataclasses.replace(native.LIBRARY, include=str(headers))
+    monkeypatch.setattr(native, "LIBRARY", without_headers)
     assert native.LIBRARY.load() is None
     assert _both_same()
     assert not list(cold_cache.glob("*"))  # no module and no temporary left
