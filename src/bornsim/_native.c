@@ -104,6 +104,13 @@ static int doubles(PyObject *const *args, int n, double *x)
     return 0;
 }
 
+/* obj as a uint64; -1 with an exception set if it is not one */
+static int uint64(PyObject *obj, uint64_t *x)
+{
+    *x = PyLong_AsUnsignedLongLong(obj);
+    return *x == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
 static int nargs_is(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
     if (nargs == want)
@@ -157,12 +164,6 @@ static void trial_uniforms(double *out, uint64_t seed, uint64_t base, int64_t n,
                 row[i] = (double)(int64_t)(mix64(state[i] + step) >> 11) * 0x1p-53;
         }
     }
-}
-
-static int uint64(PyObject *obj, uint64_t *x)
-{
-    *x = PyLong_AsUnsignedLongLong(obj);
-    return *x == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
 }
 
 /* trial_uniforms(out, seed, base): fills out, float64 of shape (ndraws, n) */
