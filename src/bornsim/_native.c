@@ -1,15 +1,15 @@
 /* The CPython extension module bornsim._native (built and loaded by
  * bornsim.native): the native bodies of bornsim.streams.trial_uniforms, of
  * the first pass of bornsim.disk.up_indices, of
- * bornsim.rod.outcomes_from_uniforms and of bornsim.geometry.random_frame,
- * and geometry._dot's fma chain.
+ * bornsim.rod.outcomes_from_uniforms, of bornsim.sphere.outcome_indices and
+ * of bornsim.geometry.random_frame, and geometry._dot's fma chain.
  *
  * Build with -O3 -fno-math-errno -fno-trapping-math, never -ffast-math:
  * the disk pass's loop, quadrant selects and domain select vectorize only
  * without errno and traps, -ffast-math may reassociate the rounding of k in
  * trig() below, and its -ffinite-math-only would let the compares of
- * rod_count assume that no draw is NaN. Neither flag changes the fill's
- * integer arithmetic.
+ * rod_count and sphere_count assume that no draw is NaN. Neither flag
+ * changes the fill's integer arithmetic.
  *
  * The loop under each "hot loop:" comment must vectorize; CI builds this
  * file with -fopt-info-vec-optimized and fails if GCC does not report it.
@@ -355,6 +355,42 @@ static PyObject *py_rod_count(PyObject *self, PyObject *const *args, Py_ssize_t 
     Py_RETURN_NONE;
 }
 
+/* ---- The count step of bornsim.sphere.outcome_indices.
+ *
+ * Counts the draws where the break point 2 u - 1 is at or above c (outcome
+ * o2), with the numpy body's compare: a NaN draw or a NaN c fails it, so
+ * the draw counts as o1, as in numpy. 2.0 * u is exact (or inf on both
+ * paths), so a contracted fma(2.0, u, -1.0) rounds once, as 2.0 * u - 1.0
+ * does, and gives the same bits.
+ */
+
+CLONES
+static int64_t sphere_count(const double *u, int64_t n, double c)
+{
+    int64_t k = 0;
+    /* hot loop: sphere_count */
+    for (int64_t i = 0; i < n; i++)
+        k += 2.0 * u[i] - 1.0 >= c;
+    return k;
+}
+
+/* sphere_count(u, c) -> k: u float64 */
+static PyObject *py_sphere_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    double c;
+    Py_buffer u;
+    if (nargs_is("sphere_count", nargs, 2) < 0 || doubles(args + 1, 1, &c) < 0
+        || arrays(args, "d", &u, -1) < 0)
+        return NULL;
+    int64_t k;
+    Py_BEGIN_ALLOW_THREADS
+    k = sphere_count(u.buf, items(&u), c);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&u);
+    return PyLong_FromLongLong(k);
+}
+
 /* ---- The body of bornsim.geometry.random_frame for one draw.
  *
  * g holds the nine draws of one standard_normal((3, 3)), row by row. The
@@ -499,6 +535,7 @@ static PyMethodDef methods[] = {
      "disk_first_pass(u1, u2, near, aq, bq, pq, margin) -> (m, down)"},
     {"disk_trig", FASTCALL(py_disk_trig), "disk_trig(u2, c, s)"},
     {"rod_count", FASTCALL(py_rod_count), "rod_count(u1, u2, counts, t0, t1, r0, r1, r2)"},
+    {"sphere_count", FASTCALL(py_sphere_count), "sphere_count(u, c) -> k"},
     {"random_frame", py_random_frame, METH_O, "random_frame(g) -> axes or None"},
     {"dot", FASTCALL(py_dot), "dot(u, v) -> float"},
     {NULL, NULL, 0, NULL},

@@ -3,8 +3,9 @@ per-user cache.
 
 ``_native.c`` is one CPython extension module, ``bornsim._native``, with
 the bodies of ``streams.trial_uniforms``' SplitMix64 fill, of the first pass
-of ``disk.up_indices``, of the rod's count step
-``rod.outcomes_from_uniforms``, of ``geometry.random_frame``'s frame from one
+of ``disk.up_indices``, of the count steps of the rod
+(``rod.outcomes_from_uniforms``) and of the sphere
+(``sphere.outcome_indices``), of ``geometry.random_frame``'s frame from one
 draw, and ``dot``, the fma chain of ``geometry._dot``. ``LIBRARY`` is its
 one ``Library``, and the only one in the package. Its first ``load()`` in a
 process compiles the source with the system ``cc`` (or ``gcc``) against the

@@ -288,7 +288,7 @@ def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, tuple[i
     u1 = rng.random()
     u2 = rng.random()
     counts = outcomes_from_uniforms(thresholds(p, e, w), np.array([u1]), np.array([u2]))
-    i = int(np.flatnonzero(counts)[0])
+    i = counts.tolist().index(1)
     k = _OUTCOMES[i]
     return LABELS[k], e.axes[k], _PATHS[i]
 

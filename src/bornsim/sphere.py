@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import native
 from .geometry import UnitVector
 from .outcomes import OutcomeDistribution, cosine_split
 
@@ -32,12 +33,22 @@ def outcome_indices(c: float, u1: np.ndarray) -> np.ndarray:
 
     ``c`` = u.v is the run constant. ``u1`` holds draw 0 of each trial; the
     break point is b = 2*u1 - 1 and the outcome is o1 iff b < c, with the
-    tie b == c going to o2. A ValueError is raised unless ``u1`` is 1-d.
+    tie b == c going to o2. A NaN draw or c fails that compare, so it
+    counts as o1. A ValueError is raised unless ``u1`` is 1-d.
+
+    Where ``native.LIBRARY.load()`` returns None, numpy counts the draws
+    with b >= c. Otherwise the C loop ``sphere_count``, on a contiguous
+    copy of strided draws, makes the same compare one draw at a time, so it
+    returns the same counts.
     """
     u1 = np.asarray(u1, dtype=float)
     if u1.ndim != 1:
         raise ValueError(f"u1 must be 1-d, not of shape {u1.shape}")
-    k = np.count_nonzero(2.0 * u1 - 1.0 >= c)
+    lib = native.LIBRARY.load()
+    if lib is None:
+        k = np.count_nonzero(2.0 * u1 - 1.0 >= c)
+    else:
+        k = lib.sphere_count(np.ascontiguousarray(u1), c)
     return np.array([len(u1) - k, k], dtype=np.int64)
 
 

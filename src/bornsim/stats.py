@@ -144,7 +144,9 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
     seed = operator.index(cfg.master_seed)  # a numpy integer overflows the streams' & mask
     kernel = model.kernel(cfg.state, cfg.measurement, cfg.weight)
     # -(-a // b) is ceil(a / b), the chunk count; len() of a range overflows
-    threads = min(cfg.workers, -(-cfg.trials // _CHUNK), os.cpu_count() or 1)
+    threads = min(cfg.workers, -(-cfg.trials // _CHUNK))
+    if threads > 1:  # cpu_count() is asked only where it can cap a pool
+        threads = min(threads, os.cpu_count() or 1)
 
     def count_chunks(k: int) -> np.ndarray:
         counts = np.zeros(len(model.labels), dtype=np.int64)
@@ -156,9 +158,10 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
         return counts
 
     def record(t: int) -> TrialRecord:
-        # trial t again, through its own stream and the same kernel
+        # trial t again, through its own stream and the same kernel; its
+        # count is one-hot, so index(1) is its label (and raises on no 1)
         u = trial_uniforms(seed, t, t + 1, model.draws)
-        return TrialRecord(t, model.labels[int(np.flatnonzero(kernel(u))[0])])
+        return TrialRecord(t, model.labels[kernel(u).tolist().index(1)])
 
     if threads == 1:
         counts = count_chunks(0)

@@ -29,7 +29,8 @@ def rng():
 def numpy_only(monkeypatch):
     """The process as it runs where the C library does not load: the numpy
     fill, the float64 formula on every trial of the disk kernel, the numpy
-    masks of the rod count step, and frames and dots on Python floats."""
+    masks of the rod count step, the numpy compare of the sphere count step,
+    and frames and dots on Python floats."""
     monkeypatch.setattr(native.LIBRARY, "load", lambda: None)
 
 
@@ -39,7 +40,8 @@ def path(request):
     library does not load), or its numpy body, as a process without the
     library runs it. For the disk kernel the C body is the first pass with
     its float64 recheck, and the numpy body the float64 formula on every
-    trial; for the rod, ``rod_count`` and the numpy masks."""
+    trial; for the rod, ``rod_count`` and the numpy masks; for the sphere,
+    ``sphere_count`` and the numpy compare."""
     if request.param == "numpy":
         request.getfixturevalue("numpy_only")
     elif native.LIBRARY.load() is None:

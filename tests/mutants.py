@@ -46,6 +46,7 @@ _WRAP_ROW = ("test_blocked_fill_matches_the_scalar_stream_bitwise"
 _ROD_ORACLE = "tests/test_rod.py::test_table_driven_kernel_matches_the_nested_where_reference"
 _ROD_PARITY = "tests/test_rod.py::test_c_and_numpy_count_steps_agree_on_edge_inputs"
 _FRAMECHECK_PIN = "tests/test_cli.py::TestFramecheck::test_out_bytes_are_pinned"
+_RECORDS = "tests/test_stats.py::TestRunTrials::test_records_replay_their_trials"
 _BLOCK_WALK = ("tests/test_stats.py::TestRunTrials::"
                "test_block_walk_counts_as_one_whole_array_kernel_call")
 _PINNED = "tests/test_cli.py::test_simulate_counts_are_pinned"
@@ -171,6 +172,22 @@ MUTANTS = (
          _ROD_PARITY,
          "tests/test_golden_counts.py::test_counts_match_the_recorded_ones"
          "[rod-quantum-seed0-N999]"),
+    ),
+    Mutant(
+        "sphere_count takes > for >=, so a tie b == c goes to o1",
+        "src/bornsim/_native.c",
+        "k += 2.0 * u[i] - 1.0 >= c;",
+        "k += 2.0 * u[i] - 1.0 > c;",
+        ("tests/test_sphere.py::TestSampler::test_tie_break_goes_to_o2",
+         "tests/test_sphere.py::test_c_and_numpy_count_steps_agree_on_edge_inputs"),
+    ),
+    Mutant(
+        "record takes the first label, not the one its trial counts on",
+        "src/bornsim/stats.py",
+        "model.labels[kernel(u).tolist().index(1)]",
+        "model.labels[0]",
+        tuple(_RECORDS + case for case in ("[sphere2d-measurement0]", "[ks-measurement1]",
+                                           "[rod-measurement2]")),
     ),
     Mutant(
         "rod tree, degenerate fallback: in-plane cosine of axis k read from axis j (c[j] / norm)",

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from bornsim import native
 from bornsim.geometry import UnitVector, random_unit_vector, unit_vector
 from bornsim.sphere import (
     LABELS,
@@ -75,6 +78,14 @@ class TestSampler:
             k = np.count_nonzero(2.0 * u1 - 1.0 >= c)
             assert outcome_indices(c, u1).tolist() == [n - k, k], c
 
+    def test_samples_follow_their_break_point_on_both_paths(self, path):
+        v = state_at(math.pi / 3)
+        c = EX.dot(v)
+        for trial in range(1000):
+            label, new_state, b = sphere_sample(EX, v, TrialStream(6, trial))
+            assert (label == "o1") == (b < c)
+            assert new_state == (EX if label == "o1" else -EX)
+
     def test_sample_returns_collapsed_state_and_hidden(self):
         stream = TrialStream(99, 0)
         label, new_state, b = sphere_sample(EX, state_at(math.pi / 3), stream)
@@ -136,3 +147,66 @@ class TestProperties:
             np.array([emp.counts, cat_counts])
         )
         assert p_value > 0.01
+
+
+def _numpy_counts(c, u1):
+    """``outcome_indices`` as a process without the C library runs it; a
+    draw above 2**1023 overflows 2 * u1 to inf there, as in C, with a warning."""
+    with pytest.MonkeyPatch.context() as m, np.errstate(over="ignore"):
+        m.setattr(native.LIBRARY, "load", lambda: None)
+        return outcome_indices(c, u1)
+
+
+def _agree(c, u1):
+    got = outcome_indices(c, u1)
+    want = _numpy_counts(c, u1)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist(), (c, u1)
+    return got.tolist()
+
+
+_native_loads = pytest.mark.skipif(
+    native.LIBRARY.load() is None, reason="the C library did not load: no C compiler")
+
+
+@_native_loads
+@settings(max_examples=200, deadline=None)
+@given(
+    u1=st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.floats(), max_size=40),
+    c=st.floats(-1.0, 1.0) | st.floats(),
+    tie=st.integers(0, 39),
+)
+def test_c_and_numpy_count_steps_agree_on_hypothesis_draws(u1, c, tie):
+    # sphere_count makes the numpy body's compare, NaN and inf draws included;
+    # the tie draw's own break point is tried as c too
+    if u1:
+        _agree(2.0 * u1[tie % len(u1)] - 1.0, np.array(u1))
+    _agree(c, np.array(u1, dtype=float))
+
+
+@_native_loads
+def test_c_and_numpy_count_steps_agree_on_edge_inputs():
+    special = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, 1.0, -0.25, 1.5,
+                        np.nextafter(1.0, 0.0), 5e-324])
+    for c in [-1.0, 1.0, np.nan, 0.0, -0.0, np.inf, -np.inf, 0.5, -0.5, 0.25]:
+        if math.isfinite(c) and abs(c) <= 1.0:
+            # a draw exactly at (c + 1) / 2 breaks at c: the tie goes to o2
+            tie = (c + 1.0) / 2.0
+            assert 2.0 * tie - 1.0 == c
+            assert _agree(c, np.array([tie])) == [0, 1]
+        for x in special:
+            _agree(c, np.array([x]))
+        _agree(c, special)
+        assert _agree(c, special[:0]) == [0, 0]
+    # a NaN draw or a NaN c fails the compare: o1
+    assert _agree(0.0, np.array([np.nan])) == [1, 0]
+    assert _agree(np.nan, np.array([0.0, 0.5, 1.0])) == [3, 0]
+    assert _agree(-np.inf, np.array([np.inf, -np.inf])) == [0, 2]
+    # draw 0 of a (2, n) block is a strided row
+    block = trial_uniforms(master_seed=33, start=0, stop=1001, ndraws=2)
+    assert not block[0, ::3].flags.c_contiguous
+    for c in (-0.4, 0.1, 2.0 * block[0, 500] - 1.0):
+        k = np.count_nonzero(2.0 * block[0] - 1.0 >= c)
+        assert _agree(c, block[0]) == [1001 - k, k]
+        _agree(c, block[0, ::3])
+        _agree(c, block[:, :7].T[:, 0])

@@ -138,6 +138,26 @@ class TestRunTrials:
             before = emp.counts
         assert len(run_trials(replace(cfg, trials=3))[1]) == 3
 
+    def test_a_record_counted_on_no_label_raises(self, monkeypatch):
+        # a replayed trial lands on exactly one label; a 1-trial count with no
+        # 1 in it is an error, not the first label
+        calls = []
+        sphere2d = MODELS["sphere2d"]
+
+        def kernel(state, direction, weight):
+            count = sphere2d.kernel(state, direction, weight)
+
+            def first_call_counts(u):
+                calls.append(u.shape[1])
+                return count(u) if len(calls) == 1 else np.zeros(2, dtype=np.int64)
+
+            return first_call_counts
+
+        monkeypatch.setitem(stats.MODELS, "sphere2d", replace(sphere2d, kernel=kernel))
+        with pytest.raises(ValueError):
+            run_trials(RunConfig("sphere2d", P_BENCH, EX, trials=3, master_seed=1))
+        assert calls == [3, 1]
+
     def test_model_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
             run_trials(RunConfig("coin", P_BENCH, EX, trials=1, master_seed=1))

@@ -2,15 +2,15 @@
 
 The package's one C extension module, ``native.LIBRARY`` (``_native.c``),
 holds the fill of ``streams.trial_uniforms``, the first pass of
-``disk.up_indices``, the rod's count step, ``random_frame``'s body and the
-dot. It is built on its first use in a process, into a per-user cache; any
+``disk.up_indices``, the rod's and the sphere's count steps,
+``random_frame``'s body and the dot. It is built on its first use in a process, into a per-user cache; any
 failure leaves the process on its numpy bodies. These tests check that both
 fills give the same bits, that the fill lets other threads run Python, that
 the disk counts are the one-pass float64 formula's, that the CLI prints the
 same bytes on both paths, and that the build is done once, keyed by its
 source and interpreter and never loaded from a directory another user can
-write. ``test_rod.py`` checks the rod count step against its numpy body,
-and ``test_geometry.py`` the frame and the dot against their replicas.
+write. ``test_rod.py`` and ``test_sphere.py`` check the rod and sphere
+count steps against their numpy bodies, and ``test_geometry.py`` the frame and the dot against their replicas.
 """
 
 from __future__ import annotations
@@ -163,6 +163,10 @@ def test_the_loops_take_only_contiguous_arrays_of_their_type_and_length(loads):
         "5 counts": (ValueError, lib.rod_count, u, u, counts[:5], 0.1, 0.2, 0.3, 0.4, 0.5),
         "float near": (TypeError, lib.disk_first_pass, u, u, u, 0.1, 0.2, 0.3, 0.0),
         "short near": (ValueError, lib.disk_first_pass, u, u, near[:7], 0.1, 0.2, 0.3, 0.0),
+        "int64 sphere draws": (TypeError, lib.sphere_count, near, 0.1),
+        "strided sphere draws": (ValueError, lib.sphere_count, u[::2], 0.1),
+        "a text c": (TypeError, lib.sphere_count, u, "0.1"),
+        "a missing c": (TypeError, lib.sphere_count, u),
         "8 draws": (ValueError, lib.random_frame, u),
         "a missing argument": (TypeError, lib.disk_trig, u, u),
     }
