@@ -154,7 +154,7 @@ def _parse_frame(token: str, kind: type) -> FrameInput:
             m = _custom_frame(vals)
         else:
             m = identity_frame() if rng is None else random_frame(rng)
-        return FrameInput(frame_id, m, (m.matrix[0], m.matrix[1]))
+        return FrameInput(frame_id, m, (np.array(m.rows[0]), np.array(m.rows[1])))
     if vals is None:
         m = UnitVector(1.0, 0.0, 0.0) if rng is None else random_unit_vector(rng)
     elif len(vals) in (3, 9):

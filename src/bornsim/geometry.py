@@ -1,8 +1,9 @@
 """Small fixed-dimension vector geometry shared by all measurement models.
 
 Unit vectors on the sphere, antipodally identified rays, ordered orthonormal
-frames and direction cosines. Everything is pure: functions that need
-randomness take an explicit ``numpy.random.Generator``.
+frames and direction cosines. A ``Frame``'s one field is ``rows``, float
+triples; its ``axes`` are Rays derived from them. Everything is pure:
+functions that need randomness take an explicit ``numpy.random.Generator``.
 ``normalize`` is the one rule that turns raw reals into a unit vector; input
 that should already be unit goes through the near-unit ``_unit_components``.
 
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,36 +144,38 @@ def canonicalize(vec) -> Ray:
     ``canonicalize(v) == canonicalize(-v)``. Rejects input whose norm is off
     by more than 1e-6.
     """
-    return _ray(*_unit_components(vec.array if isinstance(vec, UnitVector) else vec))
+    xyz = _unit_components(vec.array if isinstance(vec, UnitVector) else vec)
+    return Ray(UnitVector(*_canonical(*xyz)))
 
 
-def _ray(x: float, y: float, z: float) -> Ray:
-    """The Ray through the unit vector (x, y, z), by the sign rule of ``Ray``."""
+def _canonical(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) or its negation, whichever the sign rule of ``Ray`` keeps."""
     for c in (x, y, z):
         if abs(c) > COMPONENT_EPS:
             if c < 0:
-                x, y, z = -x, -y, -z
+                return -x, -y, -z
             break
-    return Ray(UnitVector(x, y, z))
+    return x, y, z
 
 
 @dataclass(frozen=True)
 class Frame:
     """Ordered orthonormal triad of rays: one 3-outcome measurement.
 
-    ``rows`` holds the axes' representatives as three (x, y, z) float
-    triples. Their pairwise |cos|, a plain float sum that pins no bit, must
-    be within ``ORTHO_TOL``. The hash is taken once, of ``rows``: equal
-    frames have equal rows, and ``rod._tree``'s memo hashes its frame on
-    every call.
+    ``rows``, the one field, holds the axes' canonical representatives (see
+    ``Ray``) as three (x, y, z) float tuples; a list, which would leave the
+    frame mutable and unhashable, is rejected. Their pairwise |cos|, a plain
+    float sum that pins no bit, must be within ``ORTHO_TOL``. The hash is
+    that of ``rows``; ``axes`` builds their Rays on each access.
     """
 
-    axes: tuple[Ray, Ray, Ray]
-    rows: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        rows = tuple((a.rep.x, a.rep.y, a.rep.z) for a in self.axes)
+        rows = self.rows
+        if not (isinstance(rows, tuple) and len(rows) == 3
+                and all(isinstance(r, tuple) and len(r) == 3 for r in rows)):
+            raise ValueError(f"frame rows must be three (x, y, z) tuples, got {rows!r}")
         for i, j in ((0, 1), (0, 2), (1, 2)):
             (a0, a1, a2), (b0, b1, b2) = rows[i], rows[j]
             d = abs(a0 * b0 + a1 * b1 + a2 * b2)
@@ -180,11 +183,13 @@ class Frame:
                 raise ValueError(
                     f"frame axes {i} and {j} not orthogonal: |cos| = {d:.3e}"
                 )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash(rows))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.rows)
+
+    @property
+    def axes(self) -> tuple[Ray, Ray, Ray]:
+        return tuple(Ray(UnitVector(*row)) for row in self.rows)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -193,13 +198,7 @@ class Frame:
 
 
 def identity_frame() -> Frame:
-    return Frame(
-        (
-            canonicalize((1.0, 0.0, 0.0)),
-            canonicalize((0.0, 1.0, 0.0)),
-            canonicalize((0.0, 0.0, 1.0)),
-        )
-    )
+    return Frame(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 _TINY = 2.0**-900  # below this, a product's TwoProduct error term may underflow
@@ -305,8 +304,8 @@ def orthonormal_frame(v1, v2, v3) -> Frame:
     triple is linearly dependent (residual norm below 1e-6 at any step).
     """
     rows = [np.asarray(v, dtype=float).tolist() for v in (v1, v2, v3)]
-    # each quotient's Ray: its norm is within 1e-14 of 1, so canonicalize keeps it
-    return Frame(tuple(_ray(*axis) for axis in _gram_schmidt(rows)))
+    # each quotient's norm is within 1e-14 of 1, so canonicalize would keep it
+    return Frame(tuple(_canonical(*axis) for axis in _gram_schmidt(rows)))
 
 
 def vector_angle(u: UnitVector, v: UnitVector) -> float:
@@ -361,7 +360,7 @@ def rotate_frame_about_axis(e: Frame, axis_index: int, angle: float) -> Frame:
     rows = list(e.rows)
     rows[j] = [cb * x + sb * y for x, y in zip(e.rows[j], e.rows[k])]
     rows[k] = [-sb * x + cb * y for x, y in zip(e.rows[j], e.rows[k])]
-    return Frame(tuple(canonicalize(r) for r in rows))
+    return Frame(tuple(_canonical(*_unit_components(r)) for r in rows))
 
 
 def random_unit_vector(rng: np.random.Generator) -> UnitVector:
@@ -408,4 +407,4 @@ def random_frame(rng: np.random.Generator) -> Frame:
         if axes is None:
             continue
         with contextlib.suppress(ValueError):  # not orthogonal to 1e-10: draw again
-            return Frame(tuple(_ray(*axis) for axis in axes))
+            return Frame(tuple(_canonical(*axis) for axis in axes))

@@ -10,7 +10,7 @@ draw, and ``dot``, the fma chain of ``geometry._dot``. ``LIBRARY`` is its
 one ``Library``, and the only one in the package. Its first ``load()`` in a
 process compiles the source with the system ``cc`` (or ``gcc``) against the
 interpreter's ``Python.h`` into ``$XDG_CACHE_HOME/bornsim``
-(``~/.cache/bornsim``), under a name keyed by a hash of the source, flags,
+(``~/.cache/bornsim``), under a name keyed by a checksum of the source, flags,
 compiler path, machine and the interpreter's extension suffix; later
 processes import the cached file. If that directory is not ours alone to
 write, the module is built in a private temporary directory instead.
@@ -33,6 +33,7 @@ import shutil
 import sysconfig
 import tempfile
 import threading
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import ModuleType
@@ -70,18 +71,18 @@ class Library:
         return lib
 
     def file_name(self, source: bytes, cc: str) -> str:
-        """The cached module's name: a hash of what it is built from and for.
+        """The cached module's name: the crc32 and adler32 of what it is
+        built from and for, a 64-bit key.
 
         The machine is there for home directories shared between
         architectures, the extension suffix for caches shared between
-        interpreters.
+        interpreters. The key only tells builds apart (``_cache_dir`` checks
+        who can write there); ``hashlib`` would import OpenSSL at each start.
         """
-        import hashlib
-
         parts = [source, " ".join(self.cflags).encode(), cc.encode(),
                  os.uname().machine.encode(), sysconfig.get_config_var("EXT_SUFFIX").encode()]
-        key = hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
-        return f"{self.name}-{key}.so"
+        data = b"\0".join(parts)
+        return f"{self.name}-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so"
 
     def _open(self) -> ModuleType | None:
         cc = shutil.which("cc") or shutil.which("gcc")

@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import native
-from .geometry import DEGENERATE_EPS, OTHER_AXES, Frame, Ray, _dot, direction_cosines
+from .geometry import DEGENERATE_EPS, OTHER_AXES, Frame, Ray, UnitVector, _dot, direction_cosines
 from .outcomes import OutcomeDistribution
 from .quantum import LABELS
 
@@ -290,7 +290,7 @@ def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, tuple[i
     counts = outcomes_from_uniforms(thresholds(p, e, w), np.array([u1]), np.array([u2]))
     i = counts.tolist().index(1)
     k = _OUTCOMES[i]
-    return LABELS[k], e.axes[k], _PATHS[i]
+    return LABELS[k], Ray(UnitVector(*e.rows[k])), _PATHS[i]
 
 
 def marginal_measure(p: Ray, w: BreakWeight) -> Callable[[Frame, int], float]:

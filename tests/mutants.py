@@ -419,10 +419,20 @@ MUTANTS = (
     Mutant(
         "rotate_frame_about_axis: the frame returned unrotated",
         "src/bornsim/geometry.py",
-        "    return Frame(tuple(canonicalize(r) for r in rows))",
+        "    return Frame(tuple(_canonical(*_unit_components(r)) for r in rows))",
         "    return e",
         tuple(_CONTEXTUAL + case for case in ("[pi-over-7]", "[pi-over-4]", "[1.2]"))
         + (_FRAME_FUNCTION,),
+    ),
+    Mutant(
+        "random_frame: rows without the sign rule",
+        "src/bornsim/geometry.py",
+        "            return Frame(tuple(_canonical(*axis) for axis in axes))",
+        "            return Frame(tuple(axes))",
+        tuple(f"tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed{s}]"
+              for s in range(3))
+        + tuple(f"tests/test_geometry.py::test_every_builder_gives_canonical_rows[{p}]"
+                for p in ("native", "numpy")),
     ),
     Mutant(
         "rod analytic: the paths folded into the outcomes in reverse order",

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,10 +17,11 @@ from oracles import (
 )
 
 from bornsim import native
+from bornsim.quantum import LABELS
+from bornsim.rod import QUANTUM, rod_sample
 from bornsim.geometry import (
     Frame,
-    Ray,
-    UnitVector,
+    _canonical,
     _chain_dot,
     _dot,
     canonicalize,
@@ -160,28 +162,33 @@ class TestFrames:
 
     def test_frame_rejects_a_nan_axis(self):
         # NaN fails every comparison: a `d > tol` check would let it through
-        y, z = canonicalize((0.0, 1.0, 0.0)), canonicalize((0.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="^frame axes 0 and 1 not orthogonal: "
                                              r"\|cos\| = nan$"):
-            Frame((Ray(UnitVector(math.nan, 0.0, 0.0)), y, z))
+            Frame(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
     def test_degenerate_triple_rejected(self):
         with pytest.raises(ValueError):
             orthonormal_frame((1, 0, 0), (2, 0, 0), (0, 0, 1))
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), [0.0, 0.0, 1.0]),
+        ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0, 1.0)),
+    ], ids=["list-of-lists", "two-rows", "a-list-row", "2-component-rows"])
+    def test_frame_rejects_rows_that_are_not_three_3_tuples(self, rows):
+        # a list would leave a frozen frame mutable and unhashable
+        with pytest.raises(ValueError, match=r"^frame rows must be three \(x, y, z\) tuples, "
+                                             "got " + re.escape(repr(rows)) + "$"):
+            Frame(rows)
+
     def test_frame_validates_orthogonality(self):
         with pytest.raises(ValueError):
-            Frame(
-                (
-                    canonicalize((1.0, 0.0, 0.0)),
-                    canonicalize((SQ2, SQ2, 0.0)),
-                    canonicalize((0.0, 0.0, 1.0)),
-                )
-            )
+            Frame(((1.0, 0.0, 0.0), (SQ2, SQ2, 0.0), (0.0, 0.0, 1.0)))
 
     def test_equal_frames_hash_alike_signed_zeros_included(self, rng):
         def frame(rows):
-            return Frame(tuple(Ray(UnitVector(*row)) for row in rows))
+            return Frame(tuple(tuple(row) for row in rows))
 
         rotated = rotate_frame_about_axis(identity_frame(), 2, 0.7).rows
         for rows in (identity_frame().rows, rotated, random_frame(rng).rows):
@@ -317,6 +324,28 @@ def test_dot_and_matmul_round_alike():
     dots, matmuls = np.array(dots), np.array(matmuls)
     assert not m[:, 0].flags.c_contiguous  # the columns are strided views
     assert np.array_equal(dots.view(np.int64), matmuls.view(np.int64))
+
+
+def test_every_builder_gives_canonical_rows(path):
+    """Each builder hands ``Frame`` its rows with the sign rule of ``Ray``
+    applied, so a frame's axes, and the state ``rod_sample`` collapses to,
+    are the canonical rays of its rows. The inputs have axes whose leading
+    component is negative before the sign rule: a negative first row, a
+    rotation by more than a right angle, and random frames."""
+    rng = np.random.default_rng(34)
+    e = random_frame(rng)
+    frames = [identity_frame(),
+              orthonormal_frame((-1.0, 2.0, 0.5), (0.3, -1.0, 2.0), (-0.0, 0.0, -1.0)),
+              *(rotate_frame_about_axis(e, axis, 2.5) for axis in range(3)),
+              e, *(random_frame(rng) for _ in range(50))]
+    for f in frames:
+        assert all(type(row) is tuple and row == _canonical(*row) for row in f.rows), f
+        assert f.axes == tuple(canonicalize(row) for row in f.rows)
+    p = canonicalize((0.48, -0.6, 0.64))
+    for e in frames[:6]:
+        for _ in range(20):
+            label, state, _ = rod_sample(p, e, QUANTUM, rng)
+            assert state == canonicalize(e.rows[LABELS.index(label)])
 
 
 def test_frame_rows_are_unit_within_1e_14():

@@ -51,7 +51,7 @@ def _floats(hexes) -> list[float]:
 
 def _frame(hexes) -> Frame:
     rows = np.array(_floats(hexes)).reshape(3, 3).tolist()
-    return Frame(tuple(Ray(UnitVector(*row)) for row in rows))
+    return Frame(tuple(tuple(row) for row in rows))
 
 
 def _ray(hexes) -> Ray:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornsim.geometry import Frame, Ray, UnitVector, random_frame, random_unit_vector
+from bornsim.geometry import Frame, UnitVector, random_frame, random_unit_vector
 from bornsim.stats import RunConfig, run_trials
 
 GOLDEN = Path(__file__).parent / "data" / "golden_counts.json"
@@ -33,7 +33,7 @@ WORKERS = [1, 2]
 
 def _measurement(golden: dict, model: str) -> Frame | UnitVector:
     if model == "rod":
-        return Frame(tuple(Ray(UnitVector(*row)) for row in golden["frame"]))
+        return Frame(tuple(tuple(row) for row in golden["frame"]))
     return UnitVector(*golden["direction"])
 
 

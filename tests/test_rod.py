@@ -624,7 +624,7 @@ def _signed_zero_twins():
         return [-v if v == 0.0 else v for v in xyz]
 
     def frame(rows):
-        return Frame(tuple(Ray(UnitVector(*row)) for row in rows))
+        return Frame(tuple(tuple(row) for row in rows))
 
     for e in (IDENT, rotate_frame_about_axis(IDENT, 2, 0.7)):
         rows = e.matrix.tolist()

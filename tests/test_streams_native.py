@@ -268,6 +268,20 @@ def test_the_cache_name_follows_the_interpreter(monkeypatch):
     assert lib.file_name(source, "/usr/bin/cc") != name
 
 
+def test_a_warm_load_imports_no_hashlib(loads, tmp_path):
+    """The cache key is taken with ``zlib``, which ``shutil`` has loaded:
+    a fresh interpreter that imports the cached module loads neither
+    ``hashlib`` nor OpenSSL's ``_hashlib``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+    script = ("import sys; from bornsim import native; assert native.LIBRARY.load(); "
+              "print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))")
+    for warm in (False, True):  # the first interpreter builds the module
+        assert [p.suffix for p in tmp_path.glob("bornsim/*")] == [".so"] * warm
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_no_python_headers_gives_the_numpy_bytes(cold_cache, tmp_path, monkeypatch):
     headers = tmp_path / "include"
     headers.mkdir()  # a directory without Python.h
