@@ -342,10 +342,10 @@ def test_every_builder_gives_canonical_rows(path):
         assert all(type(row) is tuple and row == _canonical(*row) for row in f.rows), f
         assert f.axes == tuple(canonicalize(row) for row in f.rows)
     p = canonicalize((0.48, -0.6, 0.64))
-    for e in frames[:6]:
+    for f in frames[:6]:
         for _ in range(20):
-            label, state, _ = rod_sample(p, e, QUANTUM, rng)
-            assert state == canonicalize(e.rows[LABELS.index(label)])
+            label, state, _ = rod_sample(p, f, QUANTUM, rng)
+            assert state == canonicalize(f.rows[LABELS.index(label)])
 
 
 def test_frame_rows_are_unit_within_1e_14():
