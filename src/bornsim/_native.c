@@ -401,8 +401,11 @@ static PyObject *py_sphere_count(PyObject *self, PyObject *const *args, Py_ssize
  * then Gram-Schmidt on the raw rows: each is scaled by a power of two and
  * divided by its norm (geometry._unit), projected off the axes before it
  * twice, and divided by its residual norm, which must be at least 1e-6.
- * Writes the three axes to out and returns 0, or returns 1 where the
- * Python body draws again.
+ * Last, each axis gets the sign rule of geometry.Ray (canonical() below),
+ * after all three are made, since Gram-Schmidt projects off the axes as
+ * they came out of it. Writes the three canonical axes to out and returns
+ * 0, or returns 1 where the Python body draws again. geometry.random_frame
+ * hands the axes to geometry.Frame as they are.
  *
  * Every dot is ddot3, the chain of fused multiply-adds that OpenBLAS's
  * SkylakeX ddot makes of three terms, so that the frame's bits do not
@@ -442,6 +445,22 @@ static int unit(const double *v, double *w)
     return 0;
 }
 
+/* geometry.COMPONENT_EPS: components at or below it count as zero for the sign rule */
+#define COMPONENT_EPS 1e-12
+
+/* v or -v, whichever geometry._canonical keeps: the first component of
+ * magnitude above COMPONENT_EPS must be positive */
+static void canonical(double *v)
+{
+    for (int i = 0; i < 3; i++)
+        if (fabs(v[i]) > COMPONENT_EPS) {
+            if (v[i] < 0)
+                for (int j = 0; j < 3; j++)
+                    v[j] = -v[j];
+            return;
+        }
+}
+
 static int random_frame(const double *g, double *out)
 {
     double u[9];
@@ -473,11 +492,13 @@ static int random_frame(const double *g, double *out)
         for (int i = 0; i < 3; i++)
             out[3 * r + i] = w[i] / n;
     }
+    for (int r = 0; r < 3; r++)
+        canonical(out + 3 * r);
     return 0;
 }
 
-/* random_frame(g) -> the three axes as tuples of floats, or None: g float64
- * of 9 items */
+/* random_frame(g) -> the three canonical axes as tuples of floats, or None:
+ * g float64 of 9 items */
 static PyObject *py_random_frame(PyObject *self, PyObject *g)
 {
     (void)self;

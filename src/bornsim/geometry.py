@@ -164,18 +164,30 @@ class Frame:
 
     ``rows``, the one field, holds the axes' canonical representatives (see
     ``Ray``) as three (x, y, z) float tuples; a list, which would leave the
-    frame mutable and unhashable, is rejected. Their pairwise |cos|, a plain
-    float sum that pins no bit, must be within ``ORTHO_TOL``. The hash is
-    that of ``rows``; ``axes`` builds their Rays on each access.
+    frame mutable and unhashable, is rejected. Their pairwise |cos| must be
+    within ``ORTHO_TOL``, each squared norm within ``NORM_TOL`` of 1 (plain
+    float sums that pin no bit), and each row must be its own
+    ``_canonical``, so that equal rays make equal frames. The hash is that
+    of ``rows``; ``axes`` builds their Rays on each access.
     """
 
     rows: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
         rows = self.rows
-        if not (isinstance(rows, tuple) and len(rows) == 3
-                and all(isinstance(r, tuple) and len(r) == 3 for r in rows)):
-            raise ValueError(f"frame rows must be three (x, y, z) tuples, got {rows!r}")
+        if not (isinstance(rows, tuple) and len(rows) == 3):
+            raise _not_three_triples(rows)
+        for i, row in enumerate(rows):
+            if not (isinstance(row, tuple) and len(row) == 3):
+                raise _not_three_triples(rows)
+            x, y, z = row
+            n = x * x + y * y + z * z
+            if abs(n - 1.0) > NORM_TOL:  # a NaN row fails the orthogonality check
+                raise ValueError(f"frame row {i} {row!r} is not unit: squared norm {n!r}")
+            # a row whose first component is beyond COMPONENT_EPS is canonical
+            if x <= COMPONENT_EPS and _canonical(x, y, z) != row:
+                raise ValueError(f"frame row {i} {row!r} is not canonical: "
+                                 "its first component beyond COMPONENT_EPS is negative")
         for i, j in ((0, 1), (0, 2), (1, 2)):
             (a0, a1, a2), (b0, b1, b2) = rows[i], rows[j]
             d = abs(a0 * b0 + a1 * b1 + a2 * b2)
@@ -195,6 +207,10 @@ class Frame:
     def matrix(self) -> np.ndarray:
         """A new 3x3 array of ``rows`` on each access."""
         return np.array(self.rows)
+
+
+def _not_three_triples(rows) -> ValueError:
+    return ValueError(f"frame rows must be three (x, y, z) tuples, got {rows!r}")
 
 
 def identity_frame() -> Frame:
@@ -370,10 +386,10 @@ def random_unit_vector(rng: np.random.Generator) -> UnitVector:
             return UnitVector(*_unit(rng.standard_normal(3).tolist(), "zero draw"))
 
 
-def _random_axes(g: list[list[float]]) -> list[tuple[float, float, float]] | None:
-    """The axes ``random_frame`` makes of one draw ``g`` (three rows), or
-    None where it draws again: on Python floats, what the C body
-    ``random_frame`` in ``_native.c`` makes."""
+def _random_axes(g: list[list[float]]) -> tuple[tuple[float, float, float], ...] | None:
+    """The rows ``random_frame`` makes of one draw ``g`` (three rows), the
+    sign rule of ``Ray`` applied, or None where it draws again: on Python
+    floats, what the C body ``random_frame`` in ``_native.c`` makes."""
     # np.linalg.norm(g, axis=1), summed in its order
     norms = [math.sqrt((x * x + y * y) + z * z) for x, y, z in g]
     if min(norms) < 1e-12:
@@ -382,7 +398,7 @@ def _random_axes(g: list[list[float]]) -> list[tuple[float, float, float]] | Non
     if max(abs(_dot(u0, u1)), abs(_dot(u0, u2)), abs(_dot(u1, u2))) > 1.0 - 1e-6:
         return None
     try:
-        return _gram_schmidt(g)
+        return tuple(_canonical(*axis) for axis in _gram_schmidt(g))
     except ValueError:
         return None
 
@@ -394,17 +410,18 @@ def random_frame(rng: np.random.Generator) -> Frame:
     Gram-Schmidt residual) are rejected and redrawn. Each draw is nine
     values of ``rng.standard_normal``, the same as one
     ``rng.standard_normal((3, 3))``. Where ``native.LIBRARY.load()``
-    returns None, ``_random_axes`` makes the frame on Python floats;
+    returns None, ``_random_axes`` makes the rows on Python floats;
     otherwise one call of the C body ``random_frame`` makes the same
-    operations in the same order, so both give the same frame, bit for bit,
-    and draw alike.
+    operations in the same order, so both give the same canonical rows, bit
+    for bit, and draw alike. Either body's rows go to ``Frame`` as they are.
     """
     lib = native.LIBRARY.load()
     g = np.empty((3, 3))
     while True:
         rng.standard_normal(out=g)
         axes = _random_axes(g.tolist()) if lib is None else lib.random_frame(g)
-        if axes is None:
-            continue
-        with contextlib.suppress(ValueError):  # not orthogonal to 1e-10: draw again
-            return Frame(tuple(_canonical(*axis) for axis in axes))
+        if axes is not None:
+            try:
+                return Frame(axes)
+            except ValueError:  # not orthogonal to 1e-10: draw again
+                pass

@@ -27,16 +27,17 @@ plain tuples: ``s1``, the stage-1 probabilities, and ``s2``, the stage-2
 pairs indexed by the first break (``(0.0, 0.0)`` after one of zero
 weight). A break path is an index into ``_PATHS``, the
 ``(first, second)`` broken axes in the order the count step counts them.
-``rod_analytic`` tabulates path i as ``s1[i // 2] * s2[i // 2][i % 2]``,
-and ``thresholds`` turns the same floats into the counting kernel's run
-constants, so the kernel's thresholds are exactly the table's stage
-probabilities. ``_tree`` keeps its last result, keyed by the value of its
-(ray, frame, weight), so the tree is computed once per triple however many
+``_tree`` also tabulates path i as ``s1[i // 2] * s2[i // 2][i % 2]`` and
+the outcome distribution that ``rod_analytic`` returns, and ``thresholds``
+turns the same stage floats into the counting kernel's run constants, so
+the kernel's thresholds are exactly the table's stage probabilities.
+``_tree`` keeps its last result, the whole table, keyed by the value of its
+(ray, frame, weight), so the table is built once per triple however many
 callers read it in a row: the three marginals of one frame and its
 ``--out`` sum in ``framecheck``, or the analytic column and the run
-constants of one sweep point. The calls themselves stay, and a counter on
-``rod_analytic`` still sees each one: the benchmark pins how many a
-framecheck makes.
+constants of one sweep point. A hit builds nothing. The calls themselves
+stay, and a counter on ``rod_analytic`` still sees each one: the benchmark
+pins how many a framecheck makes.
 
 The counting kernel ``outcomes_from_uniforms`` makes the same compares on
 either of two paths: in a process where the package's C library
@@ -135,20 +136,26 @@ def _stage2(wj: float, wk: float) -> tuple[float, float]:
 @functools.lru_cache(maxsize=1)
 def _tree(
     p: Ray, e: Frame, w: BreakWeight
-) -> tuple[tuple[float, float, float], tuple[tuple[float, float], ...]]:
-    """The rule's stage probabilities, the one route both ``rod_analytic``
-    and ``thresholds`` read: ``s1``, ``_stage1`` of the weights of the ray's
-    direction cosines, and ``s2[i]``, ``_stage2`` of the weights of the
-    retained axes ``OTHER_AXES[i]`` at their |cosines| with the ray
-    projected into their plane, or ``(0.0, 0.0)`` where first break i has
-    zero weight. Each stage is weighed in one ``_weigh`` call.
+) -> tuple[tuple[tuple[float, float, float], tuple[tuple[float, float], ...]],
+           tuple[OutcomeDistribution, tuple[float, ...]]]:
+    """The rule's whole table, the one route both ``rod_analytic`` and
+    ``thresholds`` read: the stage probabilities ``(s1, s2)`` and the
+    outcome table ``(distribution, path_probs)`` built from them. ``s1`` is
+    ``_stage1`` of the weights of the ray's direction cosines, and
+    ``s2[i]`` is ``_stage2`` of the weights of the retained axes
+    ``OTHER_AXES[i]`` at their |cosines| with the ray projected into their
+    plane, or ``(0.0, 0.0)`` where first break i has zero weight. Each
+    stage is weighed in one ``_weigh`` call. Path i is
+    ``s1[i // 2] * s2[i // 2][i % 2]``, and outcome k sums the two paths
+    that leave axis k standing.
 
-    The last result is kept (one entry, keyed by value: equal rays, frames
-    and weights hit it), so both parts are tuples, which no reader can
-    change. A hit returns the floats a fresh call computes, since the tree
-    reads its inputs through their values only, and every value it returns
-    is an absolute or a ratio of absolutes, the same for 0.0 and -0.0. A
-    ValueError is raised again on every call, not kept."""
+    The last table is kept (one entry, keyed by value: equal rays, frames
+    and weights hit it), so a hit builds nothing; every part is a tuple or
+    frozen, which no reader can change. A hit returns the floats a fresh
+    call computes, since the table reads its inputs through their values
+    only, and every value it returns is an absolute, a ratio of absolutes,
+    or a product or sum of them, the same for 0.0 and -0.0. A ValueError is
+    raised again on every call, not kept."""
     c = direction_cosines(p, e)
     s1 = _stage1(_weigh(w, c))
     rows = e.rows
@@ -177,26 +184,27 @@ def _tree(
         cosines += (min(abs(_dot(q, rows[j])), 1.0), min(abs(_dot(q, rows[k])), 1.0))
     ws = _weigh(w, cosines).tolist()
     pairs = zip(ws[::2], ws[1::2])
-    return s1, tuple(_stage2(*next(pairs)) if x != 0.0 else (0.0, 0.0) for x in s1)
+    s2 = tuple(_stage2(*next(pairs)) if x != 0.0 else (0.0, 0.0) for x in s1)
+    # path 2 * i + n is s1[i] * s2[i][n]; no stage probability is -0.0
+    path_probs = tuple(s * pr2 for s, pair in zip(s1, s2) for pr2 in pair)
+    probs = [0.0, 0.0, 0.0]
+    for k, pr in zip(_OUTCOMES, path_probs):
+        probs[k] += pr
+    return (s1, s2), (OutcomeDistribution(LABELS, tuple(probs)), path_probs)
 
 
 def rod_analytic(
     p: Ray, e: Frame, w: BreakWeight
 ) -> tuple[OutcomeDistribution, tuple[float, ...]]:
     """Exact outcome distribution and the six break-order path probabilities,
-    in ``_PATHS`` order, the order of the count step's six counts.
+    in ``_PATHS`` order, the order of the count step's six counts: the
+    table part of ``_tree``.
 
     Outcome k sums the two paths that leave axis k standing. Orders whose
     stage-1 weight is zero carry probability +0.0 (they are never sampled,
     so the degenerate projection behind them is never taken).
     """
-    s1, s2 = _tree(p, e, w)
-    # path 2 * i + n is s1[i] * s2[i][n]; no stage probability is -0.0
-    path_probs = tuple(s * pr2 for s, pair in zip(s1, s2) for pr2 in pair)
-    probs = [0.0, 0.0, 0.0]
-    for k, pr in zip(_OUTCOMES, path_probs):
-        probs[k] += pr
-    return OutcomeDistribution(LABELS, tuple(probs)), path_probs
+    return _tree(p, e, w)[1]
 
 
 def thresholds(p: Ray, e: Frame, w: BreakWeight) -> tuple:
@@ -207,7 +215,7 @@ def thresholds(p: Ray, e: Frame, w: BreakWeight) -> tuple:
     first. Ties on a boundary go to the lowest eligible index;
     zero-probability ties are never selected, so an eigenstate's outcome is
     deterministic."""
-    s1, s2 = _tree(p, e, w)
+    s1, s2 = _tree(p, e, w)[0]
 
     # Stage 1 as two thresholds on u1: break 0 if u1 <= t0, else 1 if
     # u1 <= t1, else 2. t0 = -1 when tie 0 is ineligible. t1 = 2.0, which no

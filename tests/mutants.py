@@ -70,6 +70,7 @@ _REPLICA = "tests/test_geometry.py::test_random_frames_equal_the_exact_fma_repli
 _EDGE_DRAWS = "tests/test_geometry.py::test_edge_draws_give_the_replica_frame"
 _DOT_PARITY = "tests/test_geometry.py::test_native_and_python_dots_equal_the_replica"
 _DOT_GAUSSIAN = "tests/test_geometry.py::test_native_dot_is_the_chain_on_gaussian_vectors"
+_SIGN_PARITY = "tests/test_geometry.py::test_c_and_python_bodies_give_the_same_canonical_rows"
 
 MUTANTS = (
     Mutant(
@@ -245,6 +246,27 @@ MUTANTS = (
         "\n"
         "\n"
         "@_ray_blind\n"
+        "def _tree(",
+        (_MEMO + "test_a_change_of_ray_frame_or_weight_gives_the_fresh_tree",),
+    ),
+    Mutant(
+        "rod table memo: keyed by ray and frame only, so a new weight reads the old table",
+        "src/bornsim/rod.py",
+        "@functools.lru_cache(maxsize=1)\ndef _tree(",
+        "def _weight_blind(tree):\n"
+        "    kept = {}\n"
+        "\n"
+        "    def memo(p, e, w):\n"
+        "        if (p, e) not in kept:\n"
+        "            kept.clear()\n"
+        "            kept[p, e] = tree(p, e, w)\n"
+        "        return kept[p, e]\n"
+        "\n"
+        "    memo.cache_clear = kept.clear\n"
+        "    return memo\n"
+        "\n"
+        "\n"
+        "@_weight_blind\n"
         "def _tree(",
         (_MEMO + "test_a_change_of_ray_frame_or_weight_gives_the_fresh_tree",),
     ),
@@ -425,14 +447,19 @@ MUTANTS = (
         + (_FRAME_FUNCTION,),
     ),
     Mutant(
-        "random_frame: rows without the sign rule",
+        "random_frame Python body: rows without the sign rule",
         "src/bornsim/geometry.py",
-        "            return Frame(tuple(_canonical(*axis) for axis in axes))",
-        "            return Frame(tuple(axes))",
-        tuple(f"tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed{s}]"
-              for s in range(3))
-        + tuple(f"tests/test_geometry.py::test_every_builder_gives_canonical_rows[{p}]"
-                for p in ("native", "numpy")),
+        "        return tuple(_canonical(*axis) for axis in _gram_schmidt(g))",
+        "        return tuple(_gram_schmidt(g))",
+        (_SIGN_PARITY, _REPLICA + "[numpy-3]", _EDGE_DRAWS + "[numpy-signed-zeros-first-axis]"),
+    ),
+    Mutant(
+        "C random_frame skips the sign rule",
+        "src/bornsim/_native.c",
+        "    for (int r = 0; r < 3; r++)\n        canonical(out + 3 * r);\n",
+        "",
+        (_SIGN_PARITY, _REPLICA + "[native-3]",
+         "tests/test_golden_analytic.py::test_random_frames_are_bit_identical[seed0]"),
     ),
     Mutant(
         "rod analytic: the paths folded into the outcomes in reverse order",
@@ -455,6 +482,27 @@ MUTANTS = (
         "if not d <= ORTHO_TOL:",
         "if d > ORTHO_TOL:",
         ("tests/test_geometry.py::TestFrames::test_frame_rejects_a_nan_axis",),
+    ),
+    Mutant(
+        "Frame: a row that is not unit is accepted",
+        "src/bornsim/geometry.py",
+        "            if abs(n - 1.0) > NORM_TOL:",
+        "            if False:",
+        ("tests/test_geometry.py::TestFrames::test_frame_rejects_a_row_that_is_not_unit",),
+    ),
+    Mutant(
+        "Frame: a row that is not canonical is accepted",
+        "src/bornsim/geometry.py",
+        "            if x <= COMPONENT_EPS and _canonical(x, y, z) != row:",
+        "            if False:",
+        ("tests/test_geometry.py::TestFrames::test_frame_rejects_a_row_that_is_not_canonical",),
+    ),
+    Mutant(
+        "Frame: the sign rule read from the first component alone, not the first beyond 1e-12",
+        "src/bornsim/geometry.py",
+        "            if x <= COMPONENT_EPS and _canonical(x, y, z) != row:",
+        "            if x < 0.0:",
+        ("tests/test_geometry.py::TestFrames::test_frame_rejects_a_row_that_is_not_canonical",),
     ),
     Mutant(
         "rod stage 1: a NaN weight total passes the guard (total <= 0.0)",

@@ -20,10 +20,14 @@ from bornsim import native
 from bornsim.quantum import LABELS
 from bornsim.rod import QUANTUM, rod_sample
 from bornsim.geometry import (
+    COMPONENT_EPS,
+    NORM_TOL,
     Frame,
     _canonical,
     _chain_dot,
     _dot,
+    _gram_schmidt,
+    _random_axes,
     canonicalize,
     direction_cosines,
     identity_frame,
@@ -181,6 +185,35 @@ class TestFrames:
         with pytest.raises(ValueError, match=r"^frame rows must be three \(x, y, z\) tuples, "
                                              "got " + re.escape(repr(rows)) + "$"):
             Frame(rows)
+
+    def test_frame_rejects_a_row_that_is_not_unit(self):
+        # rod_analytic of (0.6, 0.8, 0) would read (1, 0, 0) in this frame,
+        # not (0.36, 0.64, 0): the cosine 1.2 is clamped to 1
+        with pytest.raises(ValueError, match=r"^frame row 0 \(2\.0, 0\.0, 0\.0\) is not unit: "
+                                             r"squared norm 4\.0$"):
+            Frame(((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        # a squared norm off 1 by NORM_TOL passes, by a little more does not
+        inside, outside = math.sqrt(1.0 + 0.9 * NORM_TOL), math.sqrt(1.0 - 1.1 * NORM_TOL)
+        Frame(((1.0, 0.0, 0.0), (0.0, inside, 0.0), (0.0, 0.0, 1.0)))
+        with pytest.raises(ValueError, match=r"^frame row 2 \(0\.0, 0\.0, 0\.99999\d*\) "
+                                             r"is not unit: squared norm 0\.99999"):
+            Frame(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, outside)))
+
+    def test_frame_rejects_a_row_that_is_not_canonical(self):
+        # it would not equal identity_frame(), though its rays are the same
+        with pytest.raises(ValueError, match=r"^frame row 0 \(-1\.0, 0\.0, 0\.0\) is not "
+                                             "canonical: its first component beyond "
+                                             "COMPONENT_EPS is negative$"):
+            Frame(((-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        # a first component within COMPONENT_EPS of 0 counts as zero: the
+        # sign rule reads the second
+        tiny = COMPONENT_EPS
+        with pytest.raises(ValueError, match=r"^frame row 1 .* is not canonical"):
+            Frame(((1.0, tiny, 0.0), (tiny, -1.0, 0.0), (0.0, 0.0, 1.0)))
+        e = Frame(((1.0, -tiny, 0.0), (tiny, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        assert e.rows[1] == _canonical(*e.rows[1])
+        twin = Frame(((1.0, 0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, 1.0)))
+        assert twin == identity_frame()
 
     def test_frame_validates_orthogonality(self):
         with pytest.raises(ValueError):
@@ -447,6 +480,47 @@ def test_edge_draws_give_the_replica_frame(path, draws):
     got = random_frame(rng).matrix.tobytes()
     assert got == np.array(random_frame_oracle(reference)).tobytes()
     assert rng.taken == reference.taken == len(draws)
+
+
+def _sign_rule_draws():
+    """Draws that give an axis whose first component is 0, within
+    ``COMPONENT_EPS`` of 0 (the sign rule reads the second), or just beyond
+    it, of either sign: the first axis is the first row made unit, and the
+    second is the second row off the z axis."""
+    eps = COMPONENT_EPS
+    for f in (0.0, 1e-13, 0.6e-12, eps, math.nextafter(eps, 1.0), 1.2e-12, 2e-12):
+        for s in (f, -f):
+            yield [[s, -0.6, 0.8], [0.3, 0.5, 0.7], [-0.2, 0.9, 1.3]]
+            yield [[0.0, 0.0, 1.0], [s, -0.6, 0.8], [1.0, 0.2, 0.3]]
+            yield [[0.0, 0.0, -1.0], [1.0, 0.0, s], [s, -0.6, 0.8]]
+
+
+def test_c_and_python_bodies_give_the_same_canonical_rows(monkeypatch):
+    """``random_frame``'s two bodies apply the sign rule of ``Ray`` to the
+    Gram-Schmidt axes, and hand ``Frame`` the same rows by ``float.hex``:
+    on hand-made draws around ``COMPONENT_EPS`` and on 5000 Gaussian ones."""
+    lib = native.LIBRARY.load()
+    if lib is None:
+        pytest.skip("the C library did not load: no C compiler")
+    monkeypatch.setattr(native.LIBRARY, "load", lambda: None)  # Python floats only
+    gen = np.random.default_rng(35)
+    draws = [*_sign_rule_draws(), *gen.standard_normal((5000, 3, 3)).tolist()]
+    near = []  # the first components within 3e-12 of 0 before the sign rule
+    for g in draws:
+        rows = _random_axes(g)
+        if rows is None:
+            assert lib.random_frame(np.array(g)) is None
+            continue
+        bits = [[x.hex() for x in row] for row in rows]
+        assert [[x.hex() for x in row] for row in lib.random_frame(np.array(g))] == bits
+        assert all(type(row) is tuple for row in rows)
+        raw = _gram_schmidt(g)
+        assert [[x.hex() for x in _canonical(*axis)] for axis in raw] == bits
+        near += [x for x, _, _ in raw if abs(x) <= 3e-12]
+    # the draws reach the threshold itself, and either side of it
+    assert COMPONENT_EPS in map(abs, near)
+    assert sum(0.0 < abs(x) <= COMPONENT_EPS for x in near) >= 10
+    assert sum(abs(x) > COMPONENT_EPS for x in near) >= 12
 
 
 @pytest.mark.parametrize("scale", [1.7e308, [[1.0, 1e-310, 1.0], [1e-320, 1.0, 1.0],

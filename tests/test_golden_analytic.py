@@ -107,7 +107,7 @@ def _stages(case: dict, frames: list[list[str]]) -> dict:
     stage-2 pair of each first break with nonzero weight; with the quantum
     weight, the direction cosines too."""
     ray, frame = _ray(case["state"]), _frame(frames[case["frame"]])
-    s1, s2 = _tree(ray, frame, WEIGHTS[case["weight"]])
+    s1, s2 = _tree(ray, frame, WEIGHTS[case["weight"]])[0]
     out = {}
     if case["weight"] == "quantum":  # the cosines do not depend on the weight
         out["cosines"] = _hex(direction_cosines(ray, frame))

@@ -74,7 +74,7 @@ def _rule_users(p, w):
 
 class TestStage1:
     def test_eigenstate_splits_evenly_over_other_axes(self):
-        s1, s2 = _tree(canonicalize((1, 0, 0)), IDENT, QUANTUM)
+        s1, s2 = _tree(canonicalize((1, 0, 0)), IDENT, QUANTUM)[0]
         assert np.allclose(s1, [0.0, 0.5, 0.5], atol=1e-15)
         assert s1[0] == 0.0
         # no stage 2 follows a first break of zero weight: its pair is +0.0
@@ -82,11 +82,11 @@ class TestStage1:
         assert s2[1] == s2[2] == (0.0, 1.0)
 
     def test_quantum_weights_normalize_by_two(self):
-        s1, _ = _tree(P_BENCH, IDENT, QUANTUM)
+        s1, _ = _tree(P_BENCH, IDENT, QUANTUM)[0]
         assert np.allclose(s1, [0.25, 0.375, 0.375], atol=1e-12)
 
     def test_uniform_variant_stage1(self):
-        s1, _ = _tree(P_BENCH, IDENT, UNIFORM_VARIANT)
+        s1, _ = _tree(P_BENCH, IDENT, UNIFORM_VARIANT)[0]
         assert np.allclose(s1, VARIANT_STAGE1, atol=1e-12)
         # direct recomputation, independent of the library path
         sines = np.sqrt(1.0 - np.array([SQ2, 0.5, 0.5]) ** 2)
@@ -116,13 +116,13 @@ class TestStage2:
         # then carries no weight
         p = canonicalize((0.6, 0.8, 0.0))
         for w in (QUANTUM, UNIFORM_VARIANT):
-            _, s2 = _tree(p, IDENT, w)
+            _, s2 = _tree(p, IDENT, w)[0]
             assert np.allclose(s2[0], [0.0, 1.0], atol=1e-15)
 
     def test_symmetric_in_plane_state(self):
         # after tie 0 breaks, the benchmark state swings onto (0, 1, 1) / sqrt 2
         for w in (QUANTUM, UNIFORM_VARIANT):
-            _, s2 = _tree(P_BENCH, IDENT, w)
+            _, s2 = _tree(P_BENCH, IDENT, w)[0]
             assert np.allclose(s2[0], [0.5, 0.5], atol=1e-12)
 
     def test_both_zero_weights_guarded(self):
@@ -156,7 +156,7 @@ class TestStage2:
         ray = canonicalize((0.0, 0.0, near))
         assert direction_cosines(ray, IDENT) == (0.0, 0.0, near)
         for w in (QUANTUM, UNIFORM_VARIANT):
-            s1, s2 = _tree(ray, IDENT, w)
+            s1, s2 = _tree(ray, IDENT, w)[0]
             assert s1[2] > 0.0
             assert s2[2] == (0.5, 0.5)
             dist, paths = rod_analytic(ray, IDENT, w)
@@ -357,7 +357,7 @@ class TestSampler:
     def test_boundary_uniforms_never_select_zero_weight(self):
         # eigenstate: stage-1 weight of axis 1 is zero; u1 = 0 must not pick it
         ray = canonicalize((1, 0, 0))
-        s1, _ = _tree(ray, IDENT, QUANTUM)
+        s1, _ = _tree(ray, IDENT, QUANTUM)[0]
         edges = np.array([0.0, s1[1], s1[1] + s1[2], 1.0 - 2**-53])
         u2 = np.array([0.0, 0.5, 1.0 - 2**-53, 0.25])
         singles = _single_paths(ray, identity_frame(), QUANTUM, edges, u2)
@@ -368,7 +368,7 @@ class TestSampler:
         assert np.array_equal(counts, np.bincount(singles, minlength=6))
 
     def test_tie_on_boundary_goes_to_lowest_index(self):
-        s1, _ = _tree(P_BENCH, IDENT, QUANTUM)
+        s1, _ = _tree(P_BENCH, IDENT, QUANTUM)[0]
         # u exactly on the first cumulative edge selects category 0
         (single,) = _single_paths(
             P_BENCH, identity_frame(), QUANTUM, np.array([s1[0]]), np.array([0.5])
@@ -391,7 +391,7 @@ def _reference_constants(p, e, w):
     prob_j = np.zeros(3)
     elig_j = np.zeros(3, dtype=bool)
     elig_k = np.zeros(3, dtype=bool)
-    for i, (pj, pk) in enumerate(_tree(p, e, w)[1]):
+    for i, (pj, pk) in enumerate(_tree(p, e, w)[0][1]):
         prob_j[i] = pj
         elig_j[i] = pj > 0.0
         elig_k[i] = pk > 0.0
@@ -602,11 +602,13 @@ def test_outcomes_are_contextual_where_quantum_probabilities_are_not(angle):
     assert np.count_nonzero(on_axis_0[0] != on_axis_0[1]) >= 0.10 * len(u1)
 
 
-def _tree_bits(tree):
-    """A stage tree's floats as ``float.hex`` strings, so that 0.0 and -0.0
-    and the last bit all count."""
-    s1, s2 = tree
-    return [x.hex() for x in s1], [[x.hex() for x in pair] for pair in s2]
+def _tree_bits(entry):
+    """Every float of a ``_tree`` entry, the stages and the table, as
+    ``float.hex`` strings, so that 0.0 and -0.0 and the last bit all count."""
+    (s1, s2), (dist, path_probs) = entry
+    assert dist.labels == LABELS
+    return ([x.hex() for x in s1], [[x.hex() for x in pair] for pair in s2],
+            [x.hex() for x in dist.probs], [x.hex() for x in path_probs])
 
 
 def _fresh_bits(p, e, w):
@@ -641,7 +643,8 @@ def _input_bits(p, e):
 
 
 class TestTreeMemo:
-    """``_tree`` keeps one entry, keyed by the value of (ray, frame, weight)."""
+    """``_tree`` keeps one entry, the whole table, keyed by the value of
+    (ray, frame, weight)."""
 
     def test_a_hit_is_the_fresh_tree_bit_for_bit(self):
         gen = np.random.default_rng(26)
@@ -678,9 +681,40 @@ class TestTreeMemo:
             _tree(*base)
             assert thresholds(*changed) == constants
 
+    def test_a_hit_of_rod_analytic_returns_the_kept_table(self):
+        # a hit builds nothing: rod_analytic hands out the kept table itself,
+        # whose floats are those of a fresh call (see the test above)
+        gen = np.random.default_rng(35)
+        for w in WEIGHTS.values():
+            for _ in range(20):
+                ray, frame = canonicalize(random_unit_vector(gen).array), random_frame(gen)
+                table = rod_analytic(ray, frame, w)
+                assert rod_analytic(ray, frame, w) is table
+                assert _tree(ray, frame, w)[1] is table
+
+    def test_thresholds_after_rod_analytic_on_one_triple_is_a_hit(self):
+        for p in (P_BENCH, SYMMETRIC, canonicalize((1, 0, 0)), canonicalize((0.6, 0.8, 0.0))):
+            for w in WEIGHTS.values():
+                _tree.cache_clear()
+                rod_analytic(p, IDENT, w)
+                info = _tree.cache_info()
+                constants = thresholds(p, IDENT, w)
+                assert _tree.cache_info().hits == info.hits + 1
+                assert _tree.cache_info().misses == info.misses
+                _tree.cache_clear()
+                assert thresholds(p, IDENT, w) == constants
+
     def test_a_rejected_input_raises_on_every_call(self):
         dead = BreakWeight("dead", lambda t: 0.0 * np.asarray(t))
         for _ in range(3):
             with pytest.raises(ValueError, match="degenerate frame/state"):
                 _tree(P_BENCH, IDENT, dead)
         assert _tree.cache_info().currsize == 0
+        # nor does it take the place of the kept table
+        table = rod_analytic(P_BENCH, IDENT, QUANTUM)
+        for call in (rod_analytic, thresholds, _tree) * 2:
+            with pytest.raises(ValueError, match="degenerate frame/state"):
+                call(P_BENCH, IDENT, dead)
+        hits = _tree.cache_info().hits
+        assert rod_analytic(P_BENCH, IDENT, QUANTUM) is table
+        assert _tree.cache_info().hits == hits + 1
