@@ -427,13 +427,16 @@ def _sweep_angles(steps: int) -> Iterator[float]:
 
 
 def cmd_sweep(r: SimpleNamespace) -> int:
-    u, w = r.frame.sweep
+    """Per angle, the unit state along ``cos * u + sin * w`` (numpy's cos and sin,
+    the rest on floats), its exact first probability and first count / trials."""
+    uw = list(zip(*(v.tolist() for v in r.frame.sweep)))
     values = array("d")  # (analytic, empirical) per point; rows are built as written
     for i, angle in enumerate(_sweep_angles(r.steps)):
-        state = state_vector(np.cos(angle) * u + np.sin(angle) * w)
+        ca, sa = float(np.cos(angle)), float(np.sin(angle))
+        state = state_vector([ca * a + sa * b for a, b in uw])
         analytic = _self_distribution(r, state).probs[0]
         emp, _ = run_trials(_run_config(r, state, trial_state(r.seed, i)))
-        values.extend((analytic, float(emp.frequencies[0])))
+        values.extend((analytic, float(emp.counts[0]) / float(emp.total)))
     pairs = iter(values)
     rows = ([angle, analytic, f0, *wald_interval(f0, r.trials)]
             for angle, analytic, f0 in zip(_sweep_angles(r.steps), pairs, pairs))

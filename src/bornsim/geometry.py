@@ -51,7 +51,8 @@ digests), so a rewrite of this path must keep every rounding step:
 * ``arccos`` and ``sin`` stay numpy ufuncs on contiguous arrays: numpy's
   vectorized ``arccos`` differed from ``math.acos`` on 8 969 of 100 000
   uniform inputs in [0, 1). Each element's result does not depend on its
-  neighbours, so several evaluations may share one call.
+  neighbours, so several evaluations may share one call. So do the sweep's
+  cos and sin of each angle; ``cos * u + sin * w`` may be on floats (below).
 * Element-wise ``*``, ``+``, ``-``, ``/``, ``abs``, ``min``, negation,
   exact power-of-two scaling (``ldexp``) and ``sqrt``, and ``tolist``/
   ``float`` round trips round the same on Python floats, in numpy and in C
@@ -158,6 +159,11 @@ def _canonical(x: float, y: float, z: float) -> tuple[float, float, float]:
     return x, y, z
 
 
+class NotOrthogonalError(ValueError):
+    """Two of a ``Frame``'s rows are not orthogonal within ``ORTHO_TOL``; the
+    row checks before it raise a plain ValueError."""
+
+
 @dataclass(frozen=True)
 class Frame:
     """Ordered orthonormal triad of rays: one 3-outcome measurement.
@@ -192,7 +198,7 @@ class Frame:
             (a0, a1, a2), (b0, b1, b2) = rows[i], rows[j]
             d = abs(a0 * b0 + a1 * b1 + a2 * b2)
             if not d <= ORTHO_TOL:  # NaN fails too
-                raise ValueError(
+                raise NotOrthogonalError(
                     f"frame axes {i} and {j} not orthogonal: |cos| = {d:.3e}"
                 )
 
@@ -345,11 +351,12 @@ def tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Pure function of v; used to place disk/azimuth coordinates around a pole.
     """
-    v = np.asarray(v, dtype=float)
+    x = np.asarray(v, dtype=float).tolist()
+    m = list(map(abs, x))
     e = [0.0, 0.0, 0.0]
-    e[int(np.argmin(np.abs(v)))] = 1.0
-    a = _unit_cross(v.tolist(), e)
-    b = _unit_cross(v.tolist(), a.tolist())
+    e[m.index(min(m))] = 1.0  # the first minimum, as np.argmin takes it
+    a = _unit_cross(x, e)
+    b = _unit_cross(x, a.tolist())
     return a, b
 
 
@@ -413,7 +420,8 @@ def random_frame(rng: np.random.Generator) -> Frame:
     returns None, ``_random_axes`` makes the rows on Python floats;
     otherwise one call of the C body ``random_frame`` makes the same
     operations in the same order, so both give the same canonical rows, bit
-    for bit, and draw alike. Either body's rows go to ``Frame`` as they are.
+    for bit, and draw alike. Either body's rows go to ``Frame`` as they are;
+    only its ``NotOrthogonalError`` draws again, any other row error raises.
     """
     lib = native.LIBRARY.load()
     g = np.empty((3, 3))
@@ -423,5 +431,5 @@ def random_frame(rng: np.random.Generator) -> Frame:
         if axes is not None:
             try:
                 return Frame(axes)
-            except ValueError:  # not orthogonal to 1e-10: draw again
+            except NotOrthogonalError:  # any other row error is the body's fault
                 pass

@@ -13,16 +13,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Frame, UnitVector, _dot, normalize
+from .geometry import Frame, UnitVector, _dot, _unit
 from .outcomes import OutcomeDistribution
 
 
 def state_vector(components: Sequence[float]) -> UnitVector:
-    """Normalizing constructor; rejects zero input and input of other than 3 components."""
+    """Normalizing constructor; rejects zero input and input of other than 3 components.
+    ``normalize``'s quotient, bit for bit, with no array made of it."""
     v = np.asarray(components, dtype=float)
     if v.shape != (3,):
         raise ValueError("state vectors have 3 components")
-    return UnitVector(*normalize(v, "cannot normalize a zero vector").tolist())
+    return UnitVector(*_unit(v.tolist(), "cannot normalize a zero vector"))
 
 
 # one outcome per frame axis; the rod machine counts under the same labels

@@ -87,8 +87,8 @@ WEIGHTS = {w.tag: w for w in (QUANTUM, UNIFORM_VARIANT)}
 _PATHS = tuple((first, second) for first in range(3) for second in OTHER_AXES[first])
 # the axis path i leaves standing, which names its outcome
 _OUTCOMES = tuple(3 - f - s for f, s in _PATHS)
-# row i is the one-hot outcome of path i: path counts @ it = outcome counts
-_PATH_OUTCOMES = np.eye(3, dtype=np.int64)[list(_OUTCOMES)]
+# the two paths _Ik, _Jk that leave axis k standing
+_I0, _J0, _I1, _J1, _I2, _J2 = (i for k in range(3) for i, o in enumerate(_OUTCOMES) if o == k)
 
 
 def _weigh(w: BreakWeight, cosines) -> np.ndarray:
@@ -281,8 +281,10 @@ def outcomes_from_uniforms(th: tuple, u1: np.ndarray, u2: np.ndarray) -> np.ndar
 
 
 def fold_paths(counts: np.ndarray) -> np.ndarray:
-    """Outcome counts (o1, o2, o3) from the six path counts in ``_PATHS`` order."""
-    return counts @ _PATH_OUTCOMES
+    """Outcome counts (o1, o2, o3), int64, from the six path counts in ``_PATHS``
+    order: outcome k sums its two paths on Python ints, with no matmul."""
+    c = counts.tolist()
+    return np.array((c[_I0] + c[_J0], c[_I1] + c[_J1], c[_I2] + c[_J2]), dtype=np.int64)
 
 
 def rod_sample(p: Ray, e: Frame, w: BreakWeight, rng) -> tuple[str, Ray, tuple[int, int]]:

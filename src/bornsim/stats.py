@@ -132,13 +132,14 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
 
     Returns the aggregated outcome counts plus the ``(index, outcome)``
     TrialRecords of the first ``_RECORDS`` trials (all of them when there
-    are fewer), each replayed through its own stream. Trials are drawn in
-    chunks of ``_CHUNK``, one ``trial_uniforms`` call each, and counted in
-    slices of ``_BLOCK`` trials by the model's kernel, whose temporaries
-    then stay in cache. Worker k of ``threads`` sums the counts of chunks
-    k, k + threads, ... Chunk starts come from a lazy range, so memory does
-    not grow with ``cfg.trials``. Counts are deterministic given
-    ``cfg.master_seed`` regardless of ``cfg.workers``.
+    are fewer), each replayed through its own stream (about half of a
+    2 000-trial call; the benchmark pins these calls, ROADMAP item F).
+    Trials are drawn in chunks of ``_CHUNK``, one ``trial_uniforms`` call
+    each, and counted in slices of ``_BLOCK`` trials by the model's kernel,
+    whose temporaries then stay in cache. Worker k of ``threads`` sums the
+    counts of chunks k, k + threads, ... Chunk starts come from a lazy
+    range, so memory does not grow with ``cfg.trials``. Counts are
+    deterministic given ``cfg.master_seed`` regardless of ``cfg.workers``.
     """
     model = _validate(cfg)
     seed = operator.index(cfg.master_seed)  # a numpy integer overflows the streams' & mask
@@ -169,7 +170,7 @@ def run_trials(cfg: RunConfig) -> tuple[EmpiricalDistribution, list[TrialRecord]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = sum(pool.map(count_chunks, range(threads)))
 
-    emp = EmpiricalDistribution(model.labels, tuple(int(c) for c in counts), cfg.trials)
+    emp = EmpiricalDistribution(model.labels, tuple(counts.tolist()), cfg.trials)
     records = [record(t) for t in range(min(_RECORDS, cfg.trials))]
     return emp, records
 

@@ -71,6 +71,8 @@ _EDGE_DRAWS = "tests/test_geometry.py::test_edge_draws_give_the_replica_frame"
 _DOT_PARITY = "tests/test_geometry.py::test_native_and_python_dots_equal_the_replica"
 _DOT_GAUSSIAN = "tests/test_geometry.py::test_native_dot_is_the_chain_on_gaussian_vectors"
 _SIGN_PARITY = "tests/test_geometry.py::test_c_and_python_bodies_give_the_same_canonical_rows"
+_SWEEP_STATES = "tests/test_cli.py::TestSweep::test_sweep_states_are_the_array_route_bit_for_bit"
+_SKEW_ONLY = "tests/test_geometry.py::test_random_frame_draws_again_only_on_skew_rows"
 
 MUTANTS = (
     Mutant(
@@ -584,6 +586,30 @@ MUTANTS = (
         ("tests/test_stats.py::TestRunTrials::test_worker_count_does_not_change_counts",
          _BLOCK_WALK + "[rod-2-327681]",
          _PINNED + "[rod-numpy]"),
+    ),
+    Mutant(
+        "fold_paths swaps two outcome pairs",
+        "src/bornsim/rod.py",
+        "(c[_I0] + c[_J0], c[_I1] + c[_J1],",
+        "(c[_I1] + c[_J1], c[_I0] + c[_J0],",
+        ("tests/test_rod.py::test_fold_paths_is_the_one_hot_matmul",
+         "tests/test_rod.py::test_path_counts_match_the_paper_path_identity"),
+    ),
+    Mutant(
+        "sweep state not renormalized",
+        "src/bornsim/cli.py",
+        "state = state_vector([ca * a + sa * b for a, b in uw])",
+        "state = UnitVector(*[ca * a + sa * b for a, b in uw])",
+        tuple(_SWEEP_STATES + case for case in ("[sphere2d-identity]", "[ks-random3]",
+                                                "[rod-huge-and-tiny-rows]",
+                                                "[ks-direction]")),
+    ),
+    Mutant(
+        "random_frame: redraws on every ValueError, not only on skew rows",
+        "src/bornsim/geometry.py",
+        "except NotOrthogonalError:  # any other row error",
+        "except ValueError:  # any other row error",
+        tuple(_SKEW_ONLY + case for case in ("[not-unit-python]", "[not-canonical-c]")),
     ),
 )
 

@@ -12,7 +12,7 @@ import pytest
 
 from bornsim import cli, native, rod
 from bornsim.cli import InputError, _sweep_angles, main
-from bornsim.geometry import Frame, identity_frame, unit_vector
+from bornsim.geometry import Frame, UnitVector, identity_frame, normalize, unit_vector
 from bornsim.models import MODELS
 from bornsim.stats import RunConfig, run_trials
 
@@ -206,6 +206,13 @@ def test_csv_floats_carry_12_significant_digits(argv, rows, capsys):
     assert capsys.readouterr().out.endswith("\n".join(rows) + "\n")
 
 
+# sweep frame tokens by test id: 9 reals of one huge, one tiny and one
+# ordinary row, and 3 reals, a direction only
+_SWEEP_TOKENS = {"identity": "identity", **{f"random{k}": f"random:{k}" for k in range(1, 6)},
+                 "huge-and-tiny-rows": "3e200,4e200,0,-4e-11,3e-11,0,0,0,7"}
+_DIRECTION = {"direction": "0.3,-0.2,0.9"}
+
+
 class TestSweep:
     def test_step_count_must_be_at_least_two(self, capsys):
         assert main(["sweep", "--model", "rod", "--state", "1,0,0",
@@ -298,6 +305,53 @@ class TestSweep:
                      "--trials", "2000", "--out", str(out)]) == 0
         capsys.readouterr()
         assert float(read_csv(out)[0]["analytic"]) == 1.0
+
+    @pytest.mark.parametrize("model,name", [
+        *((m, t) for m in ("sphere2d", "ks", "rod") for t in _SWEEP_TOKENS),
+        *((m, t) for m in ("sphere2d", "ks") for t in _DIRECTION),
+    ])
+    def test_sweep_states_are_the_array_route_bit_for_bit(
+        self, model, name, monkeypatch, tmp_path, capsys
+    ):
+        # each point's state is normalize(np.cos(a) * u + np.sin(a) * w) on
+        # arrays, by float.hex, and its empirical cell is the frequency of
+        # the counts that run_trials returned for it
+        runs = []
+
+        def recorded(cfg):
+            runs.append((cfg.state, run_trials(cfg)[0]))
+            return runs[-1][1], []
+
+        monkeypatch.setattr(cli, "run_trials", recorded)
+        token = {**_SWEEP_TOKENS, **_DIRECTION}[name]
+        out = tmp_path / "sweep.csv"
+        steps = 65
+        assert main(["sweep", "--model", model, "--state", "1,0,0", "--frame", token,
+                     "--steps", str(steps), "--trials", "40", "--seed", "2",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        u, w = cli._parse_frame(token, MODELS[model].measurement).sweep
+        assert len(runs) == steps
+        for angle, (state, emp), row in zip(_sweep_angles(steps), runs, read_csv(out)):
+            want = UnitVector(*normalize(np.cos(angle) * u + np.sin(angle) * w, "").tolist())
+            assert [c.hex() for c in (state.x, state.y, state.z)] == [
+                c.hex() for c in (want.x, want.y, want.z)]
+            assert row["empirical"] == cli._fmt(float(emp.frequencies[0]))
+
+    @pytest.mark.parametrize("count,total", [
+        (0, 1), (1, 3), (1234, 2000), (2**53 - 1, 2**53), (2**53 + 1, 2**53 + 1),
+        (2**53 + 1, 2**53 + 3), (3, 2**53 + 5), (2**62 + 2**10 + 1, 2**63 - 1),
+        (2**63 - 1, 2**63 - 1),
+    ])
+    def test_sweep_empirical_quotient_is_numpys_at_any_size(self, count, total):
+        # the empirical cell is float(c) / float(n): numpy's int64 -> float64
+        # conversion, round to nearest even, then one divide; beyond 2**53
+        # either conversion may round, and Python's exact c / n would differ
+        gen = np.random.default_rng(total % 1000)
+        pairs = [(count, total), *((int(c), int(n)) for n, c in (
+            sorted(gen.integers(1, total, size=2, endpoint=True))[::-1] for _ in range(50)))]
+        for c, n in pairs:
+            assert (float(c) / float(n)).hex() == float((np.array([c, n - c]) / n)[0]).hex()
 
     def test_sphere_sweep_analytic_column(self, tmp_path, capsys):
         out = tmp_path / "sweep2.csv"

@@ -16,7 +16,7 @@ from oracles import (
     random_frame_oracle,
 )
 
-from bornsim import native
+from bornsim import geometry, native
 from bornsim.quantum import LABELS
 from bornsim.rod import QUANTUM, rod_sample
 from bornsim.geometry import (
@@ -27,6 +27,7 @@ from bornsim.geometry import (
     _chain_dot,
     _dot,
     _gram_schmidt,
+    NotOrthogonalError,
     _random_axes,
     canonicalize,
     direction_cosines,
@@ -307,7 +308,8 @@ def test_tangent_basis_keeps_the_rounding_of_np_cross():
     gen = np.random.default_rng(258)
     vs = [random_unit_vector(gen).array for _ in range(5_000)]
     for c in [(1, 0, 0), (0, -1, 0), (-0.0, 0, 1), (0.6, -0.0, -0.8), (1, 1, 1),
-              (-1, 1, -1), (0.6, 0.8, 0), (0, 0.6, -0.8), (1e-300, 1, 0)]:
+              (-1, 1, -1), (0.6, 0.8, 0), (0, 0.6, -0.8), (1e-300, 1, 0),
+              (1, 0.5, -0.5), (0.5, -1, 0.5), (0.0, -0.0, 1)]:
         vs.append(normalize(c, "test vector"))
     for v in vs:
         got, want = tangent_basis(v), _reference_tangent_basis(v)
@@ -521,6 +523,44 @@ def test_c_and_python_bodies_give_the_same_canonical_rows(monkeypatch):
     assert COMPONENT_EPS in map(abs, near)
     assert sum(0.0 < abs(x) <= COMPONENT_EPS for x in near) >= 10
     assert sum(abs(x) > COMPONENT_EPS for x in near) >= 12
+
+
+_IDENTITY_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_BAD_ROWS = {
+    "not-unit": ((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    "not-canonical": ((-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    "skew": ((1.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, 0.0, 1.0)),  # unit, canonical
+}
+
+
+@pytest.mark.parametrize("body", ["python", "c"])
+@pytest.mark.parametrize("bad", list(_BAD_ROWS))
+def test_random_frame_draws_again_only_on_skew_rows(monkeypatch, body, bad):
+    """A body whose first rows are not unit or not canonical makes
+    ``random_frame`` raise; only ``Frame``'s orthogonality check draws
+    again. Each stub body hands out the bad rows first, then the identity
+    rows, so a retry returns a frame where it should have raised."""
+    handed = iter((_BAD_ROWS[bad], _IDENTITY_ROWS))
+
+    def stub(g):
+        return next(handed)
+
+    if body == "python":
+        monkeypatch.setattr(native.LIBRARY, "load", lambda: None)
+        monkeypatch.setattr(geometry, "_random_axes", stub)
+    else:
+        stand_in = type("Library", (), {"random_frame": staticmethod(stub)})()
+        monkeypatch.setattr(native.LIBRARY, "load", lambda: stand_in)
+    rng = np.random.default_rng(36)
+    if bad == "skew":
+        assert random_frame(rng) == identity_frame()
+        return
+    with pytest.raises(ValueError, match=f"frame row 0 .* is {bad.replace('-', ' ')}") as err:
+        random_frame(rng)
+    assert not isinstance(err.value, NotOrthogonalError)
+    # the skew rows are the orthogonality check's own error
+    with pytest.raises(NotOrthogonalError, match="frame axes 0 and 1 not orthogonal"):
+        Frame(_BAD_ROWS["skew"])
 
 
 @pytest.mark.parametrize("scale", [1.7e308, [[1.0, 1e-310, 1.0], [1e-320, 1.0, 1.0],

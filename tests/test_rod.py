@@ -552,6 +552,20 @@ def test_path_counts_match_the_paper_path_identity():
                     assert abs(prob - cos2[k] / 2.0) < 1e-12
 
 
+def test_fold_paths_is_the_one_hot_matmul():
+    # outcome k sums the two paths that leave axis k standing: the product
+    # with the one-hot path-to-outcome matrix, on random, zero and huge counts
+    one_hot = np.eye(3, dtype=np.int64)[list(_OUTCOMES)]
+    gen = np.random.default_rng(36)
+    cases = [np.zeros(6, dtype=np.int64), np.arange(6, dtype=np.int64),
+             *gen.integers(0, 1 << 20, size=(50, 6)), *gen.integers(0, 1 << 40, size=(50, 6)),
+             *((1 << 62) - gen.integers(0, 1 << 20, size=(50, 6)))]
+    for counts in cases:
+        got = fold_paths(counts)
+        assert got.dtype == np.int64 and got.shape == (3,)
+        assert got.tolist() == (counts @ one_hot).tolist()
+
+
 def test_draws_of_different_lengths_are_rejected():
     th = thresholds(P_BENCH, IDENT, QUANTUM)
     u = np.full(5, 0.5)
