@@ -51,8 +51,8 @@ digests), so a rewrite of this path must keep every rounding step:
 * ``arccos`` and ``sin`` stay numpy ufuncs on contiguous arrays: numpy's
   vectorized ``arccos`` differed from ``math.acos`` on 8 969 of 100 000
   uniform inputs in [0, 1). Each element's result does not depend on its
-  neighbours, so several evaluations may share one call. So do the sweep's
-  cos and sin of each angle; ``cos * u + sin * w`` may be on floats (below).
+  neighbours, so several evaluations may share one call. The sweep's cos
+  and sin stay numpy's too; its ``cos * u + sin * w`` may be on floats.
 * Element-wise ``*``, ``+``, ``-``, ``/``, ``abs``, ``min``, negation,
   exact power-of-two scaling (``ldexp``) and ``sqrt``, and ``tolist``/
   ``float`` round trips round the same on Python floats, in numpy and in C

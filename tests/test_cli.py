@@ -348,8 +348,10 @@ class TestSweep:
         # conversion, round to nearest even, then one divide; beyond 2**53
         # either conversion may round, and Python's exact c / n would differ
         gen = np.random.default_rng(total % 1000)
-        pairs = [(count, total), *((int(c), int(n)) for n, c in (
-            sorted(gen.integers(1, total, size=2, endpoint=True))[::-1] for _ in range(50)))]
+        pairs = [(count, total)]
+        for _ in range(50):  # random pairs c <= n of the same size
+            c, n = sorted(int(x) for x in gen.integers(1, total, size=2, endpoint=True))
+            pairs.append((c, n))
         for c, n in pairs:
             assert (float(c) / float(n)).hex() == float((np.array([c, n - c]) / n)[0]).hex()
 

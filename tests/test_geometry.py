@@ -23,11 +23,11 @@ from bornsim.geometry import (
     COMPONENT_EPS,
     NORM_TOL,
     Frame,
+    NotOrthogonalError,
     _canonical,
     _chain_dot,
     _dot,
     _gram_schmidt,
-    NotOrthogonalError,
     _random_axes,
     canonicalize,
     direction_cosines,
